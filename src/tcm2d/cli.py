@@ -11,7 +11,9 @@ Subcommands:
 
 Configurations are JSON with a schema_version field (documented in the
 README).  Exit codes: 0 success, 2 config/usage error, 3 blow-up, 4 I/O
-error, 5 inequality-lab instability, 6 nonpositive values in a fit window.
+error, 5 inequality-lab instability, 6 nonpositive values in a fit window,
+7 unexpected error (the traceback goes to stderr; the run's manifest, or the
+sweep cell's row in aggregate.csv, records status ``error``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 import time as _time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -72,6 +75,7 @@ EXIT_BLOWUP = 3
 EXIT_IO = 4
 EXIT_UNSTABLE = 5
 EXIT_NONPOSITIVE = 6
+EXIT_ERROR = 7
 
 
 class ConfigError(ValueError):
@@ -329,7 +333,19 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
         "status": "running",
     }
     _write_json(out / "manifest.json", manifest)
+    # Whatever raises past the statuses handled below (a DiagnosticsError from
+    # the sink, a custom law's ViscosityFloorError, KeyboardInterrupt), the
+    # manifest must not stay at "running".
+    try:
+        return _integrate_and_report(config, grid, out, manifest, quiet)
+    except BaseException as exc:
+        if manifest["finished_at"] is None:
+            _finish_manifest(out, manifest, "error", error=f"{type(exc).__name__}: {exc}")
+        raise
 
+
+def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, manifest: dict, quiet: bool) -> RunResult:
+    params = config.params
     initial = make_initial_data(config, grid)
     records: list[DiagnosticsRecord] = []
     orders = config.diagnostics.orders(params)
@@ -353,9 +369,7 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
                 status = "blow-up"
                 blow_up_time = exc.time
     except OSError as exc:
-        manifest["status"] = "io-error"
-        manifest["finished_at"] = _time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        _write_json(out / "manifest.json", manifest)
+        _finish_manifest(out, manifest, "io-error")
         if not quiet:
             print(f"io error: {exc}", file=sys.stderr)
         return RunResult(EXIT_IO, out, {"status": "io-error", "error": str(exc)})
@@ -386,16 +400,18 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
         summary["blow_up_time"] = blow_up_time
     _write_json(out / "summary.json", summary)
 
-    manifest["status"] = status
-    manifest["finished_at"] = _time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if blow_up_time is not None:
-        manifest["blow_up_time"] = blow_up_time
-    _write_json(out / "manifest.json", manifest)
+    extra = {} if blow_up_time is None else {"blow_up_time": blow_up_time}
+    _finish_manifest(out, manifest, status, **extra)
 
     if not quiet:
         print(f"run {out}: status={status} stability={summary['stability']['verdict']} "
               f"x2_monotone={summary['x2_monotonicity']['verdict']}")
     return RunResult(EXIT_BLOWUP if status == "blow-up" else EXIT_OK, out, summary)
+
+
+def _finish_manifest(out: Path, manifest: dict, status: str, **extra: Any) -> None:
+    manifest.update(status=status, finished_at=_time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra)
+    _write_json(out / "manifest.json", manifest)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -465,10 +481,23 @@ def _cell_dirname(index: int, cell: dict[str, Any]) -> str:
     return "__".join(parts)
 
 
+# What a failing cell can raise: every tcm2d error is a ValueError or a
+# RuntimeError, numpy's floating-point errors are ArithmeticError, and the file
+# system's are OSError.  Anything else (a programming error, KeyboardInterrupt,
+# or an exception a caller's hook raises to stop the sweep, as perfbench's
+# set-up-only repetitions do from the integrator) propagates.
+_CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
+
+
 def _run_cell(args: tuple[dict, str]) -> tuple[str, int]:
+    """Run one sweep cell; a run failure fails this cell only, with EXIT_ERROR."""
     doc, out_dir = args
-    config = parse_run_config(doc)
-    result = execute_run(config, out_dir, quiet=True)
+    try:
+        result = execute_run(parse_run_config(doc), out_dir, quiet=True)
+    except _CELL_FAILURES:
+        print(f"sweep cell {out_dir} raised:", file=sys.stderr)
+        traceback.print_exc()
+        return out_dir, EXIT_ERROR
     return out_dir, result.exit_code
 
 
@@ -504,12 +533,14 @@ def execute_sweep(base: RunConfig, cells: list[dict[str, Any]], out_dir: str | P
         summary_path = cell_dir / "summary.json"
         status = "missing"
         fits: dict[tuple[str, float], dict] = {}
-        if summary_path.exists():
+        code = codes.get(str(cell_dir), EXIT_IO)
+        if code == EXIT_ERROR:
+            status = "error"
+        elif summary_path.exists():
             summary = json.loads(summary_path.read_text())
             status = summary.get("status", "unknown")
             for entry in summary.get("fits", []):
                 fits[(entry["field"], float(entry["gamma"]))] = entry
-        code = codes.get(str(cell_dir), EXIT_IO)
         if code != EXIT_OK:
             worst = max(worst, code)
         row = [
@@ -643,7 +674,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a run config (JSON)")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1, help="accepted for symmetry; runs are single-threaded")
     p_run.add_argument("--quiet", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="Cartesian-product parameter sweep")
@@ -719,6 +749,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_ERROR
     raise AssertionError("unreachable")
 
 

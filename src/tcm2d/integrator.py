@@ -46,7 +46,9 @@ class StepperConfig:
     dt may be a positive float or "auto", in which case the CFL-style bound of
     :func:`stable_dt` is re-evaluated every step.  Because the stiff diagonal
     is integrated exactly, the bound involves only advective speeds, the
-    viscosity remainder, the damping rates, and the coupling gradient.
+    viscosity remainder, the damping rates, and the coupling gradient.  That
+    bound is the if-rk4 one: imex-euler needs dt <~ beta / kmax^2, far below
+    it, so "auto" is rejected for imex-euler and a fixed dt is required.
     """
 
     t_end: float
@@ -61,6 +63,8 @@ class StepperConfig:
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ValueError(f"dt must be a positive number or 'auto', got {self.dt!r}")
+            if self.scheme == "imex-euler":
+                raise ValueError("dt 'auto' gives the if-rk4 step bound; imex-euler needs a fixed dt <~ beta / kmax^2")
         elif not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not 0 < self.cfl <= 1:

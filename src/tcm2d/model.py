@@ -23,6 +23,15 @@ holds exactly for the continuous system; the discrete residual reported by
 transport terms are skew-symmetric in dealiased spectral arithmetic, the
 <grad theta, v> and <div v, theta> pairings cancel, and the v-tensor terms
 cancel against the (v.grad)u pairing.
+
+The quadratic products are summed in physical space whenever they reach one
+tendency component through the same linear operator, and only then taken
+through one batched forward transform: (u.grad)v_i + (v.grad)u_i is one field
+per component, and -v(x)v is folded into the viscous remainder stress
+sigma = (mu(theta) - mu(0)) grad u - v(x)v.  One call of
+:func:`nonlinear_tendency` transforms 16 fields inverse and 10 forward (9
+products plus the viscosity remainder), or 15 inverse and 8 forward with the
+constant law, whose sigma = -v(x)v is symmetric.
 """
 
 from __future__ import annotations
@@ -265,38 +274,39 @@ def nonlinear_tendency(
         # from two alias-free quadratic stages.
         mu_rem = to_phys(grid.dealias_mask * from_phys(np.asarray(params.mu(th)) - mu0, grid), grid)
 
-    nprod = 10 if constant_mu else 14
-    prods = np.empty((nprod,) + grid.shape_phys)
-    prods[0] = u1 * du[0][0] + u2 * du[0][1]          # (u.grad)u1
-    prods[1] = u1 * du[1][0] + u2 * du[1][1]          # (u.grad)u2
-    prods[2] = u1 * dv[0][0] + u2 * dv[0][1]          # (u.grad)v1
-    prods[3] = u1 * dv[1][0] + u2 * dv[1][1]          # (u.grad)v2
-    prods[4] = v1 * du[0][0] + v2 * du[0][1]          # (v.grad)u1
-    prods[5] = v1 * du[1][0] + v2 * du[1][1]          # (v.grad)u2
-    prods[6] = u1 * dth[0] + u2 * dth[1]              # u.grad theta
-    prods[7] = v1 * v1
-    prods[8] = v1 * v2
-    prods[9] = v2 * v2
-    if not constant_mu:
-        prods[10] = mu_rem * du[0][0]
-        prods[11] = mu_rem * du[0][1]
-        prods[12] = mu_rem * du[1][0]
-        prods[13] = mu_rem * du[1][1]
+    # Rows, each summed before the one forward transform (dealiasing and the
+    # ik multipliers are linear, so only rounding changes): (u.grad)u (2),
+    # (u.grad)v + (v.grad)u (2), u.grad theta (1), and the stress
+    # sigma = mu_rem grad u - v(x)v (4, or its 3 distinct rows when mu_rem = 0).
+    prods = np.empty(((8 if constant_mu else 9),) + grid.shape_phys)
+    prods[0] = u1 * du[0][0] + u2 * du[0][1]
+    prods[1] = u1 * du[1][0] + u2 * du[1][1]
+    prods[2] = u1 * dv[0][0] + u2 * dv[0][1] + v1 * du[0][0] + v2 * du[0][1]
+    prods[3] = u1 * dv[1][0] + u2 * dv[1][1] + v1 * du[1][0] + v2 * du[1][1]
+    prods[4] = u1 * dth[0] + u2 * dth[1]
+    if constant_mu:
+        prods[5] = -v1 * v1
+        prods[6] = -v1 * v2
+        prods[7] = -v2 * v2
+        s11, s12, s21, s22 = 5, 6, 6, 7
+    else:
+        prods[5] = mu_rem * du[0][0] - v1 * v1
+        prods[6] = mu_rem * du[0][1] - v1 * v2
+        prods[7] = mu_rem * du[1][0] - v1 * v2
+        prods[8] = mu_rem * du[1][1] - v2 * v2
+        s11, s12, s21, s22 = 5, 6, 7, 8
     p = grid.dealias_mask * from_phys(prods, grid)
 
     out = np.empty_like(coeffs)
-    # u: -(u.grad)u - div(v(x)v) + div(mu_rem grad u), then project.
-    tux = -p[0] - (ikx * p[7] + iky * p[8])
-    tuy = -p[1] - (ikx * p[8] + iky * p[9])
-    if not constant_mu:
-        tux += ikx * p[10] + iky * p[11]
-        tuy += ikx * p[12] + iky * p[13]
+    # u: -(u.grad)u + div sigma, then project.
+    tux = -p[0] + ikx * p[s11] + iky * p[s12]
+    tuy = -p[1] + ikx * p[s21] + iky * p[s22]
     out[0], out[1] = leray_project_coeffs(tux, tuy, grid)
     # v: -(u.grad)v - (v.grad)u + grad theta.
-    out[2] = -p[2] - p[4] + ikx * coeffs[ITH]
-    out[3] = -p[3] - p[5] + iky * coeffs[ITH]
+    out[2] = -p[2] + ikx * coeffs[ITH]
+    out[3] = -p[3] + iky * coeffs[ITH]
     # theta: -u.grad theta + div v.
-    out[ITH] = -p[6] + ikx * coeffs[2] + iky * coeffs[3]
+    out[ITH] = -p[4] + ikx * coeffs[2] + iky * coeffs[3]
 
     if not with_dissipation:
         return out, 0.0

@@ -268,10 +268,6 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     return float(np.sqrt(hs_norm_sq(f, s, homogeneous)))
 
 
-def linf_norm(f: SpectralField) -> float:
-    return float(np.max(np.abs(f.values())))
-
-
 def lp_norm(f: SpectralField, p: float, oversample: int = 2) -> float:
     """L^p norm computed on an `oversample`-times finer physical grid.
 

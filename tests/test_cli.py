@@ -10,16 +10,19 @@ from tcm2d.cli import (
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_NONPOSITIVE,
     EXIT_UNSTABLE,
     execute_fit,
+    execute_run,
     load_run_config,
     main,
     make_initial_data,
     parse_run_config,
     parse_sweep,
 )
-from tcm2d.diagnostics import smallness_norm
+from tcm2d import cli as cli_mod
+from tcm2d.diagnostics import DiagnosticsError, compute_record, smallness_norm
 from tcm2d.model import derive_delta1, derive_lambda
 
 SMALL_DOC = {
@@ -141,6 +144,47 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "blow-up"
 
+    def test_imex_euler_auto_dt_rejected(self, tmp_path, capsys):
+        # With the if-rk4 bound (dt ~ 0.016 here, against beta/kmax^2 ~ 1.1e-3)
+        # this run left imex-euler's stability region: the smallness norm grew
+        # from 1e-2 to 3e2 while the run still reported "completed".
+        doc = dict(
+            SMALL_DOC,
+            grid={"n": 64, "box_length": 2 * math.pi},
+            stepper={"scheme": "imex-euler", "dt": "auto", "t_end": 8.0, "sample_every": 0.5},
+        )
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "imex-euler" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [DiagnosticsError("bad record"), KeyboardInterrupt()])
+    def test_raising_run_finalizes_manifest(self, tmp_path, monkeypatch, exc):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "compute_record", raising)
+        out = tmp_path / "o"
+        with pytest.raises(type(exc)):
+            execute_run(parse_run_config(SMALL_DOC), out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["finished_at"] is not None
+        assert manifest["error"].startswith(type(exc).__name__)
+
+    def test_raising_run_exit_7(self, tmp_path, monkeypatch, capsys):
+        def raising(*args, **kwargs):
+            raise DiagnosticsError("bad record")
+
+        monkeypatch.setattr(cli_mod, "compute_record", raising)
+        cfg_path = write_config(tmp_path, SMALL_DOC)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert "DiagnosticsError: bad record" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_DOC)
         outs = []
@@ -193,6 +237,37 @@ class TestSweepCommand:
         agg = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(agg) == 5  # header + one row per cell
         assert agg[0].startswith("cell,alpha,beta,epsilon,s,n,seed,status")
+
+    def test_raising_cell_recorded_and_aggregate_written(self, tmp_path, monkeypatch):
+        def raising_when_damped(state, params, *args, **kwargs):
+            if params.alpha > 0:
+                raise DiagnosticsError("bad record")
+            return compute_record(state, params, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "compute_record", raising_when_damped)
+        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_ERROR
+        rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
+        status = rows[0].index("status")
+        assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "error"}
+        failed = next(p for p in out.iterdir() if "alpha_0.5" in p.name)
+        assert json.loads((failed / "manifest.json").read_text())["status"] == "error"
+
+    def test_other_exceptions_stop_the_sweep(self, tmp_path, monkeypatch):
+        # Only run failures are isolated per cell; an exception a hook raises
+        # to stop the sweep reaches the caller.
+        class Stop(Exception):
+            pass
+
+        def stopping(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(cli_mod, "compute_record", stopping)
+        base, cells, _ = parse_sweep({"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}})
+        with pytest.raises(Stop):
+            cli_mod.execute_sweep(base, cells, tmp_path / "sweep")
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="axes"):

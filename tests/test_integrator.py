@@ -167,4 +167,6 @@ class TestStepperConfig:
             StepperConfig(t_end=1.0, cfl=0.0)
         with pytest.raises(ValueError):
             StepperConfig(t_end=-1.0)
+        with pytest.raises(ValueError, match="imex-euler"):
+            StepperConfig(t_end=1.0, dt="auto", scheme="imex-euler")
         assert StepperConfig(t_end=1.0, dt="auto").dt == "auto"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tcm2d import spectral
 from tcm2d.model import (
     ModelParams,
     ParamError,
@@ -23,10 +24,21 @@ from tcm2d.model import (
     derive_lambda,
     dissipation,
     energy_budget_residual,
+    nonlinear_tendency,
     rhs,
     ITH,
 )
-from tcm2d.spectral import SpectralField, SpectralGrid, to_phys
+from tcm2d.spectral import (
+    SpectralField,
+    SpectralGrid,
+    dealias,
+    derivative,
+    divergence,
+    gradient,
+    l2_norm_sq,
+    leray_project,
+    to_phys,
+)
 
 from conftest import make_random_state
 
@@ -151,6 +163,86 @@ class TestRhs:
         div = 1j * (g.kx * t[0] + g.ky * t[1])
         scale = np.sqrt(np.sum(np.abs(t[0]) ** 2 + np.abs(t[1]) ** 2))
         assert np.max(np.abs(div)) <= 1e-12 * max(scale, 1e-30)
+
+
+def _product(a, b, grid):
+    """One dealiased quadratic product, through its own forward transform."""
+    return dealias(SpectralField.from_phys(grid, a * b))
+
+
+def _reference_tendency(state, params):
+    """nonlinear_tendency and its dissipation, built term by term.
+
+    Every product gets its own forward transform, so this checks the grouping
+    of products before the batched transform in nonlinear_tendency.
+    """
+    g = state.grid
+    u = [f.values() for f in state.u]
+    v = [f.values() for f in state.v]
+    grad_u = [[d.values() for d in gradient(f)] for f in state.u]
+    grad_v = [[d.values() for d in gradient(f)] for f in state.v]
+    grad_th = [d.values() for d in gradient(state.theta)]
+    mu_rem = dealias(SpectralField.from_phys(g, params.mu(state.theta.values()) - params.mu0)).values()
+
+    def transport(w, grad):  # (w.grad) of the field whose gradient is given
+        return _product(w[0], grad[0], g) + _product(w[1], grad[1], g)
+
+    tu = []
+    for i in range(2):
+        stress = [_product(mu_rem, grad_u[i][j], g) - _product(v[i], v[j], g) for j in range(2)]
+        tu.append(divergence(tuple(stress)) - transport(u, grad_u[i]))
+    tu = leray_project(tuple(tu))
+    tv = [derivative(state.theta, i) - transport(u, grad_v[i]) - transport(v, grad_u[i]) for i in range(2)]
+    tth = divergence(state.v) - transport(u, grad_th)
+    out = np.stack([f.coeffs for f in (*tu, *tv, tth)])
+
+    grad_u_sq = sum(d**2 for row in grad_u for d in row)
+    visc = float(np.sum((params.mu0 + mu_rem) * grad_u_sq)) * g.cell_area
+    u_sq = sum(l2_norm_sq(f) for f in state.u)
+    v_sq = sum(l2_norm_sq(f) for f in state.v)
+    return out, visc + params.alpha * u_sq + params.beta * v_sq
+
+
+LAWS = [
+    ModelParams(alpha=0.3, beta=1.0, mu_lower=1.0, viscosity="quadratic"),
+    ModelParams(alpha=0.3, beta=2.0, mu_lower=0.5, viscosity="constant"),
+    ModelParams(alpha=0.0, beta=2.0, mu_lower=0.5, viscosity="gauss-bump", viscosity_a=1.5),
+]
+
+
+class TestGroupedTendency:
+    @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
+    @pytest.mark.parametrize("seed", [4, 31])
+    def test_matches_term_by_term_reference(self, grid64, params, seed):
+        st_ = make_random_state(grid64, seed=seed, amplitude=0.5)
+        ref, ref_diss = _reference_tendency(st_, params)
+        out, diss = nonlinear_tendency(st_.coeffs, grid64, params, with_dissipation=True)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert abs(diss - ref_diss) <= 1e-13 * ref_diss
+
+    @pytest.mark.parametrize(
+        "params, forward, inverse", [(LAWS[0], 10, 16), (LAWS[1], 8, 15), (LAWS[2], 10, 16)],
+        ids=lambda x: getattr(x, "viscosity", None),
+    )
+    def test_transform_counts(self, grid64, monkeypatch, params, forward, inverse):
+        # Fields per call: 9 grouped products (8 with the constant law) plus the
+        # viscosity remainder forward; 15 fields and the remainder inverse.
+        counts = {"rfft2": 0, "irfft2": 0}
+
+        def counting(name):
+            original = getattr(spectral._fft, name)
+
+            def transform(x, *args, **kwargs):
+                counts[name] += math.prod(x.shape[:-2])
+                return original(x, *args, **kwargs)
+
+            return transform
+
+        for name in counts:
+            monkeypatch.setattr(spectral._fft, name, counting(name))
+        st_ = make_random_state(grid64, seed=5, amplitude=0.5)
+        nonlinear_tendency(st_.coeffs, grid64, params, with_dissipation=True)
+        assert counts == {"rfft2": forward, "irfft2": inverse}
 
 
 def _fd_rhs(fields, params, m, L):
