@@ -42,6 +42,7 @@ from .diagnostics import (
     compute_record,
     decay_fit,
     norm_column,
+    record_schema,
     theory_exponent,
 )
 from .integrator import StepperConfig, run as integrate
@@ -196,10 +197,15 @@ def parse_run_config(doc: dict) -> RunConfig:
     for f, g in norms:
         _expect(f in ("u", "v", "theta"), f"diagnostics.norms field must be u, v, or theta, got {f!r}")
         _expect(g >= 0, f"diagnostics.norms gamma must be >= 0, got {g}")
+    # Each entry names its own columns; two entries with one name would collide.
+    columns = [norm_column(f, g) for f, g in norms]
+    _expect(len(set(columns)) == len(columns), f"diagnostics.norms entries must be distinct, got {columns}")
     orders = tuple(float(m) for m in dg.get("functional_orders", []))
     for m in orders:
         _expect(m >= params.s, f"diagnostics.functional_orders entries must be >= s = {params.s}, got {m}")
         _expect(m <= MAX_FUNCTIONAL_ORDER, f"diagnostics.functional_orders entries are capped at {MAX_FUNCTIONAL_ORDER}, got {m}")
+    labels = [f"{m:g}" for m in orders]
+    _expect(len(set(labels)) == len(labels), f"diagnostics.functional_orders entries must be distinct, got {labels}")
 
     return RunConfig(
         n=n,
@@ -335,12 +341,14 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
     _write_json(out / "manifest.json", manifest)
     # Whatever raises past the statuses handled below (a DiagnosticsError from
     # the sink, a custom law's ViscosityFloorError, KeyboardInterrupt), the
-    # manifest must not stay at "running".
+    # manifest must not stay at "running" and summary.json must say so too.
     try:
         return _integrate_and_report(config, grid, out, manifest, quiet)
     except BaseException as exc:
         if manifest["finished_at"] is None:
-            _finish_manifest(out, manifest, "error", error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            _finish_manifest(out, manifest, "error", error=error)
+            _write_json(out / "summary.json", {"status": "error", "error": error})
         raise
 
 
@@ -348,14 +356,14 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
     params = config.params
     initial = make_initial_data(config, grid)
     records: list[DiagnosticsRecord] = []
-    orders = config.diagnostics.orders(params)
 
     status = "completed"
     blow_up_time = None
     try:
         with open(out / "diagnostics.csv", "w") as csv_fh, open(out / "diagnostics.jsonl", "w") as jsonl_fh:
-            csv_w = CsvWriter(csv_fh, config.diagnostics, orders)
-            jsonl_w = JsonlWriter(jsonl_fh, config.diagnostics)
+            schema = record_schema(config.diagnostics)
+            csv_w = CsvWriter(csv_fh, schema)
+            jsonl_w = JsonlWriter(jsonl_fh, schema)
 
             def sink(state: TcmState, dt: float, diss_int: float) -> None:
                 rec = compute_record(state, params, config.diagnostics, dt, diss_int)

@@ -14,6 +14,18 @@ The B functional exists in two variants that differ in the theta slot
 (nonhomogeneous versus homogeneous gradient norm); both are computed and
 labeled, never conflated.
 
+Every quadratic quantity here is one Parseval sum.  :class:`Spectra` takes
+the per-mode power of u, v and theta and the v . grad theta pairing once per
+state through the single kernel :func:`tcm2d.spectral.parseval_density`, and
+builds each |k|^{2 gamma} table once per exponent; a norm, cross term or
+functional is then a sum of table x power.  The exported ``functional_*``,
+``cross_term`` and ``smallness_norm`` build a Spectra for one call, while
+:func:`compute_record` builds one per sample and evaluates everything on it.
+
+A record is laid out once: :func:`record_schema` reads the ordered columns off
+the :class:`DiagnosticsRecord` fields, and the CSV header, the CSV row and the
+JSONL object are all derived from that one list.
+
 Decay exponents are least-squares slopes of log(norm) against log(1 + t),
 compared against the theoretical rate table of :func:`theory_exponent`.
 """
@@ -22,13 +34,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ITH, IU, IV, ModelParams, TcmState, _budget
-from .spectral import SpectralField, SpectralGrid, to_phys
+from .model import ITH, IU, IV, ModelParams, TcmState, _budget, energy
+from .spectral import SpectralField, parseval_density, sobolev_symbol, to_phys
 
 
 class DiagnosticsError(RuntimeError):
@@ -42,50 +56,114 @@ class DecayFitError(ValueError):
 FIELD_SLICES = {"u": IU, "v": IV, "theta": slice(ITH, ITH + 1)}
 
 
-def _hom_norm_sq(state: TcmState, comp: slice, gamma: float) -> float:
-    """Squared homogeneous norm ||Lambda^gamma . ||^2 of one field (components summed)."""
-    g = state.grid
-    mult = g.kmag ** (2.0 * gamma) if gamma > 0 else np.ones(g.shape_spec)
-    mult[0, 0] = 0.0
-    w = g.box_length**2 * g.parseval_weight
-    return float(np.sum(w * mult * np.abs(state.coeffs[comp]) ** 2))
+class Spectra:
+    """The Parseval densities of one state, from which every quadratic quantity is summed.
 
+    Holds the power of u, v and theta and, once asked for, the v . grad theta
+    pairing (each a :func:`parseval_density` table); builds each |k|^{2 gamma} table once.
+    A, B, X, Y and smallness are the functionals at an explicit order m.
+    """
 
-def field_norm(state: TcmState, fieldname: str, gamma: float) -> float:
-    """||Lambda^gamma field||_{L^2} over k != 0, components summed in quadrature."""
-    return math.sqrt(_hom_norm_sq(state, FIELD_SLICES[fieldname], gamma))
+    def __init__(self, state: TcmState):
+        g, c = state.grid, state.coeffs
+        self.grid, self._coeffs = g, c
+        self.power = {name: parseval_density(c[sl], c[sl], g) for name, sl in FIELD_SLICES.items()}
+        self._tables: dict[float, np.ndarray] = {}
 
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        g, c = self.grid, self._coeffs
+        return parseval_density(c[2], 1j * g.kx * c[ITH], g) + parseval_density(c[3], 1j * g.ky * c[ITH], g)
 
-def _hs_norm_sq(state: TcmState, comp: slice, s: float) -> float:
-    """Nonhomogeneous ||.||_{H^s}^2 = L^2 part plus homogeneous part."""
-    g = state.grid
-    w = g.box_length**2 * g.parseval_weight
-    l2 = float(np.sum(w * np.abs(state.coeffs[comp]) ** 2))
-    return l2 + _hom_norm_sq(state, comp, s)
+    def _table(self, gamma: float) -> np.ndarray:
+        table = self._tables.get(gamma)
+        if table is None:
+            table = self._tables[gamma] = sobolev_symbol(self.grid, gamma)
+        return table
+
+    def hom_sq(self, fieldname: str, gamma: float) -> float:
+        """Squared homogeneous norm ||Lambda^gamma field||^2 (components summed)."""
+        return float(np.sum(self._table(gamma) * self.power[fieldname]))
+
+    def hs_sq(self, fieldname: str, s: float) -> float:
+        """Nonhomogeneous ||field||_{H^s}^2 = L^2 part plus homogeneous part."""
+        return float(np.sum(self.power[fieldname])) + self.hom_sq(fieldname, s)
+
+    def field_norm(self, fieldname: str, gamma: float) -> float:
+        """||Lambda^gamma field||_{L^2} over k != 0, components summed in quadrature."""
+        return math.sqrt(self.hom_sq(fieldname, gamma))
+
+    def cross_term(self, order: float) -> float:
+        """int Lambda^{order-1} v . Lambda^{order-1} grad theta."""
+        if order < 1:
+            raise DiagnosticsError(f"cross-term order must be >= 1, got {order}")
+        return float(np.sum(self._table(order - 1.0) * self.pairing))
+
+    def cross_free_sum_A(self, params: ModelParams, m: float) -> float:
+        """The squared-norm sum entering A without its cross terms."""
+        return (
+            self.hom_sq("u", m)
+            + self.hom_sq("u", float(params.delta1))
+            + self.hs_sq("v", m)
+            + self.hs_sq("theta", m)
+        )
+
+    def A(self, params: ModelParams, m: float) -> float:
+        ssum = self.cross_free_sum_A(params, m)
+        rad = ssum - params.eta * (self.cross_term(m) + self.cross_term(1.0))
+        if rad < 0.75 * ssum - 1e-12 * max(ssum, 1.0):
+            raise DiagnosticsError(
+                f"A-functional radicand {rad:.6g} fell below 3/4 of the norm sum {ssum:.6g}; eta bound violated"
+            )
+        return math.sqrt(max(rad, 0.0))
+
+    def B(self, params: ModelParams, m: float, theta_slot: str = "lambda_m") -> float:
+        v_sq = self.hs_sq("v", m)
+        if theta_slot == "lambda_m":
+            rad = self.hom_sq("u", m + 1.0) + v_sq + self.hom_sq("theta", m)
+        elif theta_slot == "grad_hm1":
+            grad_u_sq = self.hom_sq("u", 1.0) + self.hom_sq("u", m + 1.0)
+            grad_th_sq = self.hom_sq("theta", 1.0) + self.hom_sq("theta", m)
+            rad = grad_u_sq + v_sq + grad_th_sq
+        else:
+            raise DiagnosticsError(f"theta_slot must be 'lambda_m' or 'grad_hm1', got {theta_slot!r}")
+        return params.lam * math.sqrt(rad)
+
+    def cross_free_sum_X(self, m: float) -> float:
+        """The squared-norm sum entering X without its cross term."""
+        return sum(self.hom_sq(name, order) for name in FIELD_SLICES for order in (m, m - 1.0))
+
+    def X(self, params: ModelParams, m: float) -> float:
+        if not m > 1:
+            raise DiagnosticsError(f"X-functional order must be > 1, got {m}")
+        rad = self.cross_free_sum_X(m) - params.kappa * self.cross_term(m)
+        if rad < 0:
+            raise DiagnosticsError(
+                f"X-functional radicand {rad:.6g} negative at order {m}; kappa bound violated"
+            )
+        return math.sqrt(rad)
+
+    def Y(self, params: ModelParams, m: float) -> float:
+        rad = (
+            self.hom_sq("u", m + 1.0)
+            + self.hom_sq("u", m)
+            + params.alpha * self.hom_sq("u", m - 1.0)
+            + self.hom_sq("v", m)
+            + self.hom_sq("v", m - 1.0)
+            + self.hom_sq("theta", m)
+        )
+        return math.sqrt(rad)
+
+    def smallness(self, params: ModelParams) -> float:
+        s = params.s
+        u_sq = self.hs_sq("u", s) if params.delta1 == 0 else self.hom_sq("u", s) + self.hom_sq("u", 1.0)
+        return math.sqrt(u_sq) + math.sqrt(self.hs_sq("v", s)) + math.sqrt(self.hs_sq("theta", s))
 
 
 def cross_term(v: tuple[SpectralField, SpectralField], theta: SpectralField, order: float) -> float:
     """int Lambda^{order-1} v . Lambda^{order-1} grad theta, by Parseval."""
-    return _cross_term_coeffs(
-        v[0].coeffs, v[1].coeffs, theta.coeffs, theta.grid, order
-    )
-
-
-def _cross_term_coeffs(
-    vx: np.ndarray, vy: np.ndarray, th: np.ndarray, g: SpectralGrid, order: float
-) -> float:
-    if order < 1:
-        raise DiagnosticsError(f"cross-term order must be >= 1, got {order}")
-    mult = g.kmag ** (2.0 * (order - 1.0)) if order > 1 else np.ones(g.shape_spec)
-    mult[0, 0] = 0.0
-    pair = (vx * np.conj(1j * g.kx * th) + vy * np.conj(1j * g.ky * th)).real
-    return float(g.box_length**2 * np.sum(g.parseval_weight * mult * pair))
-
-
-def state_cross_term(state: TcmState, order: float) -> float:
-    return _cross_term_coeffs(
-        state.coeffs[2], state.coeffs[3], state.coeffs[ITH], state.grid, order
-    )
+    zero = SpectralField.zero(theta.grid)
+    return Spectra(TcmState.from_fields((zero, zero), v, theta)).cross_term(order)
 
 
 def functional_A(state: TcmState, params: ModelParams, m: float | None = None) -> float:
@@ -95,25 +173,7 @@ def functional_A(state: TcmState, params: ModelParams, m: float | None = None) -
     + ||theta||_{H^m}^2 minus eta times the order-m and order-1 cross terms.
     The radicand is checked against the (3/4)-equivalence band before rooting.
     """
-    m = params.s if m is None else m
-    ssum = cross_free_sum_A(state, params, m)
-    rad = ssum - params.eta * (state_cross_term(state, m) + state_cross_term(state, 1.0))
-    if rad < 0.75 * ssum - 1e-12 * max(ssum, 1.0):
-        raise DiagnosticsError(
-            f"A-functional radicand {rad:.6g} fell below 3/4 of the norm sum {ssum:.6g}; eta bound violated"
-        )
-    return math.sqrt(max(rad, 0.0))
-
-
-def cross_free_sum_A(state: TcmState, params: ModelParams, m: float | None = None) -> float:
-    """The squared-norm sum entering A without its cross terms."""
-    m = params.s if m is None else m
-    return (
-        _hom_norm_sq(state, IU, m)
-        + _hom_norm_sq(state, IU, float(params.delta1))
-        + _hs_norm_sq(state, IV, m)
-        + _hs_norm_sq(state, FIELD_SLICES["theta"], m)
-    )
+    return Spectra(state).A(params, params.s if m is None else m)
 
 
 def functional_B(
@@ -132,56 +192,17 @@ def functional_B(
     The two variants differ in the theta slot and in whether the u gradient
     norm carries its low-order part; they are never conflated.
     """
-    m = params.s if m is None else m
-    v_sq = _hs_norm_sq(state, IV, m)
-    if theta_slot == "lambda_m":
-        rad = _hom_norm_sq(state, IU, m + 1.0) + v_sq + _hom_norm_sq(state, FIELD_SLICES["theta"], m)
-    elif theta_slot == "grad_hm1":
-        grad_u_sq = _hom_norm_sq(state, IU, 1.0) + _hom_norm_sq(state, IU, m + 1.0)
-        grad_th_sq = _hom_norm_sq(state, FIELD_SLICES["theta"], 1.0) + _hom_norm_sq(
-            state, FIELD_SLICES["theta"], m
-        )
-        rad = grad_u_sq + v_sq + grad_th_sq
-    else:
-        raise DiagnosticsError(f"theta_slot must be 'lambda_m' or 'grad_hm1', got {theta_slot!r}")
-    return params.lam * math.sqrt(rad)
+    return Spectra(state).B(params, params.s if m is None else m, theta_slot)
 
 
 def functional_X(state: TcmState, params: ModelParams, m: float | None = None) -> float:
     """Decay Lyapunov functional: order-m and order-(m-1) norms with the kappa cross term."""
-    m = params.s if m is None else m
-    if not m > 1:
-        raise DiagnosticsError(f"X-functional order must be > 1, got {m}")
-    ssum = cross_free_sum_X(state, params, m)
-    rad = ssum - params.kappa * state_cross_term(state, m)
-    if rad < 0:
-        raise DiagnosticsError(
-            f"X-functional radicand {rad:.6g} negative at order {m}; kappa bound violated"
-        )
-    return math.sqrt(rad)
-
-
-def cross_free_sum_X(state: TcmState, params: ModelParams, m: float | None = None) -> float:
-    m = params.s if m is None else m
-    return sum(
-        _hom_norm_sq(state, comp, order)
-        for comp in (IU, IV, FIELD_SLICES["theta"])
-        for order in (m, m - 1.0)
-    )
+    return Spectra(state).X(params, params.s if m is None else m)
 
 
 def functional_Y(state: TcmState, params: ModelParams, m: float | None = None) -> float:
     """Dissipation counterpart of X."""
-    m = params.s if m is None else m
-    rad = (
-        _hom_norm_sq(state, IU, m + 1.0)
-        + _hom_norm_sq(state, IU, m)
-        + params.alpha * _hom_norm_sq(state, IU, m - 1.0)
-        + _hom_norm_sq(state, IV, m)
-        + _hom_norm_sq(state, IV, m - 1.0)
-        + _hom_norm_sq(state, FIELD_SLICES["theta"], m)
-    )
-    return math.sqrt(rad)
+    return Spectra(state).Y(params, params.s if m is None else m)
 
 
 def smallness_norm(state: TcmState, params: ModelParams) -> float:
@@ -190,14 +211,7 @@ def smallness_norm(state: TcmState, params: ModelParams) -> float:
     Undamped: ||u||_{H^s} + ||v||_{H^s} + ||theta||_{H^s}.
     Damped:   ||u||_{Hdot^s cap Hdot^1} + ||v||_{H^s} + ||theta||_{H^s}.
     """
-    s = params.s
-    v_part = math.sqrt(_hs_norm_sq(state, IV, s))
-    th_part = math.sqrt(_hs_norm_sq(state, FIELD_SLICES["theta"], s))
-    if params.delta1 == 0:
-        u_part = math.sqrt(_hs_norm_sq(state, IU, s))
-    else:
-        u_part = math.sqrt(_hom_norm_sq(state, IU, s) + _hom_norm_sq(state, IU, 1.0))
-    return u_part + v_part + th_part
+    return Spectra(state).smallness(params)
 
 
 def theory_exponent(fieldname: str, gamma: float, damped: bool) -> float:
@@ -286,18 +300,21 @@ class DiagnosticsConfig:
 
 @dataclass
 class DiagnosticsRecord:
-    """One per-sample bundle of norms, functionals, cross terms, and budget data."""
+    """One per-sample bundle of norms, functionals, cross terms, and budget data.
+
+    The field order is the output order (see :func:`record_schema`).
+    """
 
     time: float
     norms: dict[tuple[str, float], float]
     A_m: float
     B_m: float
-    B_m_gradtheta: float
     X_m: float
     Y_m: float
     cross_s: float
     cross_1: float
     budget_residual: float
+    B_m_gradtheta: float
     smallness: float
     energy: float
     dissipation: float
@@ -309,6 +326,10 @@ class DiagnosticsRecord:
     extra_orders: dict[float, tuple[float, float, float, float]] = field(default_factory=dict)
 
 
+# The functionals of each DiagnosticsRecord.extra_orders tuple, in order.
+ORDER_FUNCTIONALS = ("A_m", "B_m", "X_m", "Y_m")
+
+
 def compute_record(
     state: TcmState,
     params: ModelParams,
@@ -316,50 +337,40 @@ def compute_record(
     dt: float,
     diss_integral: float,
 ) -> DiagnosticsRecord:
-    orders = config.orders(params)
-    m0 = orders[0]
     residual, diss = _budget(state, params)
-    a = functional_A(state, params, m0)
-    x = functional_X(state, params, m0)
-    sum_a = cross_free_sum_A(state, params, m0)
-    sum_x = cross_free_sum_X(state, params, m0)
     vals = to_phys(state.coeffs, state.grid)
     linf = {
         "u": float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2))),
         "v": float(np.max(np.sqrt(vals[2] ** 2 + vals[3] ** 2))),
         "theta": float(np.max(np.abs(vals[ITH]))),
     }
-    g = state.grid
-    w = g.box_length**2 * g.parseval_weight
-    energy = 0.5 * float(np.sum(w * np.abs(state.coeffs) ** 2))
-    extra = {}
-    for m in orders[1:]:
-        extra[m] = (
-            functional_A(state, params, m),
-            functional_B(state, params, m),
-            functional_X(state, params, m),
-            functional_Y(state, params, m),
-        )
+    spectra = Spectra(state)
+    m0 = config.orders(params)[0]
+    a = spectra.A(params, m0)
+    x = spectra.X(params, m0)
     return DiagnosticsRecord(
         time=state.time,
-        norms={(f, gm): field_norm(state, f, gm) for f, gm in config.norms},
+        norms={(f, gm): spectra.field_norm(f, gm) for f, gm in config.norms},
         A_m=a,
-        B_m=functional_B(state, params, m0, theta_slot="lambda_m"),
-        B_m_gradtheta=functional_B(state, params, m0, theta_slot="grad_hm1"),
+        B_m=spectra.B(params, m0, theta_slot="lambda_m"),
         X_m=x,
-        Y_m=functional_Y(state, params, m0),
-        cross_s=state_cross_term(state, m0),
-        cross_1=state_cross_term(state, 1.0),
+        Y_m=spectra.Y(params, m0),
+        cross_s=spectra.cross_term(m0),
+        cross_1=spectra.cross_term(1.0),
         budget_residual=residual,
-        smallness=smallness_norm(state, params),
-        energy=energy,
+        B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
+        smallness=spectra.smallness(params),
+        energy=energy(state),
         dissipation=diss,
         diss_integral=diss_integral,
-        band_A=sum_a / a**2 if a > 0 else 1.0,
-        band_X=sum_x / x**2 if x > 0 else 1.0,
+        band_A=spectra.cross_free_sum_A(params, m0) / a**2 if a > 0 else 1.0,
+        band_X=spectra.cross_free_sum_X(m0) / x**2 if x > 0 else 1.0,
         dt=dt,
         linf=linf,
-        extra_orders=extra,
+        extra_orders={
+            m: (spectra.A(params, m), spectra.B(params, m), spectra.X(params, m), spectra.Y(params, m))
+            for m in config.functional_orders[1:]
+        },
     )
 
 
@@ -367,90 +378,67 @@ def norm_column(fieldname: str, gamma: float) -> str:
     return f"{fieldname}_gamma_{gamma:g}"
 
 
-def csv_columns(config: DiagnosticsConfig, orders: Sequence[float]) -> list[str]:
-    """Stable column order: the documented core block, then trailing extras."""
-    cols = ["t"]
-    cols += [norm_column(f, gm) for f, gm in config.norms]
-    cols += ["A_m", "B_m", "X_m", "Y_m", "cross_s", "cross_1", "budget_residual"]
-    cols += [
-        "B_m_gradtheta",
-        "smallness",
-        "energy",
-        "dissipation",
-        "diss_integral",
-        "band_A",
-        "band_X",
-        "dt",
-        "linf_u",
-        "linf_v",
-        "linf_theta",
-    ]
-    for m in orders[1:]:
-        cols += [f"A_m_{m:g}", f"B_m_{m:g}", f"X_m_{m:g}", f"Y_m_{m:g}"]
+class Column(NamedTuple):
+    """One value of a record: its CSV header, its key path in the JSONL object, its getter."""
+
+    name: str
+    path: tuple[str, ...]
+    get: Callable[[DiagnosticsRecord], float]
+
+
+def record_schema(config: DiagnosticsConfig) -> list[Column]:
+    """The one ordered description of a record, read off the DiagnosticsRecord fields.
+
+    ``time`` is the column ``t``; ``norms``, ``linf`` and ``extra_orders`` expand
+    to one column per tracked norm, per field, and per extra-order functional.
+    """
+    cols = []
+    for fld in fields(DiagnosticsRecord):
+        if fld.name == "time":
+            cols.append(Column("t", ("t",), attrgetter("time")))
+        elif fld.name == "norms":
+            cols += [
+                Column(norm_column(*key), ("norms", norm_column(*key)), lambda r, key=key: r.norms[key])
+                for key in config.norms
+            ]
+        elif fld.name == "linf":
+            cols += [Column(f"linf_{f}", ("linf", f), lambda r, f=f: r.linf[f]) for f in FIELD_SLICES]
+        elif fld.name == "extra_orders":
+            cols += [
+                Column(f"{name}_{m:g}", ("extra_orders", f"{m:g}", name), lambda r, m=m, i=i: r.extra_orders[m][i])
+                for m in config.functional_orders[1:]
+                for i, name in enumerate(ORDER_FUNCTIONALS)
+            ]
+        else:
+            cols.append(Column(fld.name, (fld.name,), attrgetter(fld.name)))
     return cols
-
-
-def record_row(rec: DiagnosticsRecord, config: DiagnosticsConfig) -> list[float]:
-    row = [rec.time]
-    row += [rec.norms[key] for key in config.norms]
-    row += [rec.A_m, rec.B_m, rec.X_m, rec.Y_m, rec.cross_s, rec.cross_1, rec.budget_residual]
-    row += [
-        rec.B_m_gradtheta,
-        rec.smallness,
-        rec.energy,
-        rec.dissipation,
-        rec.diss_integral,
-        rec.band_A,
-        rec.band_X,
-        rec.dt,
-        rec.linf["u"],
-        rec.linf["v"],
-        rec.linf["theta"],
-    ]
-    for m in sorted(rec.extra_orders):
-        row += list(rec.extra_orders[m])
-    return row
 
 
 class CsvWriter:
     """One diagnostics row per sample; floats use shortest round-trip repr."""
 
-    def __init__(self, fh: IO[str], config: DiagnosticsConfig, orders: Sequence[float]):
+    def __init__(self, fh: IO[str], schema: Sequence[Column]):
         self._fh = fh
-        self._config = config
-        fh.write(",".join(csv_columns(config, orders)) + "\n")
+        self._schema = schema
+        fh.write(",".join(col.name for col in schema) + "\n")
 
     def write(self, rec: DiagnosticsRecord) -> None:
-        self._fh.write(",".join(repr(float(v)) for v in record_row(rec, self._config)) + "\n")
+        self._fh.write(",".join(repr(float(col.get(rec))) for col in self._schema) + "\n")
 
 
 class JsonlWriter:
-    """One JSON object per sample."""
+    """One JSON object per sample, each schema column at its key path."""
 
-    def __init__(self, fh: IO[str], config: DiagnosticsConfig):
+    def __init__(self, fh: IO[str], schema: Sequence[Column]):
         self._fh = fh
-        self._config = config
+        self._schema = schema
 
     def write(self, rec: DiagnosticsRecord) -> None:
-        obj = {
-            "t": rec.time,
-            "norms": {norm_column(f, gm): rec.norms[(f, gm)] for f, gm in self._config.norms},
-            "A_m": rec.A_m,
-            "B_m": rec.B_m,
-            "B_m_gradtheta": rec.B_m_gradtheta,
-            "X_m": rec.X_m,
-            "Y_m": rec.Y_m,
-            "cross_s": rec.cross_s,
-            "cross_1": rec.cross_1,
-            "budget_residual": rec.budget_residual,
-            "smallness": rec.smallness,
-            "energy": rec.energy,
-            "dissipation": rec.dissipation,
-            "diss_integral": rec.diss_integral,
-            "band_A": rec.band_A,
-            "band_X": rec.band_X,
-            "dt": rec.dt,
-            "linf": rec.linf,
-            "extra_orders": {f"{m:g}": list(v) for m, v in sorted(rec.extra_orders.items())},
-        }
+        obj: dict = {}
+        for col in self._schema:
+            *parents, leaf = col.path
+            node = obj
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = col.get(rec)
         self._fh.write(json.dumps(obj) + "\n")

@@ -30,7 +30,7 @@ from .spectral import (
     SpectralGrid,
     from_phys,
     gradient,
-    l2_norm_sq,
+    inner_product,
     lambda_pow,
     lp_norm,
     oversampled_values,
@@ -210,7 +210,7 @@ def commutator_norm(f: SpectralField, g: SpectralField, s: float) -> float:
     fg = SpectralField(grid, from_phys(f.values() * g.values(), grid))
     f_lam_g = SpectralField(grid, from_phys(f.values() * lambda_pow(g, s).values(), grid))
     diff = lambda_pow(fg, s) - f_lam_g
-    return math.sqrt(l2_norm_sq(diff))
+    return math.sqrt(inner_product(diff, diff))
 
 
 _LAB_LAWS = {

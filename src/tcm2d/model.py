@@ -47,6 +47,7 @@ from .spectral import (
     SpectralGrid,
     from_phys,
     leray_project_coeffs,
+    parseval_density,
     to_phys,
 )
 
@@ -314,9 +315,8 @@ def nonlinear_tendency(
     grad_u_sq = du[0][0] ** 2 + du[0][1] ** 2 + du[1][0] ** 2 + du[1][1] ** 2
     mu_total = mu0 if constant_mu else mu0 + mu_rem
     visc = float(np.sum(mu_total * grad_u_sq)) * grid.cell_area
-    w = grid.box_length**2 * grid.parseval_weight
-    u_sq = float(np.sum(w * np.abs(coeffs[IU]) ** 2))
-    v_sq = float(np.sum(w * np.abs(coeffs[IV]) ** 2))
+    u_sq = float(np.sum(parseval_density(coeffs[IU], coeffs[IU], grid)))
+    v_sq = float(np.sum(parseval_density(coeffs[IV], coeffs[IV], grid)))
     return out, visc + params.alpha * u_sq + params.beta * v_sq
 
 
@@ -352,9 +352,7 @@ def dissipation(state: TcmState, params: ModelParams) -> float:
 
 def energy(state: TcmState) -> float:
     """Half the summed L^2 norms of u, v, theta."""
-    g = state.grid
-    w = g.box_length**2 * g.parseval_weight
-    return 0.5 * float(np.sum(w * np.abs(state.coeffs) ** 2))
+    return 0.5 * float(np.sum(parseval_density(state.coeffs, state.coeffs, state.grid)))
 
 
 def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
@@ -367,6 +365,5 @@ def _budget(state: TcmState, params: ModelParams) -> tuple[float, float]:
     g = state.grid
     nl, diss = nonlinear_tendency(state.coeffs, g, params, with_dissipation=True)
     tend = nl + linear_multipliers(g, params) * state.coeffs
-    w = g.box_length**2 * g.parseval_weight
-    pairing = float(np.sum(w * (state.coeffs * np.conj(tend)).real))
+    pairing = float(np.sum(parseval_density(state.coeffs, tend, g)))
     return pairing + diss, diss

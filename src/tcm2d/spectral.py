@@ -183,9 +183,7 @@ def lambda_pow(f: SpectralField, s: float) -> SpectralField:
         raise SpectralError(f"negative fractional-Laplacian exponent {s} not supported")
     if s == 0:
         return f.copy()
-    mult = f.grid.kmag**s
-    mult[0, 0] = 0.0
-    return SpectralField(f.grid, f.coeffs * mult)
+    return SpectralField(f.grid, f.coeffs * sobolev_symbol(f.grid, s / 2.0))
 
 
 _AXIS_K = {"x": "kx", "y": "ky", 0: "kx", 1: "ky"}
@@ -234,29 +232,28 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
+def parseval_density(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Per-mode Parseval terms L^2 w(k) Re(a conj b), summed over the leading component axes.
+
+    The one quadratic-form kernel: its plain sum is the L^2 pairing int a . b,
+    its sum against :func:`sobolev_symbol` the pairing int Lambda^s a . Lambda^s b.
+    """
+    terms = (a * np.conj(b)).real
+    terms = terms.sum(axis=tuple(range(terms.ndim - 2)))
+    return grid.box_length**2 * grid.parseval_weight * terms
+
+
+def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
+    """|k|^(2 s) with the k = 0 entry zeroed: the weight of ||Lambda^s .||^2 in a Parseval sum."""
+    mult = grid.kmag ** (2.0 * s)
+    mult[0, 0] = 0.0
+    return mult
+
+
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """Parseval-exact L^2 pairing of two real fields."""
     _check_same_grid(f, g)
-    gr = f.grid
-    return float(gr.box_length**2 * np.sum(gr.parseval_weight * (f.coeffs * np.conj(g.coeffs)).real))
-
-
-def l2_norm_sq(f: SpectralField) -> float:
-    gr = f.grid
-    return float(gr.box_length**2 * np.sum(gr.parseval_weight * np.abs(f.coeffs) ** 2))
-
-
-def hs_norm_sq(f: SpectralField, s: float, homogeneous: bool) -> float:
-    """Squared Sobolev norm; see :func:`sobolev_norm`."""
-    if s < 0:
-        raise SpectralError(f"Sobolev index must be >= 0, got {s}")
-    gr = f.grid
-    mult = gr.kmag ** (2.0 * s) if s > 0 else np.ones(gr.shape_spec)
-    mult[0, 0] = 0.0
-    hom = float(gr.box_length**2 * np.sum(gr.parseval_weight * mult * np.abs(f.coeffs) ** 2))
-    if homogeneous:
-        return hom
-    return hom + l2_norm_sq(f)
+    return float(np.sum(parseval_density(f.coeffs, g.coeffs, f.grid)))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -265,7 +262,13 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     homogeneous=True gives ||Lambda^s f||_{L^2} summed over k != 0 only;
     otherwise the nonhomogeneous sqrt(||f||^2 + ||Lambda^s f||^2).
     """
-    return float(np.sqrt(hs_norm_sq(f, s, homogeneous)))
+    if s < 0:
+        raise SpectralError(f"Sobolev index must be >= 0, got {s}")
+    power = parseval_density(f.coeffs, f.coeffs, f.grid)
+    sq = float(np.sum(sobolev_symbol(f.grid, s) * power))
+    if not homogeneous:
+        sq += float(np.sum(power))
+    return float(np.sqrt(sq))
 
 
 def lp_norm(f: SpectralField, p: float, oversample: int = 2) -> float:

@@ -63,6 +63,10 @@ class TestConfigParsing:
             parse_run_config({"diagnostics": {"functional_orders": [6.0]}})
         with pytest.raises(ConfigError, match=">= s"):
             parse_run_config({"diagnostics": {"functional_orders": [1.2]}})
+        with pytest.raises(ConfigError, match="functional_orders entries must be distinct"):
+            parse_run_config({"diagnostics": {"functional_orders": [1.5, 2.0, 2.0]}})
+        with pytest.raises(ConfigError, match="norms entries must be distinct"):
+            parse_run_config({"diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["u", 1]]}})
 
     def test_roundtrip_through_dict(self):
         cfg = parse_run_config(SMALL_DOC)
@@ -123,10 +127,13 @@ class TestRunCommand:
         assert len(jsonl) == len(csv) - 1
 
     def test_config_error_exit_2(self, tmp_path):
-        doc = dict(SMALL_DOC, params=dict(SMALL_DOC["params"], beta=-2.0))
-        cfg_path = write_config(tmp_path, doc)
-        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
-        assert code == EXIT_CONFIG
+        for change in (
+            {"params": dict(SMALL_DOC["params"], beta=-2.0)},
+            {"diagnostics": dict(SMALL_DOC["diagnostics"], functional_orders=[1.5, 2.0, 2.0])},
+        ):
+            cfg_path = write_config(tmp_path, dict(SMALL_DOC, **change))
+            code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+            assert code == EXIT_CONFIG
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blow_up_exit_3_and_recorded(self, tmp_path):
@@ -173,6 +180,8 @@ class TestRunCommand:
         assert manifest["status"] == "error"
         assert manifest["finished_at"] is not None
         assert manifest["error"].startswith(type(exc).__name__)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"status": "error", "error": manifest["error"]}
 
     def test_raising_run_exit_7(self, tmp_path, monkeypatch, capsys):
         def raising(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Tests for energy functionals, cross terms, rate table, and decay fitting."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -14,21 +15,26 @@ from tcm2d.diagnostics import (
     DiagnosticsConfig,
     DiagnosticsError,
     JsonlWriter,
+    Spectra,
     compute_record,
-    cross_free_sum_A,
-    cross_free_sum_X,
     cross_term,
-    csv_columns,
     decay_fit,
     functional_A,
     functional_B,
     functional_X,
     functional_Y,
-    state_cross_term,
+    record_schema,
     theory_exponent,
 )
 from tcm2d.model import ITH, ModelParams, TcmState, derive_lambda
-from tcm2d.spectral import SpectralField, SpectralGrid, sobolev_norm
+from tcm2d.spectral import (
+    SpectralField,
+    SpectralGrid,
+    derivative,
+    inner_product,
+    lambda_pow,
+    sobolev_norm,
+)
 
 from conftest import make_random_state
 
@@ -51,7 +57,7 @@ class TestCrossTerm:
     def test_cauchy_schwarz_bound(self, seed, order):
         grid = SpectralGrid(32, 2 * np.pi)
         state = make_random_state(grid, seed=seed, amplitude=1.0)
-        lhs = abs(state_cross_term(state, order))
+        lhs = abs(Spectra(state).cross_term(order))
         v_norm = math.sqrt(
             sobolev_norm(state.v[0], order - 1.0, True) ** 2
             + sobolev_norm(state.v[1], order - 1.0, True) ** 2
@@ -68,7 +74,7 @@ class TestFunctionalA:
         state = make_random_state(grid64, seed=5, amplitude=0.3)
         state.coeffs[ITH] = 0.0
         a = functional_A(state, params_undamped)
-        assert a**2 == pytest.approx(cross_free_sum_A(state, params_undamped), rel=1e-12)
+        assert a**2 == pytest.approx(Spectra(state).cross_free_sum_A(params_undamped, params_undamped.s), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
     def test_equivalence_band(self, grid64, alpha):
@@ -76,7 +82,7 @@ class TestFunctionalA:
         for seed in range(5):
             state = make_random_state(grid64, seed=seed, amplitude=0.2)
             a2 = functional_A(state, params) ** 2
-            ssum = cross_free_sum_A(state, params)
+            ssum = Spectra(state).cross_free_sum_A(params, params.s)
             assert 0.75 * a2 <= ssum <= 1.25 * a2
 
 
@@ -121,14 +127,14 @@ class TestFunctionalXY:
         state = make_random_state(grid64, seed=5, amplitude=0.3)
         state.coeffs[ITH] = 0.0
         x = functional_X(state, params_undamped)
-        assert x**2 == pytest.approx(cross_free_sum_X(state, params_undamped), rel=1e-12)
+        assert x**2 == pytest.approx(Spectra(state).cross_free_sum_X(params_undamped.s), rel=1e-12)
 
     def test_equivalence_band(self, grid64):
         params = ModelParams(alpha=0.0, beta=math.sqrt(2.0), s=1.5)  # kappa at its clamp
         for seed in range(5):
             state = make_random_state(grid64, seed=seed, amplitude=0.2)
             x2 = functional_X(state, params) ** 2
-            ssum = cross_free_sum_X(state, params)
+            ssum = Spectra(state).cross_free_sum_X(params.s)
             assert 0.5 * x2 <= ssum <= 2.0 * x2
 
     def test_order_must_exceed_one(self, grid64, params_undamped):
@@ -266,9 +272,10 @@ class TestRecordSerialization:
         state = make_random_state(grid32, seed=2, amplitude=0.01)
         cfg = DiagnosticsConfig(norms=(("u", 1.0), ("theta", 1.5)))
         rec = compute_record(state, params_undamped, cfg, dt=0.01, diss_integral=0.0)
-        cols = csv_columns(cfg, cfg.orders(params_undamped))
+        schema = record_schema(cfg)
+        cols = [col.name for col in schema]
         buf = io.StringIO()
-        writer = CsvWriter(buf, cfg, cfg.orders(params_undamped))
+        writer = CsvWriter(buf, schema)
         writer.write(rec)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].split(",") == cols
@@ -278,9 +285,7 @@ class TestRecordSerialization:
         assert values["X_m"] == rec.X_m
 
         jbuf = io.StringIO()
-        JsonlWriter(jbuf, cfg).write(rec)
-        import json
-
+        JsonlWriter(jbuf, schema).write(rec)
         obj = json.loads(jbuf.getvalue())
         assert obj["norms"]["u_gamma_1"] == rec.norms[("u", 1.0)]
         assert obj["budget_residual"] == rec.budget_residual
@@ -288,8 +293,137 @@ class TestRecordSerialization:
     def test_extra_orders_appended(self, grid32):
         params = ModelParams(s=1.5)
         cfg = DiagnosticsConfig(norms=(("u", 1.0),), functional_orders=(1.5, 2.5))
-        cols = csv_columns(cfg, cfg.orders(params))
+        cols = [col.name for col in record_schema(cfg)]
         assert cols[-4:] == ["A_m_2.5", "B_m_2.5", "X_m_2.5", "Y_m_2.5"]
         state = make_random_state(grid32, seed=2, amplitude=0.01)
         rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.0)
         assert set(rec.extra_orders) == {2.5}
+
+    def test_writers_agree_column_by_column(self, grid32):
+        # Extra orders out of ascending order: each CSV column must hold the
+        # value its header names, and the JSONL object the same value.
+        params = ModelParams(s=1.5)
+        cfg = DiagnosticsConfig(norms=(("u", 1.0), ("v", 0.0), ("theta", 2.0)), functional_orders=(1.5, 3.0, 2.0))
+        state = make_random_state(grid32, seed=4, amplitude=0.05)
+        rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.5)
+        schema = record_schema(cfg)
+        cbuf, jbuf = io.StringIO(), io.StringIO()
+        CsvWriter(cbuf, schema).write(rec)
+        JsonlWriter(jbuf, schema).write(rec)
+        header, row = (line.split(",") for line in cbuf.getvalue().splitlines())
+        assert len(header) == len(row) == len(set(header))
+        csv = dict(zip(header, map(float, row)))
+        obj = json.loads(jbuf.getvalue())
+
+        def leaves(node):
+            for value in node.values():
+                yield from leaves(value) if isinstance(value, dict) else (value,)
+
+        # The JSONL values come in the CSV's column order.
+        assert list(leaves(obj)) == list(csv.values())
+
+        def jsonl_value(col):
+            head, _, order = col.rpartition("_")
+            if col in obj:
+                return obj.pop(col)
+            if col.startswith("linf_"):
+                return obj["linf"].pop(col[len("linf_"):])
+            if "_gamma_" in col:
+                return obj["norms"].pop(col)
+            return obj["extra_orders"][order].pop(head)
+
+        for col, value in csv.items():
+            assert jsonl_value(col) == value, col
+        # Every JSONL value was matched by one CSV column.
+        assert obj == {"norms": {}, "linf": {}, "extra_orders": {"3": {}, "2": {}}}
+        assert csv["A_m_3"] == functional_A(state, params, 3.0)
+        assert csv["B_m_3"] == functional_B(state, params, 3.0)
+        assert csv["X_m_2"] == functional_X(state, params, 2.0)
+        assert csv["Y_m_2"] == functional_Y(state, params, 2.0)
+
+
+def _hom_sq(fields, gamma):
+    return sum(sobolev_norm(f, gamma, homogeneous=True) ** 2 for f in fields)
+
+
+def _hs_sq(fields, s):
+    return sum(sobolev_norm(f, s, homogeneous=False) ** 2 for f in fields)
+
+
+def _cross(state, order):
+    return sum(
+        inner_product(lambda_pow(v_i, order - 1.0), lambda_pow(derivative(state.theta, axis), order - 1.0))
+        for v_i, axis in zip(state.v, "xy")
+    )
+
+
+def _reference_record(state, params, norms, m0, extra):
+    """compute_record's values, each one summed field by field from the spectral module."""
+    u, v, th = state.u, state.v, (state.theta,)
+    lam, alpha = params.lam, params.alpha
+
+    def sum_a(m):
+        return _hom_sq(u, m) + _hom_sq(u, params.delta1) + _hs_sq(v, m) + _hs_sq(th, m)
+
+    def sum_x(m):
+        return sum(_hom_sq(f, m) + _hom_sq(f, m - 1.0) for f in (u, v, th))
+
+    def a(m):
+        return math.sqrt(sum_a(m) - params.eta * (_cross(state, m) + _cross(state, 1.0)))
+
+    def b(m):
+        return lam * math.sqrt(_hom_sq(u, m + 1.0) + _hs_sq(v, m) + _hom_sq(th, m))
+
+    def x(m):
+        return math.sqrt(sum_x(m) - params.kappa * _cross(state, m))
+
+    def y(m):
+        return math.sqrt(
+            _hom_sq(u, m + 1.0) + _hom_sq(u, m) + alpha * _hom_sq(u, m - 1.0)
+            + _hom_sq(v, m) + _hom_sq(v, m - 1.0) + _hom_sq(th, m)
+        )
+
+    s = params.s
+    u_small = _hs_sq(u, s) if params.delta1 == 0 else _hom_sq(u, s) + _hom_sq(u, 1.0)
+    fields = {"u": u, "v": v, "theta": th}
+    return {
+        "norms": {(f, g): math.sqrt(_hom_sq(fields[f], g)) for f, g in norms},
+        "A_m": a(m0),
+        "B_m": b(m0),
+        "X_m": x(m0),
+        "Y_m": y(m0),
+        "cross_s": _cross(state, m0),
+        "cross_1": _cross(state, 1.0),
+        "B_m_gradtheta": lam * math.sqrt(
+            _hom_sq(u, 1.0) + _hom_sq(u, m0 + 1.0) + _hs_sq(v, m0) + _hom_sq(th, 1.0) + _hom_sq(th, m0)
+        ),
+        "smallness": math.sqrt(u_small) + math.sqrt(_hs_sq(v, s)) + math.sqrt(_hs_sq(th, s)),
+        "energy": 0.5 * sum(inner_product(f, f) for f in (*u, *v, *th)),
+        "band_A": sum_a(m0) / a(m0) ** 2,
+        "band_X": sum_x(m0) / x(m0) ** 2,
+        "extra_orders": {m: (a(m), b(m), x(m), y(m)) for m in extra},
+    }
+
+
+class TestRecordAgainstFieldSums:
+    """Every Parseval quantity of a record against field-by-field spectral sums."""
+
+    ORDERS = (1.5, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("m0", ORDERS)
+    def test_values(self, grid32, alpha, m0):
+        params = ModelParams(alpha=alpha, beta=1.0, s=1.5)
+        norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 1.5, 2.0))
+        extra = tuple(m for m in self.ORDERS if m != m0)
+        cfg = DiagnosticsConfig(norms=norms, functional_orders=(m0,) + extra)
+        for seed in (0, 1):
+            state = make_random_state(grid32, seed=seed, amplitude=0.2)
+            rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.0)
+            ref = _reference_record(state, params, norms, m0, extra)
+            assert rec.norms == pytest.approx(ref.pop("norms"), rel=1e-12)
+            for m, values in ref.pop("extra_orders").items():
+                assert rec.extra_orders[m] == pytest.approx(values, rel=1e-12), m
+            for name, value in ref.items():
+                assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
+            assert abs(rec.budget_residual) <= 1e-9 * rec.dissipation

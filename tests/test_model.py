@@ -35,7 +35,7 @@ from tcm2d.spectral import (
     derivative,
     divergence,
     gradient,
-    l2_norm_sq,
+    inner_product,
     leray_project,
     to_phys,
 )
@@ -198,8 +198,8 @@ def _reference_tendency(state, params):
 
     grad_u_sq = sum(d**2 for row in grad_u for d in row)
     visc = float(np.sum((params.mu0 + mu_rem) * grad_u_sq)) * g.cell_area
-    u_sq = sum(l2_norm_sq(f) for f in state.u)
-    v_sq = sum(l2_norm_sq(f) for f in state.v)
+    u_sq = sum(inner_product(f, f) for f in state.u)
+    v_sq = sum(inner_product(f, f) for f in state.v)
     return out, visc + params.alpha * u_sq + params.beta * v_sq
 
 
