@@ -193,19 +193,15 @@ def parse_run_config(doc: dict) -> RunConfig:
     slope = float(doc.get("spectrum_slope", 1.0))
 
     dg = doc.get("diagnostics", {})
-    norms = tuple((f, float(g)) for f, g in dg.get("norms", [["u", 0.0], ["u", 1.0], ["v", 0.0], ["v", 1.0], ["theta", 0.0], ["theta", 1.0]]))
-    for f, g in norms:
-        _expect(f in ("u", "v", "theta"), f"diagnostics.norms field must be u, v, or theta, got {f!r}")
-        _expect(g >= 0, f"diagnostics.norms gamma must be >= 0, got {g}")
-    # Each entry names its own columns; two entries with one name would collide.
-    columns = [norm_column(f, g) for f, g in norms]
-    _expect(len(set(columns)) == len(columns), f"diagnostics.norms entries must be distinct, got {columns}")
+    norms = tuple((f, float(g)) for f, g in dg.get("norms", DiagnosticsConfig().norms))
     orders = tuple(float(m) for m in dg.get("functional_orders", []))
     for m in orders:
         _expect(m >= params.s, f"diagnostics.functional_orders entries must be >= s = {params.s}, got {m}")
         _expect(m <= MAX_FUNCTIONAL_ORDER, f"diagnostics.functional_orders entries are capped at {MAX_FUNCTIONAL_ORDER}, got {m}")
-    labels = [f"{m:g}" for m in orders]
-    _expect(len(set(labels)) == len(labels), f"diagnostics.functional_orders entries must be distinct, got {labels}")
+    try:
+        diagnostics = DiagnosticsConfig(norms=norms, functional_orders=orders)
+    except ValueError as exc:
+        raise ConfigError(f"diagnostics.{exc}") from exc
 
     return RunConfig(
         n=n,
@@ -216,7 +212,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         seed=seed,
         spectrum_peak=peak,
         spectrum_slope=slope,
-        diagnostics=DiagnosticsConfig(norms=norms, functional_orders=orders),
+        diagnostics=diagnostics,
         output_dir=doc.get("output_dir"),
     )
 
@@ -453,35 +449,42 @@ SWEEP_AXES = {
 }
 
 
-def parse_sweep(doc: dict) -> tuple[RunConfig, list[dict[str, Any]], int]:
-    """Returns (base config, list of axis-assignment dicts, worker count)."""
+def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunConfig]], int]:
+    """Returns (base config, one (axis assignment, config) pair per cell, worker count).
+
+    A cell is the ``base`` document with the cell's axis values set at their
+    SWEEP_AXES paths, parsed once; what the base leaves unset, ``eta`` and
+    ``kappa`` included, takes its default for the cell's own values.
+    """
     _expect(isinstance(doc, dict), "sweep file must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version}")
-    base = parse_run_config(doc.get("base", {}))
+    base_doc = doc.get("base", {})
+    base = parse_run_config(base_doc)
     axes = doc.get("axes", {})
     _expect(isinstance(axes, dict) and axes, "sweep axes must be a non-empty object")
     for key, values in axes.items():
         _expect(key in SWEEP_AXES, f"axes.{key} is not sweepable (allowed: {sorted(SWEEP_AXES)})")
         _expect(isinstance(values, list) and values, f"axes.{key} must be a non-empty list")
-    names = sorted(axes)
-    cells: list[dict[str, Any]] = [{}]
-    for name in names:
-        cells = [dict(cell, **{name: v}) for cell in cells for v in axes[name]]
     threads = int(doc.get("threads", 1))
     _expect(threads >= 1, f"threads must be >= 1, got {threads}")
-    return base, cells, threads
+    assignments: list[dict[str, Any]] = [{}]
+    for name in sorted(axes):
+        assignments = [dict(cell, **{name: v}) for cell in assignments for v in axes[name]]
+    return base, [(cell, parse_run_config(_cell_doc(base_doc, cell))) for cell in assignments], threads
 
 
-def _apply_cell(base: RunConfig, cell: dict[str, Any]) -> RunConfig:
-    doc = base.to_dict()
+def _cell_doc(base_doc: dict, cell: dict[str, Any]) -> dict:
+    """The base document with each axis value set at its path (copying only that path)."""
+    doc = dict(base_doc)
     for name, value in cell.items():
-        path = SWEEP_AXES[name]
+        *parents, leaf = SWEEP_AXES[name]
         target = doc
-        for part in path[:-1]:
+        for part in parents:
+            target[part] = dict(target.get(part, {}))
             target = target[part]
-        target[path[-1]] = value
-    return parse_run_config(doc)
+        target[leaf] = value
+    return doc
 
 
 def _cell_dirname(index: int, cell: dict[str, Any]) -> str:
@@ -497,60 +500,36 @@ def _cell_dirname(index: int, cell: dict[str, Any]) -> str:
 _CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
 
 
-def _run_cell(args: tuple[dict, str]) -> tuple[str, int]:
-    """Run one sweep cell; a run failure fails this cell only, with EXIT_ERROR."""
-    doc, out_dir = args
+def _run_cell(job: tuple[RunConfig, Path]) -> tuple[int, dict]:
+    """Run one sweep cell to (exit code, summary); a run failure fails this cell only, with EXIT_ERROR."""
+    config, out_dir = job
     try:
-        result = execute_run(parse_run_config(doc), out_dir, quiet=True)
-    except _CELL_FAILURES:
+        result = execute_run(config, out_dir, quiet=True)
+    except _CELL_FAILURES as exc:
         print(f"sweep cell {out_dir} raised:", file=sys.stderr)
         traceback.print_exc()
-        return out_dir, EXIT_ERROR
-    return out_dir, result.exit_code
+        return EXIT_ERROR, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    return result.exit_code, result.summary
 
 
-def execute_sweep(base: RunConfig, cells: list[dict[str, Any]], out_dir: str | Path, threads: int = 1, quiet: bool = True) -> int:
+def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]], out_dir: str | Path, threads: int = 1, quiet: bool = True) -> int:
+    """Run the cells of :func:`parse_sweep` and write aggregate.csv from their summaries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    cell_dirs = []
-    for i, cell in enumerate(cells):
-        config = _apply_cell(base, cell)
-        cell_dir = out / _cell_dirname(i, cell)
-        cell_dirs.append((cell, cell_dir))
-        jobs.append((config.to_dict(), str(cell_dir)))
-
-    codes: dict[str, int] = {}
+    jobs = [(config, out / _cell_dirname(i, cell)) for i, (cell, config) in enumerate(cells)]
     if threads == 1:
-        for job in jobs:
-            d, code = _run_cell(job)
-            codes[d] = code
+        results = [_run_cell(job) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for d, code in pool.map(_run_cell, jobs):
-                codes[d] = code
+            results = list(pool.map(_run_cell, jobs))
 
     norm_keys = list(base.diagnostics.norms)
     header = ["cell", "alpha", "beta", "epsilon", "s", "n", "seed", "status"]
     for f, g in norm_keys:
         header += [f"exp_{norm_column(f, g)}", f"theory_{norm_column(f, g)}", f"r2_{norm_column(f, g)}"]
     lines = [",".join(header)]
-    worst = EXIT_OK
-    for cell, cell_dir in cell_dirs:
-        config = _apply_cell(base, cell)
-        summary_path = cell_dir / "summary.json"
-        status = "missing"
-        fits: dict[tuple[str, float], dict] = {}
-        code = codes.get(str(cell_dir), EXIT_IO)
-        if code == EXIT_ERROR:
-            status = "error"
-        elif summary_path.exists():
-            summary = json.loads(summary_path.read_text())
-            status = summary.get("status", "unknown")
-            for entry in summary.get("fits", []):
-                fits[(entry["field"], float(entry["gamma"]))] = entry
-        if code != EXIT_OK:
-            worst = max(worst, code)
+    for (config, cell_dir), (_, summary) in zip(jobs, results):
+        fits = {(entry["field"], entry["gamma"]): entry for entry in summary.get("fits", [])}
         row = [
             cell_dir.name,
             repr(config.params.alpha),
@@ -559,16 +538,17 @@ def execute_sweep(base: RunConfig, cells: list[dict[str, Any]], out_dir: str | P
             repr(config.params.s),
             str(config.n),
             str(config.seed),
-            status,
+            summary["status"],
         ]
         for key in norm_keys:
             entry = fits.get(key)
-            if entry and entry.get("status") == "ok":
+            if entry and entry["status"] == "ok":
                 row += [repr(entry["exponent"]), repr(entry["theory_exponent"]), repr(entry["r_squared"])]
             else:
                 row += ["", "", ""]
         lines.append(",".join(row))
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+    worst = max((code for code, _ in results), default=EXIT_OK)
     if not quiet:
         print(f"sweep {out}: {len(cells)} cells, worst exit {worst}")
     return worst

@@ -294,6 +294,20 @@ class DiagnosticsConfig:
     )
     functional_orders: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Each entry names its own columns; two entries with one name would collide.
+        for f, g in self.norms:
+            if f not in FIELD_SLICES:
+                raise ValueError(f"norms field must be u, v, or theta, got {f!r}")
+            if not g >= 0:
+                raise ValueError(f"norms gamma must be >= 0, got {g}")
+        columns = [norm_column(f, g) for f, g in self.norms]
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"norms entries must be distinct, got {columns}")
+        labels = [f"{m:g}" for m in self.functional_orders]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"functional_orders entries must be distinct, got {labels}")
+
     def orders(self, params: ModelParams) -> tuple[float, ...]:
         return self.functional_orders if self.functional_orders else (params.s,)
 

@@ -11,6 +11,7 @@ from tcm2d.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_ERROR,
+    EXIT_IO,
     EXIT_NONPOSITIVE,
     EXIT_UNSTABLE,
     execute_fit,
@@ -22,8 +23,8 @@ from tcm2d.cli import (
     parse_sweep,
 )
 from tcm2d import cli as cli_mod
-from tcm2d.diagnostics import DiagnosticsError, compute_record, smallness_norm
-from tcm2d.model import derive_delta1, derive_lambda
+from tcm2d.diagnostics import CsvWriter, DiagnosticsError, compute_record, smallness_norm
+from tcm2d.model import default_eta, default_kappa, derive_delta1, derive_lambda
 
 SMALL_DOC = {
     "schema_version": 1,
@@ -281,6 +282,78 @@ class TestSweepCommand:
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="axes"):
             parse_sweep({"base": SMALL_DOC, "axes": {"gamma": [1.0]}})
+
+    def test_beta_axis_takes_per_cell_defaults(self, tmp_path):
+        # eta and kappa unset in the base take their defaults for each cell's
+        # beta; beta = 8 lowers the eta bound to 0.0606, below beta = 1's 1/6.
+        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"beta": [1.0, 8.0]}}
+        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
+        derived = {}
+        for cell in (p for p in out.iterdir() if p.is_dir()):
+            manifest = json.loads((cell / "manifest.json").read_text())
+            derived[manifest["config"]["params"]["beta"]] = manifest["derived"]
+        assert set(derived) == {1.0, 8.0}
+        for beta, d in derived.items():
+            assert d["eta"] == default_eta(beta)
+            assert d["kappa"] == default_kappa(beta)
+
+    def test_explicit_eta_kept_in_every_cell(self):
+        base = dict(SMALL_DOC, params=dict(SMALL_DOC["params"], eta=0.05))
+        _, cells, _ = parse_sweep({"base": base, "axes": {"beta": [1.0, 8.0], "alpha": [0.0, 0.5]}})
+        assert len(cells) == 4
+        assert all(config.params.eta == 0.05 for _, config in cells)
+        assert all(config.params.kappa == default_kappa(config.params.beta) for _, config in cells)
+        # An eta set above the bound of one cell's beta fails the sweep before any cell runs.
+        base = dict(SMALL_DOC, params=dict(SMALL_DOC["params"], eta=0.1))
+        with pytest.raises(ConfigError, match="params: eta"):
+            parse_sweep({"base": base, "axes": {"beta": [1.0, 8.0]}})
+
+    def test_each_cell_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(doc):
+            calls.append(doc)
+            return parse_run_config(doc)
+
+        monkeypatch.setattr(cli_mod, "parse_run_config", counting)
+        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}}
+        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+        assert len(calls) == 1 + 4
+
+    def test_io_error_cell_recorded(self, tmp_path, monkeypatch):
+        class FailingCsvWriter(CsvWriter):
+            def write(self, rec):
+                if "alpha_0.5" in self._fh.name:
+                    raise OSError("disk full")
+                super().write(rec)
+
+        monkeypatch.setattr(cli_mod, "CsvWriter", FailingCsvWriter)
+        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_IO
+        rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
+        status = rows[0].index("status")
+        assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "io-error"}
+
+    def test_process_pool_matches_serial(self, tmp_path):
+        # The pool sends each cell's RunConfig to a worker and its summary back.
+        outs = {}
+        for threads in (1, 2):
+            sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}, "threads": threads}
+            sweep_path = write_config(tmp_path, sweep_doc, f"sweep{threads}.json")
+            out = tmp_path / f"threads{threads}"
+            assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
+            outs[threads] = {
+                p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.name in ("aggregate.csv", "diagnostics.csv")
+            }
+        assert len(outs[1]) == 1 + 4
+        assert outs[1] == outs[2]
 
 
 class TestValidateCommand:

@@ -290,6 +290,21 @@ class TestRecordSerialization:
         assert obj["norms"]["u_gamma_1"] == rec.norms[("u", 1.0)]
         assert obj["budget_residual"] == rec.budget_residual
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"norms": (("u", 1.0), ("u", 1.0))}, "norms entries must be distinct"),
+            ({"norms": (("u", 1.0), ("u", 1))}, "norms entries must be distinct"),
+            ({"functional_orders": (1.5, 2.0, 2.0)}, "functional_orders entries must be distinct"),
+            ({"norms": (("w", 1.0),)}, "u, v, or theta"),
+            ({"norms": (("u", -1.0),)}, "gamma must be >= 0"),
+        ],
+    )
+    def test_config_rejects_colliding_columns(self, kwargs, match):
+        # Two entries that name one column would repeat it in the CSV header.
+        with pytest.raises(ValueError, match=match):
+            DiagnosticsConfig(**kwargs)
+
     def test_extra_orders_appended(self, grid32):
         params = ModelParams(s=1.5)
         cfg = DiagnosticsConfig(norms=(("u", 1.0),), functional_orders=(1.5, 2.5))
