@@ -55,6 +55,7 @@ from .inequality_lab import (
 )
 from .model import (
     BlowUpError,
+    Evaluation,
     ModelParams,
     ParamError,
     TcmState,
@@ -134,14 +135,27 @@ class RunConfig:
         }
 
 
+# Every key a run document may have: those of the config a manifest records.
+_RUN_DOC = RunConfig().to_dict()
+
+
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
 
 
+def _check_keys(doc: dict, known: dict, where: str = "") -> None:
+    """Reject every key of doc, and of each section in it, that known does not have."""
+    _expect(isinstance(doc, dict), f"{where.rstrip('.') or 'config'} must be a JSON object")
+    for key, value in doc.items():
+        _expect(key in known, f"{where}{key} is not a recognized key")
+        if isinstance(known[key], dict):
+            _check_keys(value, known[key], f"{where}{key}.")
+
+
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate and build a RunConfig from a parsed JSON document."""
-    _expect(isinstance(doc, dict), "config must be a JSON object")
+    _check_keys(doc, _RUN_DOC)
     version = doc.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version}")
 
@@ -152,11 +166,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     _expect(box > 0, f"grid.box_length must be > 0, got {box}")
 
     p = doc.get("params", {})
-    for key in p:
-        _expect(
-            key in ("alpha", "beta", "mu_lower", "s", "viscosity", "viscosity_a", "eta", "kappa"),
-            f"params.{key} is not a recognized key",
-        )
     try:
         params = ModelParams(
             alpha=float(p.get("alpha", 0.0)),
@@ -335,17 +344,23 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
         "status": "running",
     }
     _write_json(out / "manifest.json", manifest)
-    # Whatever raises past the statuses handled below (a DiagnosticsError from
-    # the sink, a custom law's ViscosityFloorError, KeyboardInterrupt), the
-    # manifest must not stay at "running" and summary.json must say so too.
+    # Whatever raises past the statuses handled below, both files name it: an
+    # OSError ends the run as "io-error", anything else (a DiagnosticsError, a
+    # custom law's ViscosityFloorError, KeyboardInterrupt) as "error", re-raised.
     try:
         return _integrate_and_report(config, grid, out, manifest, quiet)
     except BaseException as exc:
-        if manifest["finished_at"] is None:
-            error = f"{type(exc).__name__}: {exc}"
-            _finish_manifest(out, manifest, "error", error=error)
-            _write_json(out / "summary.json", {"status": "error", "error": error})
-        raise
+        if manifest["finished_at"] is not None:
+            raise
+        io_error = isinstance(exc, OSError)
+        summary = {"status": "io-error" if io_error else "error", "error": f"{type(exc).__name__}: {exc}"}
+        _finish_manifest(out, manifest, summary["status"], error=summary["error"])
+        _write_json(out / "summary.json", summary)
+        if not io_error:
+            raise
+        if not quiet:
+            print(f"io error: {exc}", file=sys.stderr)
+        return RunResult(EXIT_IO, out, summary)
 
 
 def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, manifest: dict, quiet: bool) -> RunResult:
@@ -355,28 +370,22 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
 
     status = "completed"
     blow_up_time = None
-    try:
-        with open(out / "diagnostics.csv", "w") as csv_fh, open(out / "diagnostics.jsonl", "w") as jsonl_fh:
-            schema = record_schema(config.diagnostics)
-            csv_w = CsvWriter(csv_fh, schema)
-            jsonl_w = JsonlWriter(jsonl_fh, schema)
+    with open(out / "diagnostics.csv", "w") as csv_fh, open(out / "diagnostics.jsonl", "w") as jsonl_fh:
+        schema = record_schema(config.diagnostics)
+        csv_w = CsvWriter(csv_fh, schema)
+        jsonl_w = JsonlWriter(jsonl_fh, schema)
 
-            def sink(state: TcmState, dt: float, diss_int: float) -> None:
-                rec = compute_record(state, params, config.diagnostics, dt, diss_int)
-                records.append(rec)
-                csv_w.write(rec)
-                jsonl_w.write(rec)
+        def sink(state: TcmState, dt: float, diss_int: float, evaluation: Evaluation) -> None:
+            rec = compute_record(state, params, config.diagnostics, dt, diss_int, evaluation)
+            records.append(rec)
+            csv_w.write(rec)
+            jsonl_w.write(rec)
 
-            try:
-                integrate(initial, params, config.stepper, sink)
-            except BlowUpError as exc:
-                status = "blow-up"
-                blow_up_time = exc.time
-    except OSError as exc:
-        _finish_manifest(out, manifest, "io-error")
-        if not quiet:
-            print(f"io error: {exc}", file=sys.stderr)
-        return RunResult(EXIT_IO, out, {"status": "io-error", "error": str(exc)})
+        try:
+            integrate(initial, params, config.stepper, sink)
+        except BlowUpError as exc:
+            status = "blow-up"
+            blow_up_time = exc.time
 
     sup_small = max((r.smallness for r in records), default=0.0)
     summary: dict[str, Any] = {
@@ -400,11 +409,9 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
         },
         "fits": _fit_block(records, config) if status == "completed" else [],
     }
-    if blow_up_time is not None:
-        summary["blow_up_time"] = blow_up_time
-    _write_json(out / "summary.json", summary)
-
     extra = {} if blow_up_time is None else {"blow_up_time": blow_up_time}
+    summary.update(extra)
+    _write_json(out / "summary.json", summary)
     _finish_manifest(out, manifest, status, **extra)
 
     if not quiet:
@@ -456,7 +463,7 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     SWEEP_AXES paths, parsed once; what the base leaves unset, ``eta`` and
     ``kappa`` included, takes its default for the cell's own values.
     """
-    _expect(isinstance(doc, dict), "sweep file must be a JSON object")
+    _check_keys(doc, dict.fromkeys(("schema_version", "base", "axes", "threads")))
     version = doc.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version}")
     base_doc = doc.get("base", {})
@@ -607,6 +614,9 @@ def execute_fit(
         print(f"trajectory file not found: {path}", file=sys.stderr)
         return EXIT_IO, None
     lines = path.read_text().strip().splitlines()
+    if len(lines) < 2:  # empty, or the header of a run that stopped before its first sample
+        print(f"no samples in {path}", file=sys.stderr)
+        return EXIT_CONFIG, None
     header = lines[0].split(",")
     col = norm_column(fieldname, gamma)
     if col not in header:
@@ -731,9 +741,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

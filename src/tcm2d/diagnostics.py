@@ -21,6 +21,8 @@ builds each |k|^{2 gamma} table once per exponent; a norm, cross term or
 functional is then a sum of table x power.  The exported ``functional_*``,
 ``cross_term`` and ``smallness_norm`` build a Spectra for one call, while
 :func:`compute_record` builds one per sample and evaluates everything on it.
+The budget residual, the dissipation and the L^inf norms are read off the
+state's evaluation (:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
 
 A record is laid out once: :func:`record_schema` reads the ordered columns off
 the :class:`DiagnosticsRecord` fields, and the CSV header, the CSV row and the
@@ -34,15 +36,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ITH, IU, IV, ModelParams, TcmState, _budget, energy
-from .spectral import SpectralField, parseval_density, sobolev_symbol, to_phys
+from .model import ITH, IU, IV, Evaluation, ModelParams, TcmState, budget_residual, energy, sup_norms
+from .spectral import SpectralField, parseval_density, sobolev_symbol
 
 
 class DiagnosticsError(RuntimeError):
@@ -244,15 +246,7 @@ class DecayFit:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "gamma": self.gamma,
-            "window": list(self.window),
-            "exponent": self.exponent,
-            "r_squared": self.r_squared,
-            "theory_exponent": self.theory_exponent,
-            "n_samples": self.n_samples,
-        }
+        return dict(asdict(self), window=list(self.window))
 
 
 def decay_fit(
@@ -350,14 +344,9 @@ def compute_record(
     config: DiagnosticsConfig,
     dt: float,
     diss_integral: float,
+    evaluation: Evaluation,
 ) -> DiagnosticsRecord:
-    residual, diss = _budget(state, params)
-    vals = to_phys(state.coeffs, state.grid)
-    linf = {
-        "u": float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2))),
-        "v": float(np.max(np.sqrt(vals[2] ** 2 + vals[3] ** 2))),
-        "theta": float(np.max(np.abs(vals[ITH]))),
-    }
+    """Every value of one sample, from the state's spectra and its evaluation."""
     spectra = Spectra(state)
     m0 = config.orders(params)[0]
     a = spectra.A(params, m0)
@@ -371,16 +360,16 @@ def compute_record(
         Y_m=spectra.Y(params, m0),
         cross_s=spectra.cross_term(m0),
         cross_1=spectra.cross_term(1.0),
-        budget_residual=residual,
+        budget_residual=budget_residual(state, params, evaluation),
         B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
         smallness=spectra.smallness(params),
         energy=energy(state),
-        dissipation=diss,
+        dissipation=evaluation[1],
         diss_integral=diss_integral,
         band_A=spectra.cross_free_sum_A(params, m0) / a**2 if a > 0 else 1.0,
         band_X=spectra.cross_free_sum_X(m0) / x**2 if x > 0 else 1.0,
         dt=dt,
-        linf=linf,
+        linf=sup_norms(evaluation[2]),
         extra_orders={
             m: (spectra.A(params, m), spectra.B(params, m), spectra.X(params, m), spectra.Y(params, m))
             for m in config.functional_orders[1:]

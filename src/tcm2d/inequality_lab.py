@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,14 +55,7 @@ class InequalityReport:
     stable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "worst_ratio": self.worst_ratio,
-            "median_ratio": self.median_ratio,
-            "resolutions": list(self.resolutions),
-            "stable": self.stable,
-        }
+        return dict(asdict(self), resolutions=list(self.resolutions))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -15,6 +15,11 @@ coupling stay explicit.  Two steppers are provided:
 Alongside the state, each step accumulates the time integral of the
 dissipation with the same RK4 stage weights, so the cumulative energy budget
 can be checked at the integrator's own order of accuracy.
+
+:func:`run` evaluates each state it visits once, right after the step that
+made it: :func:`stable_dt` and the sink read that evaluation, and its tendency
+and dissipation are stage 1 of the next :func:`step`, so an if-rk4 step costs
+four tendency evaluations.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ import numpy as np
 
 from .model import (
     BlowUpError,
+    Evaluation,
     ITH,
     ModelParams,
     TcmState,
     linear_multipliers,
     nonlinear_tendency,
+    sup_norms,
 )
-from .spectral import SpectralGrid, leray_project_coeffs, to_phys
+from .spectral import SpectralGrid, leray_project_coeffs
 
 DT_FLOOR = 1e-8
 
@@ -75,8 +82,8 @@ class StepperConfig:
             raise ValueError(f"sample_every must be > 0, got {self.sample_every}")
 
 
-def stable_dt(state: TcmState, params: ModelParams, cfl: float = 0.5) -> float:
-    """Explicit-part step bound.
+def stable_dt(state: TcmState, params: ModelParams, evaluation: Evaluation, cfl: float = 0.5) -> float:
+    """Explicit-part step bound, from the physical fields of the state's evaluation.
 
     dt = cfl / ( kmax (|u|_inf + |v|_inf) + kmax^2 max|mu(theta) - mu(0)|
                  + beta + alpha + kmax ),
@@ -84,13 +91,11 @@ def stable_dt(state: TcmState, params: ModelParams, cfl: float = 0.5) -> float:
     the trailing kmax covering the grad-theta / div-v coupling.  kmax is the
     largest dealiased |k|.  The result is floored at 1e-8.
     """
-    g = state.grid
-    kmax = g.kmax_dealiased
-    vals = to_phys(state.coeffs, g)
-    u_inf = float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2)))
-    v_inf = float(np.max(np.sqrt(vals[2] ** 2 + vals[3] ** 2)))
-    mu_dev = float(np.max(np.abs(params.mu(vals[ITH]) - params.mu0)))
-    denom = kmax * (u_inf + v_inf) + kmax**2 * mu_dev + params.beta + params.alpha + kmax
+    kmax = state.grid.kmax_dealiased
+    phys = evaluation[2]
+    sup = sup_norms(phys)
+    mu_dev = float(np.max(np.abs(params.mu(phys[ITH]) - params.mu0)))
+    denom = kmax * (sup["u"] + sup["v"]) + kmax**2 * mu_dev + params.beta + params.alpha + kmax
     return max(cfl / denom, DT_FLOOR)
 
 
@@ -123,48 +128,42 @@ def _scrub(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return coeffs
 
 
-def step(state: TcmState, params: ModelParams, dt: float, scheme: str = "if-rk4") -> tuple[TcmState, float]:
-    """Advance one step; returns (new state, dissipation integral over the step)."""
+def step(state: TcmState, params: ModelParams, dt: float, stage1: tuple, scheme: str = "if-rk4") -> tuple[TcmState, float]:
+    """Advance one step from stage1, the state's (tendency, dissipation); returns (new state, dissipation integral)."""
     if scheme == "if-rk4":
-        return _step_ifrk4(state, params, dt)
-    if scheme == "imex-euler":
-        return _step_imex_euler(state, params, dt)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        z1, diss_int = _ifrk4(state.coeffs, state.grid, params, dt, stage1)
+    elif scheme == "imex-euler":
+        z1, diss_int = _imex_euler(state.coeffs, state.grid, params, dt, stage1)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    _scrub(z1, state.grid)
+    t1 = state.time + dt
+    _check_finite(z1, t1)
+    return TcmState(state.grid, z1, t1), diss_int
 
 
-def _step_ifrk4(state: TcmState, params: ModelParams, dt: float) -> tuple[TcmState, float]:
-    g = state.grid
-    z0 = state.coeffs
+def _ifrk4(z0: np.ndarray, g: SpectralGrid, params: ModelParams, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
     E, E2 = _exp_factors(g, params, dt)
 
-    k1, d1 = nonlinear_tendency(z0, g, params, with_dissipation=True)
+    # Each stage keeps its tendency and dissipation only, not its physical fields.
+    k1, d1 = stage1
     za = E2 * (z0 + (0.5 * dt) * k1)
-    k2, d2 = nonlinear_tendency(za, g, params, with_dissipation=True)
+    k2, d2 = nonlinear_tendency(za, g, params)[:2]
     zb = E2 * z0 + (0.5 * dt) * k2
-    k3, d3 = nonlinear_tendency(zb, g, params, with_dissipation=True)
+    k3, d3 = nonlinear_tendency(zb, g, params)[:2]
     zc = E * z0 + dt * (E2 * k3)
-    k4, d4 = nonlinear_tendency(zc, g, params, with_dissipation=True)
+    k4, d4 = nonlinear_tendency(zc, g, params)[:2]
 
     z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
-    _scrub(z1, g)
-    t1 = state.time + dt
-    _check_finite(z1, t1)
-    diss_int = (dt / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
-    return TcmState(g, z1, t1), diss_int
+    return z1, (dt / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-def _step_imex_euler(state: TcmState, params: ModelParams, dt: float) -> tuple[TcmState, float]:
-    g = state.grid
-    z0 = state.coeffs
-    nl, d0 = nonlinear_tendency(z0, g, params, with_dissipation=True)
-    z1 = (z0 + dt * nl) / (1.0 - dt * linear_multipliers(g, params))
-    _scrub(z1, g)
-    t1 = state.time + dt
-    _check_finite(z1, t1)
-    return TcmState(g, z1, t1), dt * d0
+def _imex_euler(z0: np.ndarray, g: SpectralGrid, params: ModelParams, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
+    nl, d0 = stage1
+    return (z0 + dt * nl) / (1.0 - dt * linear_multipliers(g, params)), dt * d0
 
 
-Sink = Callable[[TcmState, float, float], None]
+Sink = Callable[[TcmState, float, float, Evaluation], None]
 
 
 def run(
@@ -173,33 +172,37 @@ def run(
     stepper: StepperConfig,
     sink: Sink | None = None,
 ) -> TcmState:
-    """Integrate to t_end, invoking ``sink(state, dt, diss_integral)`` at the
-    sampling cadence (always at the start and at t_end).
+    """Integrate to t_end, invoking ``sink(state, dt, diss_integral, evaluation)``
+    at the sampling cadence (always at the start and at t_end).
 
     diss_integral is the running integral of the dissipation since the start
-    of the run, accumulated with the stepper's own stage weights.
-    Deterministic for fixed inputs.
+    of the run, accumulated with the stepper's own stage weights; evaluation
+    is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
+    values are the next step's stage 1.  Deterministic for fixed inputs.
     """
     state = initial.copy()
     t_end = initial.time + stepper.t_end
     diss_int = 0.0
     auto = stepper.dt == "auto"
-    dt = stable_dt(state, params, stepper.cfl) if auto else float(stepper.dt)
+    evaluation = nonlinear_tendency(state.coeffs, state.grid, params)
+    dt = stable_dt(state, params, evaluation, stepper.cfl) if auto else float(stepper.dt)
     if sink is not None:
-        sink(state, dt, diss_int)
-    if stepper.t_end == 0:
-        return state
+        sink(state, dt, diss_int, evaluation)
     next_sample = initial.time + stepper.sample_every
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.time < t_end - eps:
         if auto:
-            dt = stable_dt(state, params, stepper.cfl)
+            dt = stable_dt(state, params, evaluation, stepper.cfl)
         dt_step = min(dt, t_end - state.time)
-        state, w = step(state, params, dt_step, stepper.scheme)
+        # The physical fields have had their last reader: free them before the step.
+        stage1 = evaluation[:2]
+        del evaluation
+        state, w = step(state, params, dt_step, stage1, stepper.scheme)
+        evaluation = nonlinear_tendency(state.coeffs, state.grid, params)
         diss_int += w
         if state.time >= next_sample - eps or state.time >= t_end - eps:
             if sink is not None:
-                sink(state, dt_step, diss_int)
+                sink(state, dt_step, diss_int, evaluation)
             while next_sample <= state.time + eps:
                 next_sample += stepper.sample_every
     return state

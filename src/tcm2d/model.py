@@ -31,7 +31,9 @@ per component, and -v(x)v is folded into the viscous remainder stress
 sigma = (mu(theta) - mu(0)) grad u - v(x)v.  One call of
 :func:`nonlinear_tendency` transforms 16 fields inverse and 10 forward (9
 products plus the viscosity remainder), or 15 inverse and 8 forward with the
-constant law, whose sigma = -v(x)v is symmetric.
+constant law, whose sigma = -v(x)v is symmetric.  That call is the one
+evaluation of a state: the integrator hands it to stage 1 of the next step, to
+the step bound and to the sampled record (:func:`budget_residual`, :func:`sup_norms`).
 """
 
 from __future__ import annotations
@@ -237,24 +239,24 @@ class TcmState:
         return TcmState(self.grid, self.coeffs.copy(), self.time)
 
 
-def nonlinear_tendency(
-    coeffs: np.ndarray,
-    grid: SpectralGrid,
-    params: ModelParams,
-    with_dissipation: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Everything in the tendency except the stiff diagonal part.
+# One evaluation of a state: (nonlinear tendency, dissipation, physical fields).
+Evaluation = tuple[np.ndarray, float, np.ndarray]
+
+
+def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelParams) -> Evaluation:
+    """Evaluate one state: everything in the tendency except the stiff diagonal part.
 
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
-    the integrator; this function returns the advective terms, the baroclinic
-    tensor term, the variable-viscosity remainder div((mu(theta)-mu(0)) grad u),
-    and the v<->theta coupling, all dealiased, with the u-tendency Leray
-    projected.
+    the integrator.  Returns three things:
 
-    When with_dissipation is set, also returns the instantaneous dissipation
-    int mu |grad u|^2 + alpha ||u||^2 + beta ||v||^2 evaluated with the same
-    collocation quadrature the products use, so the discrete energy budget
-    closes to rounding.
+    * the advective terms, the baroclinic tensor term, the variable-viscosity
+      remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
+      dealiased, with the u-tendency Leray projected;
+    * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
+      beta ||v||^2, evaluated with the same collocation quadrature the
+      products use, so the discrete energy budget closes to rounding;
+    * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
+      view of the inverse transform the products were formed from.
     """
     ikx = 1j * grid.kx
     iky = 1j * grid.ky
@@ -309,15 +311,12 @@ def nonlinear_tendency(
     # theta: -u.grad theta + div v.
     out[ITH] = -p[4] + ikx * coeffs[2] + iky * coeffs[3]
 
-    if not with_dissipation:
-        return out, 0.0
-
     grad_u_sq = du[0][0] ** 2 + du[0][1] ** 2 + du[1][0] ** 2 + du[1][1] ** 2
     mu_total = mu0 if constant_mu else mu0 + mu_rem
     visc = float(np.sum(mu_total * grad_u_sq)) * grid.cell_area
     u_sq = float(np.sum(parseval_density(coeffs[IU], coeffs[IU], grid)))
     v_sq = float(np.sum(parseval_density(coeffs[IV], coeffs[IV], grid)))
-    return out, visc + params.alpha * u_sq + params.beta * v_sq
+    return out, visc + params.alpha * u_sq + params.beta * v_sq, phys[:NCOMP]
 
 
 _MULT_CACHE: dict[tuple, np.ndarray] = {}
@@ -340,14 +339,13 @@ def linear_multipliers(grid: SpectralGrid, params: ModelParams) -> np.ndarray:
 
 def rhs(state: TcmState, params: ModelParams) -> np.ndarray:
     """Full semi-discrete tendency (d/dt of the stacked coefficients)."""
-    nl, _ = nonlinear_tendency(state.coeffs, state.grid, params)
+    nl = nonlinear_tendency(state.coeffs, state.grid, params)[0]
     return nl + linear_multipliers(state.grid, params) * state.coeffs
 
 
 def dissipation(state: TcmState, params: ModelParams) -> float:
     """int mu(theta)|grad u|^2 + alpha ||u||^2_{L^2} + beta ||v||^2_{L^2}."""
-    _, d = nonlinear_tendency(state.coeffs, state.grid, params, with_dissipation=True)
-    return d
+    return nonlinear_tendency(state.coeffs, state.grid, params)[1]
 
 
 def energy(state: TcmState) -> float:
@@ -357,13 +355,20 @@ def energy(state: TcmState) -> float:
 
 def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
     """<z, dz/dt> + dissipation; zero for the continuum, rounding-level discretely."""
-    res, _ = _budget(state, params)
-    return res
+    return budget_residual(state, params, nonlinear_tendency(state.coeffs, state.grid, params))
 
 
-def _budget(state: TcmState, params: ModelParams) -> tuple[float, float]:
-    g = state.grid
-    nl, diss = nonlinear_tendency(state.coeffs, g, params, with_dissipation=True)
-    tend = nl + linear_multipliers(g, params) * state.coeffs
-    pairing = float(np.sum(parseval_density(state.coeffs, tend, g)))
-    return pairing + diss, diss
+def budget_residual(state: TcmState, params: ModelParams, evaluation: Evaluation) -> float:
+    """<z, N(z) + Lz> + D, read off the evaluation of this state."""
+    nl, diss, _ = evaluation
+    tend = nl + linear_multipliers(state.grid, params) * state.coeffs
+    return float(np.sum(parseval_density(state.coeffs, tend, state.grid))) + diss
+
+
+def sup_norms(phys: np.ndarray) -> dict[str, float]:
+    """The L^inf norms of |u|, |v| and |theta| from their physical values."""
+    return {
+        "u": float(np.max(np.sqrt(phys[0] ** 2 + phys[1] ** 2))),
+        "v": float(np.max(np.sqrt(phys[2] ** 2 + phys[3] ** 2))),
+        "theta": float(np.max(np.abs(phys[ITH]))),
+    }

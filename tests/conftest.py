@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcm2d.model import ModelParams, TcmState
+from tcm2d.model import ModelParams, TcmState, nonlinear_tendency
 from tcm2d.spectral import (
     SpectralGrid,
     leray_project_coeffs,
@@ -30,6 +30,11 @@ def make_random_state(grid, seed=0, amplitude=1.0, slope=1.0, peak_index=8):
     c *= grid.dealias_mask
     c *= amplitude / np.max(np.abs(c))
     return TcmState(grid, c, 0.0)
+
+
+def evaluate(state, params):
+    """The state's evaluation, as the integrator hands it to step, stable_dt and compute_record."""
+    return nonlinear_tendency(state.coeffs, state.grid, params)
 
 
 @pytest.fixture

@@ -131,6 +131,12 @@ class TestRunCommand:
         for change in (
             {"params": dict(SMALL_DOC["params"], beta=-2.0)},
             {"diagnostics": dict(SMALL_DOC["diagnostics"], functional_orders=[1.5, 2.0, 2.0])},
+            # Misspelt keys, in every section and at the top level.
+            {"grid": {"N": 64}},
+            {"stepper": {"dtt": 0.1}},
+            {"epsilson": 5},
+            {"diagnostics": {"norm": [["u", 1.0]]}},
+            {"grid": 64},
         ):
             cfg_path = write_config(tmp_path, dict(SMALL_DOC, **change))
             code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
@@ -194,6 +200,67 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert "DiagnosticsError: bad record" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+    def test_io_error_recorded(self, tmp_path, monkeypatch):
+        class FailingCsvWriter(CsvWriter):
+            def write(self, rec):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli_mod, "CsvWriter", FailingCsvWriter)
+        cfg_path = write_config(tmp_path, SMALL_DOC)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_IO
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"status": "io-error", "error": "OSError: disk full"}
+        assert (manifest["status"], manifest["error"]) == (summary["status"], summary["error"])
+
+    def test_each_state_evaluated_once(self, tmp_path, monkeypatch):
+        # Counted at the module attributes a span tracer wraps.  With every
+        # step sampled, an if-rk4 step evaluates its stages 2-4 and the new
+        # state, whose evaluation the step bound, the record and the next
+        # step's stage 1 share: 4 N + 1 evaluations for N steps.  No inverse
+        # transform runs outside the tendency.
+        from tcm2d import integrator, model, spectral
+
+        calls = {"nonlinear_tendency": 0, "step": 0, "stable_dt": 0, "compute_record": 0, "irfft2": 0}
+        inside = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                inside.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((integrator, "nonlinear_tendency"), (model, "nonlinear_tendency"),
+                            (integrator, "step"), (integrator, "stable_dt"), (cli_mod, "compute_record")):
+            count(owner, name)
+        irfft2 = spectral._fft.irfft2
+
+        def irfft2_outside_tendency(*args, **kwargs):
+            calls["irfft2"] += "nonlinear_tendency" not in inside
+            return irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(spectral._fft, "irfft2", irfft2_outside_tendency)
+        doc = dict(SMALL_DOC, stepper={"t_end": 0.1, "sample_every": 1e-3, "dt": "auto"})
+        assert execute_run(parse_run_config(doc), tmp_path / "o").exit_code == 0
+        n_steps = calls["step"]
+        assert n_steps >= 2
+        assert calls == {
+            "nonlinear_tendency": 4 * n_steps + 1,
+            "step": n_steps,
+            "stable_dt": n_steps + 1,
+            "compute_record": n_steps + 1,
+            "irfft2": 0,
+        }
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_DOC)
@@ -282,6 +349,12 @@ class TestSweepCommand:
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="axes"):
             parse_sweep({"base": SMALL_DOC, "axes": {"gamma": [1.0]}})
+
+    def test_unknown_sweep_keys_rejected(self):
+        with pytest.raises(ConfigError, match="thread is not a recognized key"):
+            parse_sweep({"base": SMALL_DOC, "axes": {"alpha": [0.0]}, "thread": 2})
+        with pytest.raises(ConfigError, match="stepper.dtt is not a recognized key"):
+            parse_sweep({"base": dict(SMALL_DOC, stepper={"dtt": 0.1}), "axes": {"alpha": [0.0]}})
 
     def test_beta_axis_takes_per_cell_defaults(self, tmp_path):
         # eta and kappa unset in the base take their defaults for each cell's
@@ -410,6 +483,15 @@ class TestFitCommand:
         code, doc = execute_fit(path, "theta", 1.0, None, damped=False)
         assert code == EXIT_CONFIG
         assert doc is None
+
+    @pytest.mark.parametrize("text", ["", "t,v_gamma_1\n"], ids=["empty", "header-only"])
+    def test_no_samples_exit_2(self, tmp_path, capsys, text):
+        # A run that stops before its first sample leaves a header-only file.
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(text)
+        assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--undamped", "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no samples" in err
 
     def test_nonpositive_exit_6(self, tmp_path):
         ts = np.linspace(0.0, 40.0, 81)

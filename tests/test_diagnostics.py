@@ -26,7 +26,7 @@ from tcm2d.diagnostics import (
     record_schema,
     theory_exponent,
 )
-from tcm2d.model import ITH, ModelParams, TcmState, derive_lambda
+from tcm2d.model import ITH, ModelParams, TcmState, derive_lambda, dissipation, energy_budget_residual
 from tcm2d.spectral import (
     SpectralField,
     SpectralGrid,
@@ -34,9 +34,10 @@ from tcm2d.spectral import (
     inner_product,
     lambda_pow,
     sobolev_norm,
+    to_phys,
 )
 
-from conftest import make_random_state
+from conftest import evaluate, make_random_state
 
 TWO_PI_SQ = 2 * np.pi**2
 
@@ -232,7 +233,7 @@ def sampled_records():
         state,
         params,
         StepperConfig(t_end=10.0, sample_every=0.25),
-        lambda s, dt, w: records.append(compute_record(s, params, cfg, dt, w)),
+        lambda s, dt, w, ev: records.append(compute_record(s, params, cfg, dt, w, ev)),
     )
     return params, records
 
@@ -271,7 +272,7 @@ class TestRecordSerialization:
     def test_csv_and_jsonl_roundtrip(self, grid32, params_undamped):
         state = make_random_state(grid32, seed=2, amplitude=0.01)
         cfg = DiagnosticsConfig(norms=(("u", 1.0), ("theta", 1.5)))
-        rec = compute_record(state, params_undamped, cfg, dt=0.01, diss_integral=0.0)
+        rec = compute_record(state, params_undamped, cfg, 0.01, 0.0, evaluate(state, params_undamped))
         schema = record_schema(cfg)
         cols = [col.name for col in schema]
         buf = io.StringIO()
@@ -305,13 +306,29 @@ class TestRecordSerialization:
         with pytest.raises(ValueError, match=match):
             DiagnosticsConfig(**kwargs)
 
+    @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
+    def test_evaluation_values_are_the_models(self, grid32, viscosity):
+        # The record reads its residual, dissipation and sup norms off the
+        # evaluation; each equals the bare-state function bit for bit.
+        params = ModelParams(alpha=0.5, viscosity=viscosity)
+        state = make_random_state(grid32, seed=5, amplitude=0.3)
+        rec = compute_record(state, params, DiagnosticsConfig(), 0.01, 0.0, evaluate(state, params))
+        assert rec.budget_residual == energy_budget_residual(state, params)
+        assert rec.dissipation == dissipation(state, params)
+        vals = to_phys(state.coeffs, grid32)
+        assert rec.linf == {
+            "u": float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2))),
+            "v": float(np.max(np.sqrt(vals[2] ** 2 + vals[3] ** 2))),
+            "theta": float(np.max(np.abs(vals[ITH]))),
+        }
+
     def test_extra_orders_appended(self, grid32):
         params = ModelParams(s=1.5)
         cfg = DiagnosticsConfig(norms=(("u", 1.0),), functional_orders=(1.5, 2.5))
         cols = [col.name for col in record_schema(cfg)]
         assert cols[-4:] == ["A_m_2.5", "B_m_2.5", "X_m_2.5", "Y_m_2.5"]
         state = make_random_state(grid32, seed=2, amplitude=0.01)
-        rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.0)
+        rec = compute_record(state, params, cfg, 0.01, 0.0, evaluate(state, params))
         assert set(rec.extra_orders) == {2.5}
 
     def test_writers_agree_column_by_column(self, grid32):
@@ -320,7 +337,7 @@ class TestRecordSerialization:
         params = ModelParams(s=1.5)
         cfg = DiagnosticsConfig(norms=(("u", 1.0), ("v", 0.0), ("theta", 2.0)), functional_orders=(1.5, 3.0, 2.0))
         state = make_random_state(grid32, seed=4, amplitude=0.05)
-        rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.5)
+        rec = compute_record(state, params, cfg, 0.01, 0.5, evaluate(state, params))
         schema = record_schema(cfg)
         cbuf, jbuf = io.StringIO(), io.StringIO()
         CsvWriter(cbuf, schema).write(rec)
@@ -434,7 +451,7 @@ class TestRecordAgainstFieldSums:
         cfg = DiagnosticsConfig(norms=norms, functional_orders=(m0,) + extra)
         for seed in (0, 1):
             state = make_random_state(grid32, seed=seed, amplitude=0.2)
-            rec = compute_record(state, params, cfg, dt=0.01, diss_integral=0.0)
+            rec = compute_record(state, params, cfg, 0.01, 0.0, evaluate(state, params))
             ref = _reference_record(state, params, norms, m0, extra)
             assert rec.norms == pytest.approx(ref.pop("norms"), rel=1e-12)
             for m, values in ref.pop("extra_orders").items():

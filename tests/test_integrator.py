@@ -7,7 +7,7 @@ from tcm2d.integrator import DT_FLOOR, StepperConfig, run, stable_dt, step
 from tcm2d.model import BlowUpError, ModelParams, TcmState, energy
 from tcm2d.spectral import SpectralField
 
-from conftest import make_random_state
+from conftest import evaluate, make_random_state
 
 
 def shear_state(grid):
@@ -19,23 +19,27 @@ def shear_state(grid):
 class TestStableDt:
     def test_zero_state_formula(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0)
-        dt = stable_dt(TcmState.zero(grid64), p, cfl=0.5)
+        zero = TcmState.zero(grid64)
+        dt = stable_dt(zero, p, evaluate(zero, p), cfl=0.5)
         assert dt == pytest.approx(0.5 / (1.0 + grid64.kmax_dealiased), rel=1e-12)
 
     def test_linear_in_cfl(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
-        assert stable_dt(st, params_undamped, 1.0) == pytest.approx(
-            2.0 * stable_dt(st, params_undamped, 0.5), rel=1e-12
+        ev = evaluate(st, params_undamped)
+        assert stable_dt(st, params_undamped, ev, 1.0) == pytest.approx(
+            2.0 * stable_dt(st, params_undamped, ev, 0.5), rel=1e-12
         )
 
     def test_decreases_with_velocity(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
         faster = TcmState(grid64, st.coeffs * 3.0, 0.0)
-        assert stable_dt(faster, params_undamped, 0.5) < stable_dt(st, params_undamped, 0.5)
+        p = params_undamped
+        assert stable_dt(faster, p, evaluate(faster, p), 0.5) < stable_dt(st, p, evaluate(st, p), 0.5)
 
     def test_floor(self, grid64):
         st = make_random_state(grid64, seed=4, amplitude=1e12)
-        assert stable_dt(st, ModelParams(), 0.5) == DT_FLOOR
+        p = ModelParams()
+        assert stable_dt(st, p, evaluate(st, p), 0.5) == DT_FLOOR
 
 
 class TestStep:
@@ -44,7 +48,7 @@ class TestStep:
         p = ModelParams(alpha=0.3, beta=1.0, mu_lower=1.0, viscosity="constant")
         s = shear_state(grid64)
         for _ in range(100):
-            s, _ = step(s, p, 1e-2)
+            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2])
         yy = grid64.coords()[1]
         expected = np.exp(-1.3) * np.sin(yy)
         assert np.max(np.abs(s.u[0].values() - expected)) < 1e-12
@@ -55,18 +59,19 @@ class TestStep:
         st.coeffs[2][0, 0] = 0.7
         s = st
         for _ in range(50):
-            s, _ = step(s, p, 1e-2)
+            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2])
         exact = 0.7 * np.exp(-2.0 * 0.5)
         assert s.coeffs[2][0, 0].real == pytest.approx(exact, rel=1e-13)
         # imex-euler is first order: error ~ dt
         s = st
         for _ in range(50):
-            s, _ = step(s, p, 1e-2, scheme="imex-euler")
+            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2], scheme="imex-euler")
         err = abs(s.coeffs[2][0, 0].real - exact)
         assert 0 < err < 0.05 * exact
 
     def test_zero_fixed_point(self, grid64, params_undamped):
-        z, w = step(TcmState.zero(grid64), params_undamped, 0.1)
+        zero = TcmState.zero(grid64)
+        z, w = step(zero, params_undamped, 0.1, evaluate(zero, params_undamped)[:2])
         assert np.max(np.abs(z.coeffs)) == 0.0
         assert w == 0.0
 
@@ -76,14 +81,14 @@ class TestStep:
         with pytest.raises(BlowUpError) as exc:
             s = st
             for _ in range(200):
-                s, _ = step(s, params_undamped, 0.5)  # far above the stable dt
+                s, _ = step(s, params_undamped, 0.5, evaluate(s, params_undamped)[:2])  # far above the stable dt
         assert exc.value.time > 0
 
     def test_divergence_stays_clean(self, grid64, params_damped):
         s = make_random_state(grid64, seed=8, amplitude=0.05)
-        dt = stable_dt(s, params_damped, 0.5)
+        dt = stable_dt(s, params_damped, evaluate(s, params_damped), 0.5)
         for _ in range(5):
-            s, _ = step(s, params_damped, dt)
+            s, _ = step(s, params_damped, dt, evaluate(s, params_damped)[:2])
         g = grid64
         div = 1j * (g.kx * s.coeffs[0] + g.ky * s.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(s.coeffs[0]) ** 2 + np.abs(s.coeffs[1]) ** 2))
@@ -96,7 +101,7 @@ class TestStep:
         st = make_random_state(grid32, seed=9, amplitude=1.0)
         mismatch = {}
         for dt in (2e-3, 1e-3):
-            s1, w = step(st, p, dt)
+            s1, w = step(st, p, dt, evaluate(st, p)[:2])
             mismatch[dt] = abs((energy(s1) - energy(st)) + w)
         ratio = mismatch[2e-3] / mismatch[1e-3]
         assert ratio > 20.0
@@ -106,7 +111,7 @@ class TestRun:
     def test_t_end_zero_returns_initial(self, grid32, params_undamped):
         st = make_random_state(grid32, seed=3, amplitude=0.01)
         seen = []
-        out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, dt, w: seen.append(s.time))
+        out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, dt, w, ev: seen.append(s.time))
         assert seen == [0.0]
         np.testing.assert_array_equal(out.coeffs, st.coeffs)
 
@@ -121,7 +126,7 @@ class TestRun:
         st = make_random_state(grid32, seed=3, amplitude=0.01)
         times = []
         run(st, params_undamped, StepperConfig(t_end=1.0, dt=0.05, sample_every=0.25),
-            lambda s, dt, w: times.append(s.time))
+            lambda s, dt, w, ev: times.append(s.time))
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1.0, abs=1e-9)
         assert len(times) == 5

@@ -216,9 +216,19 @@ class TestGroupedTendency:
     def test_matches_term_by_term_reference(self, grid64, params, seed):
         st_ = make_random_state(grid64, seed=seed, amplitude=0.5)
         ref, ref_diss = _reference_tendency(st_, params)
-        out, diss = nonlinear_tendency(st_.coeffs, grid64, params, with_dissipation=True)
+        out, diss, _ = nonlinear_tendency(st_.coeffs, grid64, params)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert abs(diss - ref_diss) <= 1e-13 * ref_diss
+
+    @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
+    def test_physical_fields_are_the_state(self, grid64, params):
+        # The third value is the state itself in physical space, taken from
+        # the batched inverse transform (a view), bitwise equal to its own transform.
+        st_ = make_random_state(grid64, seed=4, amplitude=0.5)
+        phys = nonlinear_tendency(st_.coeffs, grid64, params)[2]
+        assert phys.shape == (5,) + grid64.shape_phys
+        assert phys.base is not None
+        np.testing.assert_array_equal(phys, to_phys(st_.coeffs, grid64))
 
     @pytest.mark.parametrize(
         "params, forward, inverse", [(LAWS[0], 10, 16), (LAWS[1], 8, 15), (LAWS[2], 10, 16)],
@@ -241,7 +251,7 @@ class TestGroupedTendency:
         for name in counts:
             monkeypatch.setattr(spectral._fft, name, counting(name))
         st_ = make_random_state(grid64, seed=5, amplitude=0.5)
-        nonlinear_tendency(st_.coeffs, grid64, params, with_dissipation=True)
+        nonlinear_tendency(st_.coeffs, grid64, params)
         assert counts == {"rfft2": forward, "irfft2": inverse}
 
 
