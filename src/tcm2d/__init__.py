@@ -18,8 +18,6 @@ from .model import (
     TcmState,
     derive_delta1,
     derive_lambda,
-    energy_budget_residual,
-    rhs,
 )
 from .integrator import StepperConfig, run, stable_dt, step
 from .diagnostics import (
@@ -56,8 +54,6 @@ __all__ = [
     "TcmState",
     "derive_delta1",
     "derive_lambda",
-    "energy_budget_residual",
-    "rhs",
     "StepperConfig",
     "run",
     "stable_dt",

@@ -478,7 +478,15 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     assignments: list[dict[str, Any]] = [{}]
     for name in sorted(axes):
         assignments = [dict(cell, **{name: v}) for cell in assignments for v in axes[name]]
-    return base, [(cell, parse_run_config(_cell_doc(base_doc, cell))) for cell in assignments], threads
+    return base, [(cell, _parse_cell(base_doc, cell)) for cell in assignments], threads
+
+
+def _parse_cell(base_doc: dict, cell: dict[str, Any]) -> RunConfig:
+    """Parse one cell's document; a config error names the cell's axis assignment."""
+    try:
+        return parse_run_config(_cell_doc(base_doc, cell))
+    except ConfigError as exc:
+        raise ConfigError(f"cell {cell}: {exc}") from exc
 
 
 def _cell_doc(base_doc: dict, cell: dict[str, Any]) -> dict:

@@ -191,8 +191,6 @@ def run(
     next_sample = initial.time + stepper.sample_every
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.time < t_end - eps:
-        if auto:
-            dt = stable_dt(state, params, evaluation, stepper.cfl)
         dt_step = min(dt, t_end - state.time)
         # The physical fields have had their last reader: free them before the step.
         stage1 = evaluation[:2]
@@ -200,9 +198,13 @@ def run(
         state, w = step(state, params, dt_step, stage1, stepper.scheme)
         evaluation = nonlinear_tendency(state.coeffs, state.grid, params)
         diss_int += w
-        if state.time >= next_sample - eps or state.time >= t_end - eps:
+        done = state.time >= t_end - eps
+        if state.time >= next_sample - eps or done:
             if sink is not None:
                 sink(state, dt_step, diss_int, evaluation)
             while next_sample <= state.time + eps:
                 next_sample += stepper.sample_every
+        # The bound of a state is taken once, and only for a state that is stepped from.
+        if auto and not done:
+            dt = stable_dt(state, params, evaluation, stepper.cfl)
     return state

@@ -24,16 +24,20 @@ transport terms are skew-symmetric in dealiased spectral arithmetic, the
 <grad theta, v> and <div v, theta> pairings cancel, and the v-tensor terms
 cancel against the (v.grad)u pairing.
 
-The quadratic products are summed in physical space whenever they reach one
-tendency component through the same linear operator, and only then taken
-through one batched forward transform: (u.grad)v_i + (v.grad)u_i is one field
-per component, and -v(x)v is folded into the viscous remainder stress
-sigma = (mu(theta) - mu(0)) grad u - v(x)v.  One call of
-:func:`nonlinear_tendency` transforms 16 fields inverse and 10 forward (9
-products plus the viscosity remainder), or 15 inverse and 8 forward with the
-constant law, whose sigma = -v(x)v is symmetric.  That call is the one
-evaluation of a state: the integrator hands it to stage 1 of the next step, to
-the step bound and to the sampled record (:func:`budget_residual`, :func:`sup_norms`).
+Since u is divergence-free, the transport by u is taken in divergence form,
+(u.grad)u = div(u (x) u) and u.grad theta = div(u theta), and d_y u_2 is read
+as -d_x u_1; for dealiased trigonometric polynomials both forms are the same
+Galerkin term.  The quadratic products are summed in physical space whenever
+they reach one tendency component through the same linear operator, and only
+then taken through one batched forward transform: (u.grad)v_i + (v.grad)u_i is
+one field per component, u theta is two, and -v(x)v - u(x)u is folded into the
+viscous remainder stress sigma = (mu(theta) - mu(0)) grad u - v(x)v - u(x)u.
+One call of :func:`nonlinear_tendency` transforms 13 fields inverse (the state,
+7 gradient components and the viscosity remainder) and 9 forward (8 products
+plus the remainder), or 12 inverse and 7 forward with the constant law, whose
+sigma = -v(x)v - u(x)u is symmetric.  That call is the one evaluation of a
+state: the integrator hands it to stage 1 of the next step, to the step bound
+and to the sampled record (:func:`budget_residual`, :func:`sup_norms`).
 """
 
 from __future__ import annotations
@@ -182,11 +186,6 @@ class ModelParams:
         return self._mu0
 
 
-def default_viscosity(theta: float | np.ndarray, mu_lower: float = 1.0) -> float | np.ndarray:
-    """The default smooth law mu_lower + theta**2."""
-    return ModelParams(mu_lower=mu_lower).mu(theta)
-
-
 # Component layout of the stacked coefficient array.
 IU = slice(0, 2)
 IV = slice(2, 4)
@@ -247,9 +246,15 @@ def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelPara
     """Evaluate one state: everything in the tendency except the stiff diagonal part.
 
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
-    the integrator.  Returns three things:
+    the integrator.  u must be divergence-free (k . u_hat = 0 to rounding, as
+    the Leray projection leaves it): the transport by u is taken in divergence
+    form, div(u (x) u) and div(u theta), and d_y u_2 is read as -d_x u_1.  For
+    divergence-free, dealiased trigonometric polynomials the divergence and
+    advective forms are the same Galerkin term, so the tendency, and with it
+    the discrete energy budget, agrees with the advective one to rounding.
+    Returns three things:
 
-    * the advective terms, the baroclinic tensor term, the variable-viscosity
+    * the transport terms, the baroclinic tensor term, the variable-viscosity
       remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
       dealiased, with the u-tendency Leray projected;
     * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
@@ -260,15 +265,18 @@ def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelPara
     """
     ikx = 1j * grid.kx
     iky = 1j * grid.ky
-    spec = np.empty((3 * NCOMP,) + grid.shape_spec, dtype=np.complex128)
+    # The state and the 7 gradient components the products need (u is
+    # divergence-free, so d_y u2 = -d_x u1 is not transformed).
+    spec = np.empty((NCOMP + 7,) + grid.shape_spec, dtype=np.complex128)
     spec[:NCOMP] = coeffs
-    spec[NCOMP::2] = ikx * coeffs
-    spec[NCOMP + 1 :: 2] = iky * coeffs
+    spec[5:7] = ikx * coeffs[IU]
+    spec[7] = iky * coeffs[0]
+    spec[8:10] = ikx * coeffs[IV]
+    spec[10:12] = iky * coeffs[IV]
     phys = to_phys(spec, grid)
     u1, u2, v1, v2, th = phys[:NCOMP]
-    du = phys[5:7], phys[7:9]     # grad u1, grad u2
-    dv = phys[9:11], phys[11:13]
-    dth = phys[13:15]
+    a, c, b = phys[5:8]           # d_x u1, d_x u2, d_y u1; d_y u2 = -a
+    dxv, dyv = phys[8:10], phys[10:12]
 
     mu0 = params.mu0
     constant_mu = params.viscosity == "constant"
@@ -278,40 +286,38 @@ def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelPara
         mu_rem = to_phys(grid.dealias_mask * from_phys(np.asarray(params.mu(th)) - mu0, grid), grid)
 
     # Rows, each summed before the one forward transform (dealiasing and the
-    # ik multipliers are linear, so only rounding changes): (u.grad)u (2),
-    # (u.grad)v + (v.grad)u (2), u.grad theta (1), and the stress
-    # sigma = mu_rem grad u - v(x)v (4, or its 3 distinct rows when mu_rem = 0).
-    prods = np.empty(((8 if constant_mu else 9),) + grid.shape_phys)
-    prods[0] = u1 * du[0][0] + u2 * du[0][1]
-    prods[1] = u1 * du[1][0] + u2 * du[1][1]
-    prods[2] = u1 * dv[0][0] + u2 * dv[0][1] + v1 * du[0][0] + v2 * du[0][1]
-    prods[3] = u1 * dv[1][0] + u2 * dv[1][1] + v1 * du[1][0] + v2 * du[1][1]
-    prods[4] = u1 * dth[0] + u2 * dth[1]
+    # ik multipliers are linear, so only rounding changes): (u.grad)v + (v.grad)u
+    # (2), u theta (2), and the stress sigma = mu_rem grad u - v(x)v - u(x)u (4,
+    # or its 3 distinct rows when mu_rem = 0).
+    prods = np.empty(((7 if constant_mu else 8),) + grid.shape_phys)
+    prods[0] = u1 * dxv[0] + u2 * dyv[0] + v1 * a + v2 * b
+    prods[1] = u1 * dxv[1] + u2 * dyv[1] + v1 * c - v2 * a
+    prods[2] = u1 * th
+    prods[3] = u2 * th
+    sym = v1 * v2 + u1 * u2
     if constant_mu:
-        prods[5] = -v1 * v1
-        prods[6] = -v1 * v2
-        prods[7] = -v2 * v2
-        s11, s12, s21, s22 = 5, 6, 6, 7
+        prods[4] = -(v1 * v1 + u1 * u1)
+        prods[5] = -sym
+        prods[6] = -(v2 * v2 + u2 * u2)
+        s11, s12, s21, s22 = 4, 5, 5, 6
     else:
-        prods[5] = mu_rem * du[0][0] - v1 * v1
-        prods[6] = mu_rem * du[0][1] - v1 * v2
-        prods[7] = mu_rem * du[1][0] - v1 * v2
-        prods[8] = mu_rem * du[1][1] - v2 * v2
-        s11, s12, s21, s22 = 5, 6, 7, 8
+        prods[4] = mu_rem * a - v1 * v1 - u1 * u1
+        prods[5] = mu_rem * b - sym
+        prods[6] = mu_rem * c - sym
+        prods[7] = -mu_rem * a - v2 * v2 - u2 * u2
+        s11, s12, s21, s22 = 4, 5, 6, 7
     p = grid.dealias_mask * from_phys(prods, grid)
 
     out = np.empty_like(coeffs)
-    # u: -(u.grad)u + div sigma, then project.
-    tux = -p[0] + ikx * p[s11] + iky * p[s12]
-    tuy = -p[1] + ikx * p[s21] + iky * p[s22]
-    out[0], out[1] = leray_project_coeffs(tux, tuy, grid)
+    # u: div sigma, then project.
+    out[0], out[1] = leray_project_coeffs(ikx * p[s11] + iky * p[s12], ikx * p[s21] + iky * p[s22], grid)
     # v: -(u.grad)v - (v.grad)u + grad theta.
-    out[2] = -p[2] + ikx * coeffs[ITH]
-    out[3] = -p[3] + iky * coeffs[ITH]
-    # theta: -u.grad theta + div v.
-    out[ITH] = -p[4] + ikx * coeffs[2] + iky * coeffs[3]
+    out[2] = -p[0] + ikx * coeffs[ITH]
+    out[3] = -p[1] + iky * coeffs[ITH]
+    # theta: div(v - u theta).
+    out[ITH] = ikx * (coeffs[2] - p[2]) + iky * (coeffs[3] - p[3])
 
-    grad_u_sq = du[0][0] ** 2 + du[0][1] ** 2 + du[1][0] ** 2 + du[1][1] ** 2
+    grad_u_sq = 2.0 * a**2 + b**2 + c**2
     mu_total = mu0 if constant_mu else mu0 + mu_rem
     visc = float(np.sum(mu_total * grad_u_sq)) * grid.cell_area
     u_sq = float(np.sum(parseval_density(coeffs[IU], coeffs[IU], grid)))

@@ -220,7 +220,8 @@ class TestRunCommand:
         # Counted at the module attributes a span tracer wraps.  With every
         # step sampled, an if-rk4 step evaluates its stages 2-4 and the new
         # state, whose evaluation the step bound, the record and the next
-        # step's stage 1 share: 4 N + 1 evaluations for N steps.  No inverse
+        # step's stage 1 share: 4 N + 1 evaluations for N steps.  The bound is
+        # taken once per state stepped from (N times), and no inverse
         # transform runs outside the tendency.
         from tcm2d import integrator, model, spectral
 
@@ -257,7 +258,7 @@ class TestRunCommand:
         assert calls == {
             "nonlinear_tendency": 4 * n_steps + 1,
             "step": n_steps,
-            "stable_dt": n_steps + 1,
+            "stable_dt": n_steps,
             "compute_record": n_steps + 1,
             "irfft2": 0,
         }
@@ -380,7 +381,7 @@ class TestSweepCommand:
         assert all(config.params.kappa == default_kappa(config.params.beta) for _, config in cells)
         # An eta set above the bound of one cell's beta fails the sweep before any cell runs.
         base = dict(SMALL_DOC, params=dict(SMALL_DOC["params"], eta=0.1))
-        with pytest.raises(ConfigError, match="params: eta"):
+        with pytest.raises(ConfigError, match=r"^cell \{'beta': 8\.0\}: params: eta must"):
             parse_sweep({"base": base, "axes": {"beta": [1.0, 8.0]}})
 
     def test_each_cell_parsed_once(self, tmp_path, monkeypatch):

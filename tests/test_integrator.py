@@ -138,6 +138,30 @@ class TestRun:
             outs.append(run(st, params_damped, StepperConfig(t_end=0.5, dt="auto", cfl=0.4)))
         np.testing.assert_array_equal(outs[0].coeffs, outs[1].coeffs)
 
+    def test_every_evaluated_u_is_divergence_free(self, grid32, monkeypatch):
+        # nonlinear_tendency takes the transport by u in divergence form and
+        # reads d_y u2 as -d_x u1, which holds only for divergence-free u.
+        # Every state it evaluates must be one, the stage states included.
+        from tcm2d import integrator
+
+        tendency = integrator.nonlinear_tendency
+        ratios = []
+
+        def checked(coeffs, grid, params):
+            k_dot_u = grid.kx * coeffs[0] + grid.ky * coeffs[1]
+            ratios.append(np.max(np.abs(k_dot_u)) / np.max(np.abs(coeffs[:2])))
+            return tendency(coeffs, grid, params)
+
+        monkeypatch.setattr(integrator, "nonlinear_tendency", checked)
+        p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0)
+        states = []
+        run(make_random_state(grid32, seed=10, amplitude=0.5), p,
+            StepperConfig(t_end=0.2, dt="auto", sample_every=1e-6), lambda s, dt, w, ev: states.append(s.time))
+        n_steps = len(states) - 1
+        assert n_steps >= 2
+        assert len(ratios) == 4 * n_steps + 1
+        assert max(ratios) <= 1e-13
+
     def test_richardson_self_convergence_order(self, grid32):
         # Nonlinear run at O(1) amplitude; three-level Richardson ratio.
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0)

@@ -19,7 +19,6 @@ from tcm2d.model import (
     ParamError,
     TcmState,
     ViscosityFloorError,
-    default_viscosity,
     derive_delta1,
     derive_lambda,
     dissipation,
@@ -83,9 +82,10 @@ class TestDeriveDelta1:
 
 class TestViscosity:
     def test_default_law_values(self):
-        assert default_viscosity(0.0, mu_lower=1.0) == pytest.approx(1.0)
-        assert default_viscosity(2.0, mu_lower=1.0) == pytest.approx(5.0)
-        assert default_viscosity(-2.0, mu_lower=0.5) == pytest.approx(4.5)
+        # The default law is mu_lower + theta**2.
+        assert ModelParams(mu_lower=1.0).mu(0.0) == pytest.approx(1.0)
+        assert ModelParams(mu_lower=1.0).mu(2.0) == pytest.approx(5.0)
+        assert ModelParams(mu_lower=0.5).mu(-2.0) == pytest.approx(4.5)
 
     def test_named_laws(self):
         p = ModelParams(mu_lower=0.7, viscosity="constant")
@@ -231,12 +231,13 @@ class TestGroupedTendency:
         np.testing.assert_array_equal(phys, to_phys(st_.coeffs, grid64))
 
     @pytest.mark.parametrize(
-        "params, forward, inverse", [(LAWS[0], 10, 16), (LAWS[1], 8, 15), (LAWS[2], 10, 16)],
-        ids=lambda x: getattr(x, "viscosity", None),
+        "params, forward, inverse",
+        [pytest.param(p, f, i, id=p.viscosity) for p, f, i in zip(LAWS, (9, 7, 9), (13, 12, 13))],
     )
     def test_transform_counts(self, grid64, monkeypatch, params, forward, inverse):
-        # Fields per call: 9 grouped products (8 with the constant law) plus the
-        # viscosity remainder forward; 15 fields and the remainder inverse.
+        # Fields per call: 8 grouped products (7 with the constant law) plus the
+        # viscosity remainder forward; the state, 7 gradient components (d_y u2
+        # is -d_x u1) and the remainder inverse.
         counts = {"rfft2": 0, "irfft2": 0}
 
         def counting(name):
