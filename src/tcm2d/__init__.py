@@ -15,6 +15,7 @@ from .spectral import (
 )
 from .model import (
     ModelParams,
+    Plan,
     TcmState,
     derive_delta1,
     derive_lambda,
@@ -51,6 +52,7 @@ __all__ = [
     "leray_project",
     "sobolev_norm",
     "ModelParams",
+    "Plan",
     "TcmState",
     "derive_delta1",
     "derive_lambda",

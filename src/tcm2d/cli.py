@@ -58,6 +58,7 @@ from .model import (
     Evaluation,
     ModelParams,
     ParamError,
+    Plan,
     TcmState,
     ViscosityFloorError,
 )
@@ -296,6 +297,24 @@ def _monotonicity_verdict(records: list[DiagnosticsRecord]) -> dict:
     }
 
 
+def _budget_block(records: list[DiagnosticsRecord]) -> dict:
+    """How well the discrete energy budget closed, from the records.
+
+    ``worst_residual_ratio`` is the largest |budget_residual| / dissipation
+    over the samples with positive dissipation; ``cumulative_mismatch`` is
+    |E(t_last) - E(0) + int_0^t_last D| / int_0^t_last D.  Each is null when
+    its denominator is zero.
+    """
+    ratios = [abs(r.budget_residual) / r.dissipation for r in records if r.dissipation > 0]
+    integral = records[-1].diss_integral if records else 0.0
+    return {
+        "worst_residual_ratio": max(ratios, default=None),
+        "cumulative_mismatch": (
+            abs(records[-1].energy - records[0].energy + integral) / integral if integral > 0 else None
+        ),
+    }
+
+
 def _fit_block(records: list[DiagnosticsRecord], config: RunConfig) -> list[dict]:
     t_end = config.stepper.t_end
     window = (t_end / 4.0, 3.0 * t_end / 4.0)
@@ -375,8 +394,8 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
         csv_w = CsvWriter(csv_fh, schema)
         jsonl_w = JsonlWriter(jsonl_fh, schema)
 
-        def sink(state: TcmState, dt: float, diss_int: float, evaluation: Evaluation) -> None:
-            rec = compute_record(state, params, config.diagnostics, dt, diss_int, evaluation)
+        def sink(state: TcmState, plan: Plan, dt: float, diss_int: float, evaluation: Evaluation) -> None:
+            rec = compute_record(state, plan, config.diagnostics, dt, diss_int, evaluation)
             records.append(rec)
             csv_w.write(rec)
             jsonl_w.write(rec)
@@ -407,6 +426,7 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
                 "max_ratio": max((r.band_X for r in records), default=1.0),
             },
         },
+        "budget": _budget_block(records),
         "fits": _fit_block(records, config) if status == "completed" else [],
     }
     extra = {} if blow_up_time is None else {"blow_up_time": blow_up_time}

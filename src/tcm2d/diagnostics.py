@@ -43,7 +43,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ITH, IU, IV, Evaluation, ModelParams, TcmState, budget_residual, energy, sup_norms
+from .model import ITH, IU, IV, Evaluation, ModelParams, Plan, TcmState, budget_residual, energy, sup_norms
 from .spectral import SpectralField, parseval_density, sobolev_symbol
 
 
@@ -62,7 +62,8 @@ class Spectra:
     """The Parseval densities of one state, from which every quadratic quantity is summed.
 
     Holds the power of u, v and theta and, once asked for, the v . grad theta
-    pairing (each a :func:`parseval_density` table); builds each |k|^{2 gamma} table once.
+    pairing (each a :func:`parseval_density` table); builds each |k|^{2 gamma} table
+    once, and sums each (field, gamma) norm once however often the functionals ask.
     A, B, X, Y and smallness are the functionals at an explicit order m.
     """
 
@@ -71,6 +72,7 @@ class Spectra:
         self.grid, self._coeffs = g, c
         self.power = {name: parseval_density(c[sl], c[sl], g) for name, sl in FIELD_SLICES.items()}
         self._tables: dict[float, np.ndarray] = {}
+        self._hom_sq: dict[tuple[str, float], float] = {}
 
     @cached_property
     def pairing(self) -> np.ndarray:
@@ -85,7 +87,11 @@ class Spectra:
 
     def hom_sq(self, fieldname: str, gamma: float) -> float:
         """Squared homogeneous norm ||Lambda^gamma field||^2 (components summed)."""
-        return float(np.sum(self._table(gamma) * self.power[fieldname]))
+        key = (fieldname, gamma)
+        value = self._hom_sq.get(key)
+        if value is None:
+            value = self._hom_sq[key] = float(np.sum(self._table(gamma) * self.power[fieldname]))
+        return value
 
     def hs_sq(self, fieldname: str, s: float) -> float:
         """Nonhomogeneous ||field||_{H^s}^2 = L^2 part plus homogeneous part."""
@@ -340,13 +346,14 @@ ORDER_FUNCTIONALS = ("A_m", "B_m", "X_m", "Y_m")
 
 def compute_record(
     state: TcmState,
-    params: ModelParams,
+    plan: Plan,
     config: DiagnosticsConfig,
     dt: float,
     diss_integral: float,
     evaluation: Evaluation,
 ) -> DiagnosticsRecord:
-    """Every value of one sample, from the state's spectra and its evaluation."""
+    """Every value of one sample, from the state's spectra and its evaluation on plan."""
+    params = plan.params
     spectra = Spectra(state)
     m0 = config.orders(params)[0]
     a = spectra.A(params, m0)
@@ -360,7 +367,7 @@ def compute_record(
         Y_m=spectra.Y(params, m0),
         cross_s=spectra.cross_term(m0),
         cross_1=spectra.cross_term(1.0),
-        budget_residual=budget_residual(state, params, evaluation),
+        budget_residual=budget_residual(state, plan, evaluation),
         B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
         smallness=spectra.smallness(params),
         energy=energy(state),

@@ -16,10 +16,15 @@ Alongside the state, each step accumulates the time integral of the
 dissipation with the same RK4 stage weights, so the cumulative energy budget
 can be checked at the integrator's own order of accuracy.
 
-:func:`run` evaluates each state it visits once, right after the step that
-made it: :func:`stable_dt` and the sink read that evaluation, and its tendency
-and dissipation are stage 1 of the next :func:`step`, so an if-rk4 step costs
-four tendency evaluations.
+:func:`run` builds one :class:`~tcm2d.model.Plan` for the run and evaluates
+each state it visits once, right after the step that made it:
+:func:`stable_dt` and the sink read that evaluation, and its tendency and
+dissipation are stage 1 of the next :func:`step`, so an if-rk4 step costs
+four tendency evaluations.  The if-rk4 stages are formed in the plan's three
+stage vectors (the stage state, E2 z0 and E z0, each formed once per step)
+with the plan's propagators, which a fixed dt reuses on every step; neither
+stage 1 nor the state stepped from is written to, and the new state is a new
+array.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from .model import (
     Evaluation,
     ITH,
     ModelParams,
+    Plan,
     TcmState,
-    linear_multipliers,
     nonlinear_tendency,
     sup_norms,
 )
@@ -82,7 +87,7 @@ class StepperConfig:
             raise ValueError(f"sample_every must be > 0, got {self.sample_every}")
 
 
-def stable_dt(state: TcmState, params: ModelParams, evaluation: Evaluation, cfl: float = 0.5) -> float:
+def stable_dt(state: TcmState, plan: Plan, evaluation: Evaluation, cfl: float = 0.5) -> float:
     """Explicit-part step bound, from the physical fields of the state's evaluation.
 
     dt = cfl / ( kmax (|u|_inf + |v|_inf) + kmax^2 max|mu(theta) - mu(0)|
@@ -91,29 +96,13 @@ def stable_dt(state: TcmState, params: ModelParams, evaluation: Evaluation, cfl:
     the trailing kmax covering the grad-theta / div-v coupling.  kmax is the
     largest dealiased |k|.  The result is floored at 1e-8.
     """
+    params = plan.params
     kmax = state.grid.kmax_dealiased
     phys = evaluation[2]
     sup = sup_norms(phys)
     mu_dev = float(np.max(np.abs(params.mu(phys[ITH]) - params.mu0)))
     denom = kmax * (sup["u"] + sup["v"]) + kmax**2 * mu_dev + params.beta + params.alpha + kmax
     return max(cfl / denom, DT_FLOOR)
-
-
-_EXP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _exp_factors(grid: SpectralGrid, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    key = (grid.n, grid.box_length, params.mu0, params.alpha, params.beta, dt)
-    cached = _EXP_CACHE.get(key)
-    if cached is None:
-        lam = linear_multipliers(grid, params)
-        cached = (np.exp(dt * lam), np.exp(0.5 * dt * lam))
-        for a in cached:
-            a.setflags(write=False)
-        if len(_EXP_CACHE) > 16:
-            _EXP_CACHE.clear()
-        _EXP_CACHE[key] = cached
-    return cached
 
 
 def _check_finite(coeffs: np.ndarray, time: float) -> None:
@@ -128,12 +117,15 @@ def _scrub(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return coeffs
 
 
-def step(state: TcmState, params: ModelParams, dt: float, stage1: tuple, scheme: str = "if-rk4") -> tuple[TcmState, float]:
-    """Advance one step from stage1, the state's (tendency, dissipation); returns (new state, dissipation integral)."""
+def step(state: TcmState, plan: Plan, dt: float, stage1: tuple, scheme: str = "if-rk4") -> tuple[TcmState, float]:
+    """Advance one step from stage1, the state's (tendency, dissipation); returns (new state, dissipation integral).
+
+    Neither stage1 nor state.coeffs is written to; the new state's coefficients are a new array.
+    """
     if scheme == "if-rk4":
-        z1, diss_int = _ifrk4(state.coeffs, state.grid, params, dt, stage1)
+        z1, diss_int = _ifrk4(state.coeffs, plan, dt, stage1)
     elif scheme == "imex-euler":
-        z1, diss_int = _imex_euler(state.coeffs, state.grid, params, dt, stage1)
+        z1, diss_int = _imex_euler(state.coeffs, plan, dt, stage1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     _scrub(z1, state.grid)
@@ -142,28 +134,39 @@ def step(state: TcmState, params: ModelParams, dt: float, stage1: tuple, scheme:
     return TcmState(state.grid, z1, t1), diss_int
 
 
-def _ifrk4(z0: np.ndarray, g: SpectralGrid, params: ModelParams, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
-    E, E2 = _exp_factors(g, params, dt)
+def _ifrk4(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
+    E, E2, E2x2 = plan.propagators(dt)
+    # The stage state z, E2 z0 and E z0 live in the plan's stage vectors; E2 z0
+    # is then the accumulator of the final combination.  Each line keeps the
+    # operation order of the expression in its comment.
+    z, e2z0, ez0 = plan.stages
 
     # Each stage keeps its tendency and dissipation only, not its physical fields.
     k1, d1 = stage1
-    za = E2 * (z0 + (0.5 * dt) * k1)
-    k2, d2 = nonlinear_tendency(za, g, params)[:2]
-    zb = E2 * z0 + (0.5 * dt) * k2
-    k3, d3 = nonlinear_tendency(zb, g, params)[:2]
-    zc = E * z0 + dt * (E2 * k3)
-    k4, d4 = nonlinear_tendency(zc, g, params)[:2]
+    # za = E2 * (z0 + (0.5 * dt) * k1)
+    np.multiply(E2, np.add(z0, np.multiply(0.5 * dt, k1, out=z), out=z), out=z)
+    k2, d2 = nonlinear_tendency(z, plan)[:2]
+    # zb = E2 * z0 + (0.5 * dt) * k2
+    np.add(np.multiply(E2, z0, out=e2z0), np.multiply(0.5 * dt, k2, out=z), out=z)
+    k3, d3 = nonlinear_tendency(z, plan)[:2]
+    # zc = E * z0 + dt * (E2 * k3)
+    np.add(np.multiply(E, z0, out=ez0), np.multiply(dt, np.multiply(E2, k3, out=z), out=z), out=z)
+    k4, d4 = nonlinear_tendency(z, plan)[:2]
 
-    z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    # z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    acc = np.multiply(E, k1, out=e2z0)
+    acc += np.multiply(E2x2, np.add(k2, k3, out=z), out=z)
+    acc += k4
+    z1 = ez0 + np.multiply(dt / 6.0, acc, out=acc)
     return z1, (dt / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-def _imex_euler(z0: np.ndarray, g: SpectralGrid, params: ModelParams, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
+def _imex_euler(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
     nl, d0 = stage1
-    return (z0 + dt * nl) / (1.0 - dt * linear_multipliers(g, params)), dt * d0
+    return (z0 + dt * nl) / (1.0 - dt * plan.linear), dt * d0
 
 
-Sink = Callable[[TcmState, float, float, Evaluation], None]
+Sink = Callable[[TcmState, Plan, float, float, Evaluation], None]
 
 
 def run(
@@ -172,22 +175,24 @@ def run(
     stepper: StepperConfig,
     sink: Sink | None = None,
 ) -> TcmState:
-    """Integrate to t_end, invoking ``sink(state, dt, diss_integral, evaluation)``
+    """Integrate to t_end, invoking ``sink(state, plan, dt, diss_integral, evaluation)``
     at the sampling cadence (always at the start and at t_end).
 
+    plan is the run's :class:`~tcm2d.model.Plan`, built here once;
     diss_integral is the running integral of the dissipation since the start
     of the run, accumulated with the stepper's own stage weights; evaluation
     is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
     values are the next step's stage 1.  Deterministic for fixed inputs.
     """
+    plan = Plan(initial.grid, params)
     state = initial.copy()
     t_end = initial.time + stepper.t_end
     diss_int = 0.0
     auto = stepper.dt == "auto"
-    evaluation = nonlinear_tendency(state.coeffs, state.grid, params)
-    dt = stable_dt(state, params, evaluation, stepper.cfl) if auto else float(stepper.dt)
+    evaluation = nonlinear_tendency(state.coeffs, plan)
+    dt = stable_dt(state, plan, evaluation, stepper.cfl) if auto else float(stepper.dt)
     if sink is not None:
-        sink(state, dt, diss_int, evaluation)
+        sink(state, plan, dt, diss_int, evaluation)
     next_sample = initial.time + stepper.sample_every
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.time < t_end - eps:
@@ -195,16 +200,16 @@ def run(
         # The physical fields have had their last reader: free them before the step.
         stage1 = evaluation[:2]
         del evaluation
-        state, w = step(state, params, dt_step, stage1, stepper.scheme)
-        evaluation = nonlinear_tendency(state.coeffs, state.grid, params)
+        state, w = step(state, plan, dt_step, stage1, stepper.scheme)
+        evaluation = nonlinear_tendency(state.coeffs, plan)
         diss_int += w
         done = state.time >= t_end - eps
         if state.time >= next_sample - eps or done:
             if sink is not None:
-                sink(state, dt_step, diss_int, evaluation)
+                sink(state, plan, dt_step, diss_int, evaluation)
             while next_sample <= state.time + eps:
                 next_sample += stepper.sample_every
         # The bound of a state is taken once, and only for a state that is stepped from.
         if auto and not done:
-            dt = stable_dt(state, params, evaluation, stepper.cfl)
+            dt = stable_dt(state, plan, evaluation, stepper.cfl)
     return state

@@ -38,6 +38,15 @@ plus the remainder), or 12 inverse and 7 forward with the constant law, whose
 sigma = -v(x)v - u(x)u is symmetric.  That call is the one evaluation of a
 state: the integrator hands it to stage 1 of the next step, to the step bound
 and to the sampled record (:func:`budget_residual`, :func:`sup_norms`).
+
+Everything an evaluation reuses lives in a :class:`Plan`, built once per
+(grid, params): the ik multipliers, the stiff diagonal symbol, the
+integrating-factor propagators of the last dt and preallocated work buffers,
+which the tendency and the if-rk4 stages fill with in-place ufuncs in the
+order of the plain expressions, so the numbers are bitwise those of freshly
+allocated arrays.  What a call returns is always a new array, never a view of
+a buffer.  The bare-state helpers (:func:`rhs`, :func:`dissipation`,
+:func:`energy_budget_residual`) build a plan per call.
 """
 
 from __future__ import annotations
@@ -238,11 +247,59 @@ class TcmState:
         return TcmState(self.grid, self.coeffs.copy(), self.time)
 
 
+class Plan:
+    """What every evaluation on one (grid, params) pair reuses; built once per run.
+
+    Holds the ``ik`` multipliers, the stiff diagonal symbol ``linear`` (see
+    :meth:`propagators`) and the work buffers that :func:`nonlinear_tendency`
+    and the if-rk4 stages fill with in-place ufuncs: the 12-field spectral
+    input of the inverse batch, the 7 or 8 product rows, two physical scratch
+    rows and three stage vectors.  A buffer holds nothing between calls, and
+    nothing a function returns is a view of one, so two evaluations on one
+    plan never alias.  One plan serves one thread at a time.
+    """
+
+    def __init__(self, grid: SpectralGrid, params: ModelParams):
+        self.grid = grid
+        self.params = params
+        self.ikx = 1j * grid.kx
+        self.iky = 1j * grid.ky
+        # -(mu0 |k|^2 + alpha) on u, -beta on v, 0 on theta.
+        linear = np.zeros((NCOMP,) + grid.shape_spec)
+        linear[0] = linear[1] = -(params.mu0 * grid.k2 + params.alpha)
+        linear[2] = linear[3] = -params.beta
+        linear.setflags(write=False)
+        self.linear = linear
+        self.constant_mu = params.viscosity == "constant"
+        self._dt: float | None = None
+        self._propagators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.spec = np.empty((NCOMP + 7,) + grid.shape_spec, dtype=np.complex128)
+        self.prods = np.empty(((7 if self.constant_mu else 8),) + grid.shape_phys)
+        self.scratch = np.empty((2,) + grid.shape_phys)
+        self.stages = np.empty((3, NCOMP) + grid.shape_spec, dtype=np.complex128)
+
+    def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """exp(dt L), exp(dt L / 2) and twice the latter (the weight of k2 + k3 in
+        the last if-rk4 stage), kept for the last dt only.
+
+        A fixed dt reuses them on every step; an auto dt, a new float each
+        step, recomputes them.
+        """
+        if dt != self._dt:
+            e = np.exp(dt * self.linear)
+            e2 = np.exp(0.5 * dt * self.linear)
+            self._propagators = (e, e2, 2.0 * e2)
+            for a in self._propagators:
+                a.setflags(write=False)
+            self._dt = dt
+        return self._propagators
+
+
 # One evaluation of a state: (nonlinear tendency, dissipation, physical fields).
 Evaluation = tuple[np.ndarray, float, np.ndarray]
 
 
-def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelParams) -> Evaluation:
+def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     """Evaluate one state: everything in the tendency except the stiff diagonal part.
 
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
@@ -252,7 +309,7 @@ def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelPara
     divergence-free, dealiased trigonometric polynomials the divergence and
     advective forms are the same Galerkin term, so the tendency, and with it
     the discrete energy budget, agrees with the advective one to rounding.
-    Returns three things:
+    Returns three things, each a new array (the plan's buffers are scratch):
 
     * the transport terms, the baroclinic tensor term, the variable-viscosity
       remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
@@ -262,96 +319,120 @@ def nonlinear_tendency(coeffs: np.ndarray, grid: SpectralGrid, params: ModelPara
       products use, so the discrete energy budget closes to rounding;
     * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
       view of the inverse transform the products were formed from.
+
+    Every buffer is filled with ``out=`` ufuncs in the order of the plain
+    expressions in the comments, so the result is bitwise that of those.
     """
-    ikx = 1j * grid.kx
-    iky = 1j * grid.ky
+    grid, params = plan.grid, plan.params
+    ikx, iky = plan.ikx, plan.iky
     # The state and the 7 gradient components the products need (u is
     # divergence-free, so d_y u2 = -d_x u1 is not transformed).
-    spec = np.empty((NCOMP + 7,) + grid.shape_spec, dtype=np.complex128)
+    spec = plan.spec
     spec[:NCOMP] = coeffs
-    spec[5:7] = ikx * coeffs[IU]
-    spec[7] = iky * coeffs[0]
-    spec[8:10] = ikx * coeffs[IV]
-    spec[10:12] = iky * coeffs[IV]
+    np.multiply(ikx, coeffs[IU], out=spec[5:7])
+    np.multiply(iky, coeffs[0], out=spec[7])
+    np.multiply(ikx, coeffs[IV], out=spec[8:10])
+    np.multiply(iky, coeffs[IV], out=spec[10:12])
     phys = to_phys(spec, grid)
     u1, u2, v1, v2, th = phys[:NCOMP]
     a, c, b = phys[5:8]           # d_x u1, d_x u2, d_y u1; d_y u2 = -a
     dxv, dyv = phys[8:10], phys[10:12]
+    s, sym = plan.scratch
 
     mu0 = params.mu0
-    constant_mu = params.viscosity == "constant"
+    constant_mu = plan.constant_mu
     if not constant_mu:
         # Dealias the remainder before the product so the cubic term is formed
         # from two alias-free quadratic stages.
-        mu_rem = to_phys(grid.dealias_mask * from_phys(np.asarray(params.mu(th)) - mu0, grid), grid)
+        rem = from_phys(np.subtract(params.mu(th), mu0, out=s), grid)
+        mu_rem = to_phys(np.multiply(grid.dealias_mask, rem, out=rem), grid)
 
     # Rows, each summed before the one forward transform (dealiasing and the
     # ik multipliers are linear, so only rounding changes): (u.grad)v + (v.grad)u
     # (2), u theta (2), and the stress sigma = mu_rem grad u - v(x)v - u(x)u (4,
     # or its 3 distinct rows when mu_rem = 0).
-    prods = np.empty(((7 if constant_mu else 8),) + grid.shape_phys)
-    prods[0] = u1 * dxv[0] + u2 * dyv[0] + v1 * a + v2 * b
-    prods[1] = u1 * dxv[1] + u2 * dyv[1] + v1 * c - v2 * a
-    prods[2] = u1 * th
-    prods[3] = u2 * th
-    sym = v1 * v2 + u1 * u2
+    prods = plan.prods
+    # prods[0] = u1 * dxv[0] + u2 * dyv[0] + v1 * a + v2 * b
+    np.multiply(u1, dxv[0], out=prods[0])
+    prods[0] += np.multiply(u2, dyv[0], out=s)
+    prods[0] += np.multiply(v1, a, out=s)
+    prods[0] += np.multiply(v2, b, out=s)
+    # prods[1] = u1 * dxv[1] + u2 * dyv[1] + v1 * c - v2 * a
+    np.multiply(u1, dxv[1], out=prods[1])
+    prods[1] += np.multiply(u2, dyv[1], out=s)
+    prods[1] += np.multiply(v1, c, out=s)
+    prods[1] -= np.multiply(v2, a, out=s)
+    np.multiply(u1, th, out=prods[2])
+    np.multiply(u2, th, out=prods[3])
+    # sym = v1 * v2 + u1 * u2
+    np.multiply(v1, v2, out=sym)
+    sym += np.multiply(u1, u2, out=s)
     if constant_mu:
-        prods[4] = -(v1 * v1 + u1 * u1)
-        prods[5] = -sym
-        prods[6] = -(v2 * v2 + u2 * u2)
+        # prods[4] = -(v1 * v1 + u1 * u1); prods[5] = -sym; prods[6] = -(v2 * v2 + u2 * u2)
+        np.multiply(v1, v1, out=prods[4])
+        prods[4] += np.multiply(u1, u1, out=s)
+        np.negative(prods[4], out=prods[4])
+        np.negative(sym, out=prods[5])
+        np.multiply(v2, v2, out=prods[6])
+        prods[6] += np.multiply(u2, u2, out=s)
+        np.negative(prods[6], out=prods[6])
         s11, s12, s21, s22 = 4, 5, 5, 6
     else:
-        prods[4] = mu_rem * a - v1 * v1 - u1 * u1
-        prods[5] = mu_rem * b - sym
-        prods[6] = mu_rem * c - sym
-        prods[7] = -mu_rem * a - v2 * v2 - u2 * u2
+        # prods[4] = mu_rem * a - v1 * v1 - u1 * u1
+        np.multiply(mu_rem, a, out=prods[4])
+        prods[4] -= np.multiply(v1, v1, out=s)
+        prods[4] -= np.multiply(u1, u1, out=s)
+        # prods[5] = mu_rem * b - sym; prods[6] = mu_rem * c - sym
+        np.multiply(mu_rem, b, out=prods[5])
+        prods[5] -= sym
+        np.multiply(mu_rem, c, out=prods[6])
+        prods[6] -= sym
+        # prods[7] = -mu_rem * a - v2 * v2 - u2 * u2
+        np.multiply(np.negative(mu_rem, out=s), a, out=prods[7])
+        prods[7] -= np.multiply(v2, v2, out=s)
+        prods[7] -= np.multiply(u2, u2, out=s)
         s11, s12, s21, s22 = 4, 5, 6, 7
-    p = grid.dealias_mask * from_phys(prods, grid)
+    p = from_phys(prods, grid)
+    np.multiply(grid.dealias_mask, p, out=p)
 
+    # The inverse batch has been taken: its spectral rows are free as scratch.
+    cx, cy, t = spec[0], spec[1], spec[2]
     out = np.empty_like(coeffs)
     # u: div sigma, then project.
-    out[0], out[1] = leray_project_coeffs(ikx * p[s11] + iky * p[s12], ikx * p[s21] + iky * p[s22], grid)
+    np.multiply(ikx, p[s11], out=cx)
+    cx += np.multiply(iky, p[s12], out=t)
+    np.multiply(ikx, p[s21], out=cy)
+    cy += np.multiply(iky, p[s22], out=t)
+    out[0], out[1] = leray_project_coeffs(cx, cy, grid)
     # v: -(u.grad)v - (v.grad)u + grad theta.
-    out[2] = -p[0] + ikx * coeffs[ITH]
-    out[3] = -p[1] + iky * coeffs[ITH]
-    # theta: div(v - u theta).
-    out[ITH] = ikx * (coeffs[2] - p[2]) + iky * (coeffs[3] - p[3])
+    np.negative(p[0], out=out[2])
+    out[2] += np.multiply(ikx, coeffs[ITH], out=t)
+    np.negative(p[1], out=out[3])
+    out[3] += np.multiply(iky, coeffs[ITH], out=t)
+    # theta: div(v - u theta) = ikx * (coeffs[2] - p[2]) + iky * (coeffs[3] - p[3]).
+    np.multiply(ikx, np.subtract(coeffs[2], p[2], out=t), out=out[ITH])
+    out[ITH] += np.multiply(iky, np.subtract(coeffs[3], p[3], out=t), out=t)
 
-    grad_u_sq = 2.0 * a**2 + b**2 + c**2
-    mu_total = mu0 if constant_mu else mu0 + mu_rem
-    visc = float(np.sum(mu_total * grad_u_sq)) * grid.cell_area
+    # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in sym.
+    grad_u_sq = np.multiply(2.0, np.square(a, out=sym), out=sym)
+    grad_u_sq += np.square(b, out=s)
+    grad_u_sq += np.square(c, out=s)
+    mu_total = mu0 if constant_mu else np.add(mu0, mu_rem, out=s)
+    visc = float(np.sum(np.multiply(mu_total, grad_u_sq, out=grad_u_sq))) * grid.cell_area
     u_sq = float(np.sum(parseval_density(coeffs[IU], coeffs[IU], grid)))
     v_sq = float(np.sum(parseval_density(coeffs[IV], coeffs[IV], grid)))
     return out, visc + params.alpha * u_sq + params.beta * v_sq, phys[:NCOMP]
 
 
-_MULT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def linear_multipliers(grid: SpectralGrid, params: ModelParams) -> np.ndarray:
-    """Diagonal stiff symbol per component: -(mu0 |k|^2 + alpha) on u, -beta on v, 0 on theta."""
-    key = (grid.n, grid.box_length, params.mu0, params.alpha, params.beta)
-    lam = _MULT_CACHE.get(key)
-    if lam is None:
-        lam = np.zeros((NCOMP,) + grid.shape_spec)
-        lam[0] = lam[1] = -(params.mu0 * grid.k2 + params.alpha)
-        lam[2] = lam[3] = -params.beta
-        lam.setflags(write=False)
-        if len(_MULT_CACHE) > 16:
-            _MULT_CACHE.clear()
-        _MULT_CACHE[key] = lam
-    return lam
-
-
 def rhs(state: TcmState, params: ModelParams) -> np.ndarray:
     """Full semi-discrete tendency (d/dt of the stacked coefficients)."""
-    nl = nonlinear_tendency(state.coeffs, state.grid, params)[0]
-    return nl + linear_multipliers(state.grid, params) * state.coeffs
+    plan = Plan(state.grid, params)
+    return nonlinear_tendency(state.coeffs, plan)[0] + plan.linear * state.coeffs
 
 
 def dissipation(state: TcmState, params: ModelParams) -> float:
     """int mu(theta)|grad u|^2 + alpha ||u||^2_{L^2} + beta ||v||^2_{L^2}."""
-    return nonlinear_tendency(state.coeffs, state.grid, params)[1]
+    return nonlinear_tendency(state.coeffs, Plan(state.grid, params))[1]
 
 
 def energy(state: TcmState) -> float:
@@ -361,13 +442,14 @@ def energy(state: TcmState) -> float:
 
 def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
     """<z, dz/dt> + dissipation; zero for the continuum, rounding-level discretely."""
-    return budget_residual(state, params, nonlinear_tendency(state.coeffs, state.grid, params))
+    plan = Plan(state.grid, params)
+    return budget_residual(state, plan, nonlinear_tendency(state.coeffs, plan))
 
 
-def budget_residual(state: TcmState, params: ModelParams, evaluation: Evaluation) -> float:
+def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
     """<z, N(z) + Lz> + D, read off the evaluation of this state."""
     nl, diss, _ = evaluation
-    tend = nl + linear_multipliers(state.grid, params) * state.coeffs
+    tend = nl + plan.linear * state.coeffs
     return float(np.sum(parseval_density(state.coeffs, tend, state.grid))) + diss
 
 

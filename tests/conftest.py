@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcm2d.model import ModelParams, TcmState, nonlinear_tendency
+from tcm2d.model import ModelParams, Plan, TcmState, nonlinear_tendency
 from tcm2d.spectral import (
     SpectralGrid,
     leray_project_coeffs,
@@ -33,8 +33,8 @@ def make_random_state(grid, seed=0, amplitude=1.0, slope=1.0, peak_index=8):
 
 
 def evaluate(state, params):
-    """The state's evaluation, as the integrator hands it to step, stable_dt and compute_record."""
-    return nonlinear_tendency(state.coeffs, state.grid, params)
+    """The state's evaluation on a fresh plan, as the integrator hands it to step, stable_dt and compute_record."""
+    return nonlinear_tendency(state.coeffs, Plan(state.grid, params))
 
 
 @pytest.fixture

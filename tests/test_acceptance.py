@@ -116,6 +116,7 @@ class TestCriterion2:
             print(f"  worst residual/dissipation {worst:.3e}, cumulative mismatch {mismatch:.3e}")
             assert worst <= 1e-9
             assert mismatch <= 1e-6
+            assert budget_run.summary["budget"] == {"worst_residual_ratio": worst, "cumulative_mismatch": mismatch}
 
 
 class TestCriterion3:

@@ -263,6 +263,22 @@ class TestRunCommand:
             "irfft2": 0,
         }
 
+    def test_budget_block(self, tmp_path):
+        # summary.json's budget block is read off the records the CSV holds;
+        # with t_end = 0 nothing is integrated, so the cumulative ratio is null.
+        res = execute_run(parse_run_config(SMALL_DOC), tmp_path / "o")
+        lines = (tmp_path / "o" / "diagnostics.csv").read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+        integral = rows[-1]["diss_integral"]
+        assert res.summary["budget"] == {
+            "worst_residual_ratio": max(abs(r["budget_residual"]) / r["dissipation"] for r in rows),
+            "cumulative_mismatch": abs(rows[-1]["energy"] - rows[0]["energy"] + integral) / integral,
+        }
+        doc = dict(SMALL_DOC, stepper={"t_end": 0.0, "sample_every": 0.1, "dt": "auto"})
+        budget = execute_run(parse_run_config(doc), tmp_path / "z").summary["budget"]
+        assert budget["cumulative_mismatch"] is None
+        assert budget["worst_residual_ratio"] <= 1e-9
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_DOC)
         outs = []
@@ -317,10 +333,10 @@ class TestSweepCommand:
         assert agg[0].startswith("cell,alpha,beta,epsilon,s,n,seed,status")
 
     def test_raising_cell_recorded_and_aggregate_written(self, tmp_path, monkeypatch):
-        def raising_when_damped(state, params, *args, **kwargs):
-            if params.alpha > 0:
+        def raising_when_damped(state, plan, *args, **kwargs):
+            if plan.params.alpha > 0:
                 raise DiagnosticsError("bad record")
-            return compute_record(state, params, *args, **kwargs)
+            return compute_record(state, plan, *args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "compute_record", raising_when_damped)
         sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}

@@ -26,7 +26,7 @@ from tcm2d.diagnostics import (
     record_schema,
     theory_exponent,
 )
-from tcm2d.model import ITH, ModelParams, TcmState, derive_lambda, dissipation, energy_budget_residual
+from tcm2d.model import ITH, ModelParams, Plan, TcmState, derive_lambda, dissipation, energy_budget_residual
 from tcm2d.spectral import (
     SpectralField,
     SpectralGrid,
@@ -233,7 +233,7 @@ def sampled_records():
         state,
         params,
         StepperConfig(t_end=10.0, sample_every=0.25),
-        lambda s, dt, w, ev: records.append(compute_record(s, params, cfg, dt, w, ev)),
+        lambda s, plan, dt, w, ev: records.append(compute_record(s, plan, cfg, dt, w, ev)),
     )
     return params, records
 
@@ -272,7 +272,7 @@ class TestRecordSerialization:
     def test_csv_and_jsonl_roundtrip(self, grid32, params_undamped):
         state = make_random_state(grid32, seed=2, amplitude=0.01)
         cfg = DiagnosticsConfig(norms=(("u", 1.0), ("theta", 1.5)))
-        rec = compute_record(state, params_undamped, cfg, 0.01, 0.0, evaluate(state, params_undamped))
+        rec = compute_record(state, Plan(state.grid, params_undamped), cfg, 0.01, 0.0, evaluate(state, params_undamped))
         schema = record_schema(cfg)
         cols = [col.name for col in schema]
         buf = io.StringIO()
@@ -312,7 +312,7 @@ class TestRecordSerialization:
         # evaluation; each equals the bare-state function bit for bit.
         params = ModelParams(alpha=0.5, viscosity=viscosity)
         state = make_random_state(grid32, seed=5, amplitude=0.3)
-        rec = compute_record(state, params, DiagnosticsConfig(), 0.01, 0.0, evaluate(state, params))
+        rec = compute_record(state, Plan(state.grid, params), DiagnosticsConfig(), 0.01, 0.0, evaluate(state, params))
         assert rec.budget_residual == energy_budget_residual(state, params)
         assert rec.dissipation == dissipation(state, params)
         vals = to_phys(state.coeffs, grid32)
@@ -328,7 +328,7 @@ class TestRecordSerialization:
         cols = [col.name for col in record_schema(cfg)]
         assert cols[-4:] == ["A_m_2.5", "B_m_2.5", "X_m_2.5", "Y_m_2.5"]
         state = make_random_state(grid32, seed=2, amplitude=0.01)
-        rec = compute_record(state, params, cfg, 0.01, 0.0, evaluate(state, params))
+        rec = compute_record(state, Plan(state.grid, params), cfg, 0.01, 0.0, evaluate(state, params))
         assert set(rec.extra_orders) == {2.5}
 
     def test_writers_agree_column_by_column(self, grid32):
@@ -337,7 +337,7 @@ class TestRecordSerialization:
         params = ModelParams(s=1.5)
         cfg = DiagnosticsConfig(norms=(("u", 1.0), ("v", 0.0), ("theta", 2.0)), functional_orders=(1.5, 3.0, 2.0))
         state = make_random_state(grid32, seed=4, amplitude=0.05)
-        rec = compute_record(state, params, cfg, 0.01, 0.5, evaluate(state, params))
+        rec = compute_record(state, Plan(state.grid, params), cfg, 0.01, 0.5, evaluate(state, params))
         schema = record_schema(cfg)
         cbuf, jbuf = io.StringIO(), io.StringIO()
         CsvWriter(cbuf, schema).write(rec)
@@ -451,7 +451,7 @@ class TestRecordAgainstFieldSums:
         cfg = DiagnosticsConfig(norms=norms, functional_orders=(m0,) + extra)
         for seed in (0, 1):
             state = make_random_state(grid32, seed=seed, amplitude=0.2)
-            rec = compute_record(state, params, cfg, 0.01, 0.0, evaluate(state, params))
+            rec = compute_record(state, Plan(state.grid, params), cfg, 0.01, 0.0, evaluate(state, params))
             ref = _reference_record(state, params, norms, m0, extra)
             assert rec.norms == pytest.approx(ref.pop("norms"), rel=1e-12)
             for m, values in ref.pop("extra_orders").items():
@@ -459,3 +459,43 @@ class TestRecordAgainstFieldSums:
             for name, value in ref.items():
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
             assert abs(rec.budget_residual) <= 1e-9 * rec.dissipation
+
+    def test_each_norm_is_summed_once(self, grid32, monkeypatch):
+        # The dense benchmark's record (9 norms, orders 1.5, 2, 3 and 4) asks
+        # for 104 squared norms over 23 distinct (field, gamma) pairs.  Each
+        # pair is summed once, and the record equals one whose every norm is
+        # summed afresh.
+        import tcm2d.diagnostics as diagnostics_mod
+
+        calls, sums = [], []
+
+        class CountingSpectra(Spectra):
+            summing = False
+
+            def hom_sq(self, fieldname, gamma):
+                calls.append((fieldname, gamma))
+                self.summing = True
+                try:
+                    return super().hom_sq(fieldname, gamma)
+                finally:
+                    self.summing = False
+
+            def _table(self, gamma):
+                if self.summing:
+                    sums.append(gamma)
+                return super()._table(gamma)
+
+        class AfreshSpectra(Spectra):
+            def hom_sq(self, fieldname, gamma):
+                return float(np.sum(self._table(gamma) * self.power[fieldname]))
+
+        params = ModelParams(alpha=0.5, beta=1.0, s=1.5, viscosity="constant")
+        norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0))
+        cfg = DiagnosticsConfig(norms=norms, functional_orders=(1.5, 2.0, 3.0, 4.0))
+        state = make_random_state(grid32, seed=3, amplitude=0.2)
+        records = []
+        for spectra in (CountingSpectra, AfreshSpectra):
+            monkeypatch.setattr(diagnostics_mod, "Spectra", spectra)
+            records.append(compute_record(state, Plan(grid32, params), cfg, 0.01, 0.0, evaluate(state, params)))
+        assert (len(calls), len(set(calls)), len(sums)) == (104, 23, 23)
+        assert records[0] == records[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcm2d.integrator import DT_FLOOR, StepperConfig, run, stable_dt, step
-from tcm2d.model import BlowUpError, ModelParams, TcmState, energy
+from tcm2d.model import BlowUpError, ModelParams, Plan, TcmState, energy, nonlinear_tendency
 from tcm2d.spectral import SpectralField
 
 from conftest import evaluate, make_random_state
@@ -20,26 +20,27 @@ class TestStableDt:
     def test_zero_state_formula(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0)
         zero = TcmState.zero(grid64)
-        dt = stable_dt(zero, p, evaluate(zero, p), cfl=0.5)
+        dt = stable_dt(zero, Plan(grid64, p), evaluate(zero, p), cfl=0.5)
         assert dt == pytest.approx(0.5 / (1.0 + grid64.kmax_dealiased), rel=1e-12)
 
     def test_linear_in_cfl(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
-        ev = evaluate(st, params_undamped)
-        assert stable_dt(st, params_undamped, ev, 1.0) == pytest.approx(
-            2.0 * stable_dt(st, params_undamped, ev, 0.5), rel=1e-12
-        )
+        plan = Plan(grid64, params_undamped)
+        ev = nonlinear_tendency(st.coeffs, plan)
+        assert stable_dt(st, plan, ev, 1.0) == pytest.approx(2.0 * stable_dt(st, plan, ev, 0.5), rel=1e-12)
 
     def test_decreases_with_velocity(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
         faster = TcmState(grid64, st.coeffs * 3.0, 0.0)
-        p = params_undamped
-        assert stable_dt(faster, p, evaluate(faster, p), 0.5) < stable_dt(st, p, evaluate(st, p), 0.5)
+        plan = Plan(grid64, params_undamped)
+        assert stable_dt(faster, plan, nonlinear_tendency(faster.coeffs, plan), 0.5) < stable_dt(
+            st, plan, nonlinear_tendency(st.coeffs, plan), 0.5
+        )
 
     def test_floor(self, grid64):
         st = make_random_state(grid64, seed=4, amplitude=1e12)
         p = ModelParams()
-        assert stable_dt(st, p, evaluate(st, p), 0.5) == DT_FLOOR
+        assert stable_dt(st, Plan(grid64, p), evaluate(st, p), 0.5) == DT_FLOOR
 
 
 class TestStep:
@@ -47,8 +48,9 @@ class TestStep:
         # Linear dynamics sit entirely in the integrating factor: machine exact.
         p = ModelParams(alpha=0.3, beta=1.0, mu_lower=1.0, viscosity="constant")
         s = shear_state(grid64)
+        plan = Plan(grid64, p)
         for _ in range(100):
-            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2])
+            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2])
         yy = grid64.coords()[1]
         expected = np.exp(-1.3) * np.sin(yy)
         assert np.max(np.abs(s.u[0].values() - expected)) < 1e-12
@@ -57,38 +59,41 @@ class TestStep:
         p = ModelParams(alpha=0.0, beta=2.0, mu_lower=1.0)
         st = TcmState.zero(grid64)
         st.coeffs[2][0, 0] = 0.7
+        plan = Plan(grid64, p)
         s = st
         for _ in range(50):
-            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2])
+            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2])
         exact = 0.7 * np.exp(-2.0 * 0.5)
         assert s.coeffs[2][0, 0].real == pytest.approx(exact, rel=1e-13)
         # imex-euler is first order: error ~ dt
         s = st
         for _ in range(50):
-            s, _ = step(s, p, 1e-2, evaluate(s, p)[:2], scheme="imex-euler")
+            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2], scheme="imex-euler")
         err = abs(s.coeffs[2][0, 0].real - exact)
         assert 0 < err < 0.05 * exact
 
     def test_zero_fixed_point(self, grid64, params_undamped):
         zero = TcmState.zero(grid64)
-        z, w = step(zero, params_undamped, 0.1, evaluate(zero, params_undamped)[:2])
+        z, w = step(zero, Plan(grid64, params_undamped), 0.1, evaluate(zero, params_undamped)[:2])
         assert np.max(np.abs(z.coeffs)) == 0.0
         assert w == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blow_up_detection(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=6, amplitude=10.0)
+        plan = Plan(grid64, params_undamped)
         with pytest.raises(BlowUpError) as exc:
             s = st
             for _ in range(200):
-                s, _ = step(s, params_undamped, 0.5, evaluate(s, params_undamped)[:2])  # far above the stable dt
+                s, _ = step(s, plan, 0.5, nonlinear_tendency(s.coeffs, plan)[:2])  # far above the stable dt
         assert exc.value.time > 0
 
     def test_divergence_stays_clean(self, grid64, params_damped):
         s = make_random_state(grid64, seed=8, amplitude=0.05)
-        dt = stable_dt(s, params_damped, evaluate(s, params_damped), 0.5)
+        plan = Plan(grid64, params_damped)
+        dt = stable_dt(s, plan, nonlinear_tendency(s.coeffs, plan), 0.5)
         for _ in range(5):
-            s, _ = step(s, params_damped, dt, evaluate(s, params_damped)[:2])
+            s, _ = step(s, plan, dt, nonlinear_tendency(s.coeffs, plan)[:2])
         g = grid64
         div = 1j * (g.kx * s.coeffs[0] + g.ky * s.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(s.coeffs[0]) ** 2 + np.abs(s.coeffs[1]) ** 2))
@@ -101,17 +106,41 @@ class TestStep:
         st = make_random_state(grid32, seed=9, amplitude=1.0)
         mismatch = {}
         for dt in (2e-3, 1e-3):
-            s1, w = step(st, p, dt, evaluate(st, p)[:2])
+            s1, w = step(st, Plan(grid32, p), dt, evaluate(st, p)[:2])
             mismatch[dt] = abs((energy(s1) - energy(st)) + w)
         ratio = mismatch[2e-3] / mismatch[1e-3]
         assert ratio > 20.0
+
+
+    @pytest.mark.parametrize("scheme", ["if-rk4", "imex-euler"])
+    def test_step_writes_neither_input(self, grid32, params_damped, scheme):
+        # The stages run in the plan's buffers, never in stage1 or the state,
+        # and the new state is a new array: a step with another dt on the same
+        # plan leaves the first step's state as it was and equals a step on a
+        # fresh plan, and a second step from the state repeats the first.
+        plan = Plan(grid32, params_damped)
+        st = make_random_state(grid32, seed=11, amplitude=0.3)
+        coeffs = st.coeffs.copy()
+        stage1 = nonlinear_tendency(st.coeffs, plan)[:2]
+        k1 = stage1[0].copy()
+        first, w_first = step(st, plan, 1e-3, stage1, scheme)
+        z_first = first.coeffs.copy()
+        other = step(st, plan, 2e-3, stage1, scheme)[0]
+        np.testing.assert_array_equal(first.coeffs, z_first)
+        fresh = step(st, Plan(grid32, params_damped), 2e-3, evaluate(st, params_damped)[:2], scheme)[0]
+        np.testing.assert_array_equal(other.coeffs, fresh.coeffs)
+        second, w_second = step(st, plan, 1e-3, stage1, scheme)
+        np.testing.assert_array_equal(second.coeffs, z_first)
+        assert w_second == w_first
+        np.testing.assert_array_equal(st.coeffs, coeffs)
+        np.testing.assert_array_equal(stage1[0], k1)
 
 
 class TestRun:
     def test_t_end_zero_returns_initial(self, grid32, params_undamped):
         st = make_random_state(grid32, seed=3, amplitude=0.01)
         seen = []
-        out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, dt, w, ev: seen.append(s.time))
+        out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.time))
         assert seen == [0.0]
         np.testing.assert_array_equal(out.coeffs, st.coeffs)
 
@@ -126,7 +155,7 @@ class TestRun:
         st = make_random_state(grid32, seed=3, amplitude=0.01)
         times = []
         run(st, params_undamped, StepperConfig(t_end=1.0, dt=0.05, sample_every=0.25),
-            lambda s, dt, w, ev: times.append(s.time))
+            lambda s, plan, dt, w, ev: times.append(s.time))
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1.0, abs=1e-9)
         assert len(times) == 5
@@ -147,16 +176,16 @@ class TestRun:
         tendency = integrator.nonlinear_tendency
         ratios = []
 
-        def checked(coeffs, grid, params):
-            k_dot_u = grid.kx * coeffs[0] + grid.ky * coeffs[1]
+        def checked(coeffs, plan):
+            k_dot_u = plan.grid.kx * coeffs[0] + plan.grid.ky * coeffs[1]
             ratios.append(np.max(np.abs(k_dot_u)) / np.max(np.abs(coeffs[:2])))
-            return tendency(coeffs, grid, params)
+            return tendency(coeffs, plan)
 
         monkeypatch.setattr(integrator, "nonlinear_tendency", checked)
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0)
         states = []
         run(make_random_state(grid32, seed=10, amplitude=0.5), p,
-            StepperConfig(t_end=0.2, dt="auto", sample_every=1e-6), lambda s, dt, w, ev: states.append(s.time))
+            StepperConfig(t_end=0.2, dt="auto", sample_every=1e-6), lambda s, plan, dt, w, ev: states.append(s.time))
         n_steps = len(states) - 1
         assert n_steps >= 2
         assert len(ratios) == 4 * n_steps + 1

@@ -7,6 +7,7 @@ dealiased spectral tendency is exact, making the FD error pure truncation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tcm2d import spectral
 from tcm2d.model import (
     ModelParams,
     ParamError,
+    Plan,
     TcmState,
     ViscosityFloorError,
     derive_delta1,
@@ -216,7 +218,7 @@ class TestGroupedTendency:
     def test_matches_term_by_term_reference(self, grid64, params, seed):
         st_ = make_random_state(grid64, seed=seed, amplitude=0.5)
         ref, ref_diss = _reference_tendency(st_, params)
-        out, diss, _ = nonlinear_tendency(st_.coeffs, grid64, params)
+        out, diss, _ = nonlinear_tendency(st_.coeffs, Plan(grid64, params))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert abs(diss - ref_diss) <= 1e-13 * ref_diss
 
@@ -225,7 +227,7 @@ class TestGroupedTendency:
         # The third value is the state itself in physical space, taken from
         # the batched inverse transform (a view), bitwise equal to its own transform.
         st_ = make_random_state(grid64, seed=4, amplitude=0.5)
-        phys = nonlinear_tendency(st_.coeffs, grid64, params)[2]
+        phys = nonlinear_tendency(st_.coeffs, Plan(grid64, params))[2]
         assert phys.shape == (5,) + grid64.shape_phys
         assert phys.base is not None
         np.testing.assert_array_equal(phys, to_phys(st_.coeffs, grid64))
@@ -252,8 +254,66 @@ class TestGroupedTendency:
         for name in counts:
             monkeypatch.setattr(spectral._fft, name, counting(name))
         st_ = make_random_state(grid64, seed=5, amplitude=0.5)
-        nonlinear_tendency(st_.coeffs, grid64, params)
+        nonlinear_tendency(st_.coeffs, Plan(grid64, params))
         assert counts == {"rfft2": forward, "irfft2": inverse}
+
+
+class TestPlan:
+    @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
+    def test_evaluations_on_one_plan_do_not_alias(self, grid64, params):
+        # The plan's buffers are scratch: a second call on the same plan leaves
+        # the first call's tendency, dissipation and physical fields as they
+        # were, and each call equals the evaluation on a fresh plan bit for bit.
+        plan = Plan(grid64, params)
+        first_state = make_random_state(grid64, seed=4, amplitude=0.5)
+        second_state = make_random_state(grid64, seed=31, amplitude=0.5)
+        coeffs = first_state.coeffs.copy()
+        first = nonlinear_tendency(first_state.coeffs, plan)
+        kept = (first[0].copy(), first[1], first[2].copy())
+        second = nonlinear_tendency(second_state.coeffs, plan)
+        np.testing.assert_array_equal(first_state.coeffs, coeffs)
+        for state, evaluation in ((first_state, first), (second_state, second)):
+            fresh = nonlinear_tendency(state.coeffs, Plan(grid64, params))
+            np.testing.assert_array_equal(evaluation[0], fresh[0])
+            assert evaluation[1] == fresh[1]
+            np.testing.assert_array_equal(evaluation[2], fresh[2])
+        np.testing.assert_array_equal(first[0], kept[0])
+        assert first[1] == kept[1]
+        np.testing.assert_array_equal(first[2], kept[2])
+
+    def test_propagators_follow_the_last_dt(self, grid64, params_damped):
+        plan = Plan(grid64, params_damped)
+        E, E2, E2x2 = plan.propagators(0.1)
+        assert plan.propagators(0.1)[0] is E
+        np.testing.assert_array_equal(E, np.exp(0.1 * plan.linear))
+        np.testing.assert_array_equal(E2x2, 2.0 * E2)
+        np.testing.assert_array_equal(plan.propagators(0.2)[1], np.exp(0.1 * plan.linear))
+        assert not plan.linear.flags.writeable
+
+    def test_tendency_allocation_peak(self, grid64):
+        # What one call at n = 64 must allocate, with F = n^2 doubles (32 KiB)
+        # for a physical field and S = n (n/2 + 1) complex (33 KiB) for a
+        # spectral one: the inverse batch's output, 12 F, which the returned
+        # physical fields keep alive; the forward batch's output, 8 S; the
+        # returned tendency, 5 S; and, on top, at most 10 S of single-field
+        # temporaries (mu(theta) and the remainder's transforms, the Leray
+        # projection, the Parseval sums).  Work arrays of the batch size (the
+        # 12-field spectral input, the product rows) come from the plan and
+        # must not be allocated per call: allocating them again, as per-call
+        # temporaries did, peaks at about 52 S.
+        params = ModelParams(alpha=0.3, viscosity="quadratic")
+        plan = Plan(grid64, params)
+        coeffs = make_random_state(grid64, seed=4, amplitude=0.5).coeffs
+        nonlinear_tendency(coeffs, plan)  # warm-up: transform plans, lazy imports
+        F = grid64.n**2 * 8
+        S = grid64.n * (grid64.n // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            nonlinear_tendency(coeffs, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * F + (8 + 5 + 10) * S
 
 
 def _fd_rhs(fields, params, m, L):
