@@ -17,6 +17,23 @@ from pathlib import Path
 from tcm2d.cli import execute_sweep, parse_sweep
 
 
+def sweep_doc(seed: int, t_end: float, alphas: list[float]) -> dict:
+    """The sweep document: one cell per u-damping rate alpha."""
+    return {
+        "base": {
+            "grid": {"n": 64, "box_length": 16 * math.pi},
+            "params": {"beta": 8.0, "mu_lower": 0.25, "s": 1.5},
+            "stepper": {"t_end": t_end, "sample_every": 1.0},
+            "epsilon": 0.01,
+            "seed": seed,
+            "spectrum_peak": 8,
+            "spectrum_slope": 1.0,
+            "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
+        },
+        "axes": {"alpha": alphas},
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True)
@@ -26,20 +43,7 @@ def main() -> None:
     ap.add_argument("--alphas", type=float, nargs="+", default=[0.0, 0.5])
     args = ap.parse_args()
 
-    doc = {
-        "base": {
-            "grid": {"n": 64, "box_length": 16 * math.pi},
-            "params": {"beta": 8.0, "mu_lower": 0.25, "s": 1.5},
-            "stepper": {"t_end": args.t_end, "sample_every": 1.0},
-            "epsilon": 0.01,
-            "seed": args.seed,
-            "spectrum_peak": 8,
-            "spectrum_slope": 1.0,
-            "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
-        },
-        "axes": {"alpha": args.alphas},
-    }
-    base, cells, _ = parse_sweep(doc)
+    base, cells, _ = parse_sweep(sweep_doc(args.seed, args.t_end, args.alphas))
     code = execute_sweep(base, cells, args.out, threads=args.threads, quiet=False)
     print((Path(args.out) / "aggregate.csv").read_text())
     raise SystemExit(code)

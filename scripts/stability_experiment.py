@@ -14,6 +14,19 @@ from pathlib import Path
 from tcm2d.cli import execute_run, parse_run_config
 
 
+def run_doc(alpha: float, seed: int, n: int, epsilon: float, t_end: float) -> dict:
+    """The run document of one (alpha, seed) cell."""
+    return {
+        "grid": {"n": n, "box_length": 16 * math.pi},
+        "params": {"alpha": alpha, "beta": 1.0, "mu_lower": 1.0, "s": 1.5},
+        "stepper": {"t_end": t_end, "sample_every": 0.5},
+        "epsilon": epsilon,
+        "seed": seed,
+        "spectrum_peak": 8,
+        "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True)
@@ -27,15 +40,7 @@ def main() -> None:
     digest = []
     for alpha in (0.0, 0.5):
         for seed in range(1, args.seeds + 1):
-            doc = {
-                "grid": {"n": args.n, "box_length": 16 * math.pi},
-                "params": {"alpha": alpha, "beta": 1.0, "mu_lower": 1.0, "s": 1.5},
-                "stepper": {"t_end": args.t_end, "sample_every": 0.5},
-                "epsilon": args.epsilon,
-                "seed": seed,
-                "spectrum_peak": 8,
-                "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
-            }
+            doc = run_doc(alpha, seed, args.n, args.epsilon, args.t_end)
             out = root / f"alpha_{alpha:g}__seed_{seed}"
             res = execute_run(parse_run_config(doc), out, quiet=False)
             s = res.summary

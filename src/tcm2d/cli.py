@@ -27,8 +27,9 @@ import sys
 import time as _time
 import traceback
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,10 @@ from .diagnostics import (
     JsonlWriter,
     compute_record,
     decay_fit,
+    default_fit_window,
     norm_column,
     record_schema,
+    smallness_norm,
     theory_exponent,
 )
 from .integrator import StepperConfig, run as integrate
@@ -57,7 +60,6 @@ from .model import (
     BlowUpError,
     Evaluation,
     ModelParams,
-    ParamError,
     Plan,
     TcmState,
     ViscosityFloorError,
@@ -101,48 +103,114 @@ class RunConfig:
     output_dir: str | None = None
 
     def to_dict(self) -> dict:
-        law = self.params.viscosity
-        if callable(law):
-            law = getattr(law, "__name__", "custom")
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "grid": {"n": self.n, "box_length": self.box_length},
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "mu_lower": self.params.mu_lower,
-                "s": self.params.s,
-                "viscosity": law,
-                "viscosity_a": self.params.viscosity_a,
-                "eta": self.params.eta,
-                "kappa": self.params.kappa,
-            },
-            "stepper": {
-                "scheme": self.stepper.scheme,
-                "dt": self.stepper.dt,
-                "cfl": self.stepper.cfl,
-                "t_end": self.stepper.t_end,
-                "sample_every": self.stepper.sample_every,
-            },
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "spectrum_peak": self.spectrum_peak,
-            "spectrum_slope": self.spectrum_slope,
-            "diagnostics": {
-                "norms": [[f, g] for f, g in self.diagnostics.norms],
-                "functional_orders": list(self.diagnostics.functional_orders),
-            },
-            "output_dir": self.output_dir,
-        }
+        """The run document of this config: every setting of SETTINGS, echoed at its key."""
+        doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
+        for setting in SETTINGS.values():
+            _set_at(doc, setting.path, setting.echo(setting.value(self)))
+        return doc
 
 
-# Every key a run document may have: those of the config a manifest records.
-_RUN_DOC = RunConfig().to_dict()
+def _reader(ok: Callable[[Any], bool], requirement: str, convert: Callable[[Any], Any] = lambda v: v) -> Callable[[Any], Any]:
+    """A reader of one JSON value: it converts a value that passes ok, and names the requirement for one that fails."""
+
+    def read(value: Any) -> Any:
+        if not ok(value):
+            raise ValueError(f"{requirement}, got {value!r}")
+        return convert(value)
+
+    return read
+
+
+def _is(*types: type) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+
+
+def _optional(read: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else read(value)
+
+
+def _list_of(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    return _reader(_is_list, "must be a list", lambda items: tuple(map(read, items)))
+
+
+_is_number, _is_int, _is_list = _is(int, float), _is(int), _is(list, tuple)
+_number = _reader(_is_number, "must be a number", float)
+_positive = _reader(lambda x: _is_number(x) and x > 0, "must be a number > 0", float)
+_text = _reader(_is(str), "must be a string")
+_norm = _reader(
+    lambda e: _is_list(e) and len(e) == 2 and _is(str)(e[0]) and _is_number(e[1]),
+    "entries must be [field, gamma] pairs",
+    lambda e: (e[0], float(e[1])),
+)
+_order = _reader(lambda m: _is_number(m) and m <= MAX_FUNCTIONAL_ORDER, f"entries are numbers capped at {MAX_FUNCTIONAL_ORDER}", float)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its dotted key in a run document, the reader of its JSON
+    value and the echo that turns the RunConfig attribute back into JSON."""
+
+    key: str
+    read: Callable[[Any], Any]
+    echo: Callable[[Any], Any] = lambda value: value
+
+    @cached_property
+    def path(self) -> tuple[str, ...]:
+        return tuple(self.key.split("."))
+
+    def value(self, config: RunConfig) -> Any:
+        *parents, name = self.path
+        # RunConfig has no grid section: n and box_length sit on it.
+        return getattr(getattr(config, parents[0]) if parents and parents[0] != "grid" else config, name)
+
+
+# Every run setting, in the order of a run document.
+SETTINGS = {
+    setting.key: setting
+    for setting in (
+        Setting("grid.n", _reader(lambda n: _is_int(n) and n > 0 and n % 2 == 0, "must be a positive even integer")),
+        Setting("grid.box_length", _positive),
+        Setting("params.alpha", _number),
+        Setting("params.beta", _number),
+        Setting("params.mu_lower", _number),
+        Setting("params.s", _number),
+        Setting("params.viscosity", _text, lambda law: law if isinstance(law, str) else getattr(law, "__name__", "custom")),
+        Setting("params.viscosity_a", _number),
+        Setting("params.eta", _optional(_number)),
+        Setting("params.kappa", _optional(_number)),
+        Setting("stepper.scheme", _text),
+        Setting("stepper.dt", lambda dt: dt if dt == "auto" else _number(dt)),
+        Setting("stepper.cfl", _number),
+        Setting("stepper.t_end", _number),
+        Setting("stepper.sample_every", _number),
+        Setting("epsilon", _positive),
+        Setting("seed", _reader(lambda seed: _is_int(seed) and seed >= 0, "must be an integer >= 0")),
+        Setting("spectrum_peak", _reader(lambda peak: _is_int(peak) and peak >= 1, "must be an integer >= 1")),
+        Setting("spectrum_slope", _number),
+        Setting("diagnostics.norms", _list_of(_norm), lambda norms: [[f, g] for f, g in norms]),
+        Setting("diagnostics.functional_orders", _list_of(_order), list),
+        Setting("output_dir", _optional(_text)),
+    )
+}
 
 
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _set_at(doc: dict, path: tuple[str, ...], value: Any) -> None:
+    """Set the value at path in doc, copying each section on the way, so that no other document changes."""
+    *parents, name = path
+    for part in parents:
+        doc[part] = dict(doc.get(part, {}))
+        doc = doc[part]
+    doc[name] = value
+
+
+_DEFAULTS = RunConfig()
+# Every key a run document may have: those of the config a manifest records.
+_RUN_DOC = _DEFAULTS.to_dict()
 
 
 def _check_keys(doc: dict, known: dict, where: str = "") -> None:
@@ -154,77 +222,38 @@ def _check_keys(doc: dict, known: dict, where: str = "") -> None:
             _check_keys(value, known[key], f"{where}{key}.")
 
 
+def _section(name: str, given: dict[str, Any]) -> Any:
+    """A RunConfig section object from its given settings; the others keep RunConfig()'s."""
+    try:
+        if name == "params":
+            # Built from the given keys alone: unset eta and kappa follow the given beta.
+            return ModelParams(**given)
+        return replace(getattr(_DEFAULTS, name), **given)
+    except (TypeError, ValueError, ViscosityFloorError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def parse_run_config(doc: dict) -> RunConfig:
-    """Validate and build a RunConfig from a parsed JSON document."""
+    """Validate and build a RunConfig from a parsed JSON document: each setting it
+    gives goes through its reader in SETTINGS, one it leaves out keeps RunConfig()'s."""
     _check_keys(doc, _RUN_DOC)
     version = doc.get("schema_version", SCHEMA_VERSION)
-    _expect(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version}")
-
-    grid = doc.get("grid", {})
-    n = grid.get("n", 128)
-    _expect(isinstance(n, int) and n > 0 and n % 2 == 0, f"grid.n must be a positive even integer, got {n}")
-    box = float(grid.get("box_length", 16.0 * math.pi))
-    _expect(box > 0, f"grid.box_length must be > 0, got {box}")
-
-    p = doc.get("params", {})
-    try:
-        params = ModelParams(
-            alpha=float(p.get("alpha", 0.0)),
-            beta=float(p.get("beta", 1.0)),
-            mu_lower=float(p.get("mu_lower", 1.0)),
-            s=float(p.get("s", 1.5)),
-            viscosity=p.get("viscosity", "quadratic"),
-            viscosity_a=float(p.get("viscosity_a", 1.0)),
-            eta=None if p.get("eta") is None else float(p["eta"]),
-            kappa=None if p.get("kappa") is None else float(p["kappa"]),
-        )
-    except ParamError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-    st = doc.get("stepper", {})
-    dt = st.get("dt", "auto")
-    try:
-        stepper = StepperConfig(
-            t_end=float(st.get("t_end", 20.0)),
-            dt=dt if dt == "auto" else float(dt),
-            cfl=float(st.get("cfl", 0.5)),
-            sample_every=float(st.get("sample_every", 0.5)),
-            scheme=st.get("scheme", "if-rk4"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"stepper: {exc}") from exc
-
-    epsilon = float(doc.get("epsilon", 0.01))
-    _expect(epsilon > 0, f"epsilon must be > 0, got {epsilon}")
-    seed = doc.get("seed", 1)
-    _expect(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
-    peak = doc.get("spectrum_peak", 8)
-    _expect(isinstance(peak, int) and peak >= 1, f"spectrum_peak must be an integer >= 1, got {peak}")
-    slope = float(doc.get("spectrum_slope", 1.0))
-
-    dg = doc.get("diagnostics", {})
-    norms = tuple((f, float(g)) for f, g in dg.get("norms", DiagnosticsConfig().norms))
-    orders = tuple(float(m) for m in dg.get("functional_orders", []))
-    for m in orders:
-        _expect(m >= params.s, f"diagnostics.functional_orders entries must be >= s = {params.s}, got {m}")
-        _expect(m <= MAX_FUNCTIONAL_ORDER, f"diagnostics.functional_orders entries are capped at {MAX_FUNCTIONAL_ORDER}, got {m}")
-    try:
-        diagnostics = DiagnosticsConfig(norms=norms, functional_orders=orders)
-    except ValueError as exc:
-        raise ConfigError(f"diagnostics.{exc}") from exc
-
-    return RunConfig(
-        n=n,
-        box_length=box,
-        params=params,
-        stepper=stepper,
-        epsilon=epsilon,
-        seed=seed,
-        spectrum_peak=peak,
-        spectrum_slope=slope,
-        diagnostics=diagnostics,
-        output_dir=doc.get("output_dir"),
-    )
+    _expect(_is_int(version) and version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    given: dict[str, Any] = {}
+    for setting in SETTINGS.values():
+        *parents, name = setting.path
+        source = doc.get(parents[0], {}) if parents else doc
+        if name in source:
+            try:
+                _set_at(given, setting.path, setting.read(source[name]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{setting.key} {exc}") from exc
+    # The given settings by RunConfig attribute: the grid's sit on RunConfig itself, the other sections are objects.
+    top = {key: _section(key, value) if isinstance(value, dict) else value for key, value in given.items() if key != "grid"}
+    config = RunConfig(**given.get("grid", {}), **top)
+    for m in config.diagnostics.functional_orders:
+        _expect(m >= config.params.s, f"diagnostics.functional_orders entries must be >= s = {config.params.s}, got {m}")
+    return config
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -243,8 +272,6 @@ def make_initial_data(config: RunConfig, grid: SpectralGrid | None = None) -> Tc
     mean-free.  The global rescale makes the undamped or damped norm sum equal
     epsilon to relative 1e-12.  Identical seeds give bitwise-identical states.
     """
-    from .diagnostics import smallness_norm
-
     if grid is None:
         grid = SpectralGrid(config.n, config.box_length)
     k_peak = config.spectrum_peak * 2.0 * math.pi / grid.box_length
@@ -316,8 +343,6 @@ def _budget_block(records: list[DiagnosticsRecord]) -> dict:
 
 
 def _fit_block(records: list[DiagnosticsRecord], config: RunConfig) -> list[dict]:
-    t_end = config.stepper.t_end
-    window = (t_end / 4.0, 3.0 * t_end / 4.0)
     damped = config.params.alpha > 0
     fits = []
     for fieldname, gamma in config.diagnostics.norms:
@@ -325,7 +350,7 @@ def _fit_block(records: list[DiagnosticsRecord], config: RunConfig) -> list[dict
         series = [(r.time, r.norms[(fieldname, gamma)]) for r in records]
         entry: dict[str, Any] = {"field": fieldname, "gamma": gamma, "theory_exponent": theory}
         try:
-            fit = decay_fit(series, window, fieldname, gamma, theory)
+            fit = decay_fit(series, default_fit_window(config.stepper.t_end), fieldname, gamma, theory)
         except DecayFitError as exc:
             entry.update({"status": "failed", "reason": str(exc)})
         else:
@@ -466,13 +491,10 @@ def _resolve_out_dir(explicit: str | None, config: RunConfig) -> Path:
 # sweep
 
 
+# The sweepable settings, by axis name, in the column order of aggregate.csv.
 SWEEP_AXES = {
-    "alpha": ("params", "alpha"),
-    "beta": ("params", "beta"),
-    "epsilon": ("epsilon",),
-    "s": ("params", "s"),
-    "n": ("grid", "n"),
-    "seed": ("seed",),
+    SETTINGS[key].path[-1]: SETTINGS[key]
+    for key in ("params.alpha", "params.beta", "epsilon", "params.s", "grid.n", "seed")
 }
 
 
@@ -485,7 +507,7 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     """
     _check_keys(doc, dict.fromkeys(("schema_version", "base", "axes", "threads")))
     version = doc.get("schema_version", SCHEMA_VERSION)
-    _expect(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version}")
+    _expect(_is_int(version) and version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     base_doc = doc.get("base", {})
     base = parse_run_config(base_doc)
     axes = doc.get("axes", {})
@@ -493,8 +515,8 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     for key, values in axes.items():
         _expect(key in SWEEP_AXES, f"axes.{key} is not sweepable (allowed: {sorted(SWEEP_AXES)})")
         _expect(isinstance(values, list) and values, f"axes.{key} must be a non-empty list")
-    threads = int(doc.get("threads", 1))
-    _expect(threads >= 1, f"threads must be >= 1, got {threads}")
+    threads = doc.get("threads", 1)
+    _expect(_is_int(threads) and threads >= 1, f"threads must be an integer >= 1, got {threads!r}")
     assignments: list[dict[str, Any]] = [{}]
     for name in sorted(axes):
         assignments = [dict(cell, **{name: v}) for cell in assignments for v in axes[name]]
@@ -502,24 +524,14 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
 
 
 def _parse_cell(base_doc: dict, cell: dict[str, Any]) -> RunConfig:
-    """Parse one cell's document; a config error names the cell's axis assignment."""
-    try:
-        return parse_run_config(_cell_doc(base_doc, cell))
-    except ConfigError as exc:
-        raise ConfigError(f"cell {cell}: {exc}") from exc
-
-
-def _cell_doc(base_doc: dict, cell: dict[str, Any]) -> dict:
-    """The base document with each axis value set at its path (copying only that path)."""
+    """Parse the base document with each axis value set at its path; a config error names the cell."""
     doc = dict(base_doc)
     for name, value in cell.items():
-        *parents, leaf = SWEEP_AXES[name]
-        target = doc
-        for part in parents:
-            target[part] = dict(target.get(part, {}))
-            target = target[part]
-        target[leaf] = value
-    return doc
+        _set_at(doc, SWEEP_AXES[name].path, value)
+    try:
+        return parse_run_config(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"cell {cell}: {exc}") from exc
 
 
 def _cell_dirname(index: int, cell: dict[str, Any]) -> str:
@@ -559,22 +571,13 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
             results = list(pool.map(_run_cell, jobs))
 
     norm_keys = list(base.diagnostics.norms)
-    header = ["cell", "alpha", "beta", "epsilon", "s", "n", "seed", "status"]
+    header = ["cell", *SWEEP_AXES, "status"]
     for f, g in norm_keys:
         header += [f"exp_{norm_column(f, g)}", f"theory_{norm_column(f, g)}", f"r2_{norm_column(f, g)}"]
     lines = [",".join(header)]
     for (config, cell_dir), (_, summary) in zip(jobs, results):
         fits = {(entry["field"], entry["gamma"]): entry for entry in summary.get("fits", [])}
-        row = [
-            cell_dir.name,
-            repr(config.params.alpha),
-            repr(config.params.beta),
-            repr(config.epsilon),
-            repr(config.params.s),
-            str(config.n),
-            str(config.seed),
-            summary["status"],
-        ]
+        row = [cell_dir.name, *(repr(axis.value(config)) for axis in SWEEP_AXES.values()), summary["status"]]
         for key in norm_keys:
             entry = fits.get(key)
             if entry and entry["status"] == "ok":
@@ -655,14 +658,11 @@ def execute_fit(
     for line in lines[1:]:
         cells = line.split(",")
         series.append((float(cells[t_idx]), float(cells[c_idx])))
-    if window is None:
-        t_end = series[-1][0]
-        window = (t_end / 4.0, 3.0 * t_end / 4.0)
     if damped is None:
         damped = _damped_from_manifest(path)
     theory = theory_exponent(fieldname, gamma, damped)
     try:
-        fit = decay_fit(series, window, fieldname, gamma, theory)
+        fit = decay_fit(series, window or default_fit_window(series[-1][0]), fieldname, gamma, theory)
     except DecayFitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         code = EXIT_NONPOSITIVE if "nonpositive" in str(exc) else EXIT_CONFIG
@@ -762,9 +762,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParamError, ViscosityFloorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)

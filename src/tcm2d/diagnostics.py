@@ -255,6 +255,11 @@ class DecayFit:
         return dict(asdict(self), window=list(self.window))
 
 
+def default_fit_window(t_end: float) -> tuple[float, float]:
+    """The fit window [t_end/4, 3 t_end/4] used when none is given."""
+    return (t_end / 4.0, 3.0 * t_end / 4.0)
+
+
 def decay_fit(
     series: Sequence[tuple[float, float]],
     window: tuple[float, float],

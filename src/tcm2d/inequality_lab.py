@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import VISCOSITY_LAWS
 from .spectral import (
     SpectralField,
     SpectralGrid,
@@ -206,13 +207,6 @@ def commutator_norm(f: SpectralField, g: SpectralField, s: float) -> float:
     return math.sqrt(inner_product(diff, diff))
 
 
-_LAB_LAWS = {
-    "quadratic": lambda th, mu_lower: mu_lower + th**2,
-    "constant": lambda th, mu_lower: np.full_like(th, mu_lower),
-    "gauss-bump": lambda th, mu_lower: mu_lower + np.exp(-(th**2)),
-}
-
-
 def check_composition(
     trials: int,
     grids: Sequence[SpectralGrid],
@@ -224,17 +218,18 @@ def check_composition(
     """Composition bound ||Lambda^s(law(theta) - law(0))|| against
     (1 + ||grad theta||^ceil(s-1)) ||Lambda^s theta||.
 
-    ``law`` is a named viscosity formula or any smooth callable; the lab
-    probes the inequality itself, so no lower-bound contract is enforced
-    here.  Fields are normalized to unit sup so the composed field stays in a
-    fixed compact range; zero draws are skipped.
+    ``law`` is a name in :data:`~tcm2d.model.VISCOSITY_LAWS` (gauss-bump with
+    amplitude 1) or any smooth callable; the lab probes the inequality
+    itself, so no lower-bound contract is enforced here.  Fields are
+    normalized to unit sup so the composed field stays in a fixed compact
+    range; zero draws are skipped.
     """
     if not s >= 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if callable(law):
         law_fn, name = law, "composition-custom"
     else:
-        law_fn = lambda th: _LAB_LAWS[law](th, mu_lower)
+        law_fn = lambda th: VISCOSITY_LAWS[law](th, mu_lower, 1.0)
         name = f"composition-{law}"
     law0 = float(law_fn(np.zeros(1))[0])
     ceil_pow = math.ceil(s - 1.0)

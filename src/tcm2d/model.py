@@ -118,7 +118,12 @@ def default_kappa(beta: float) -> float:
     return min(0.5 * beta, 1.0 / beta, KAPPA_CLAMP)
 
 
-_VISCOSITY_LAWS = ("quadratic", "constant", "gauss-bump")
+# mu(theta) of each named law, given mu_lower and the gauss-bump amplitude a.
+VISCOSITY_LAWS = {
+    "quadratic": lambda th, mu_lower, a: mu_lower + th**2,
+    "constant": lambda th, mu_lower, a: np.full_like(th, mu_lower),
+    "gauss-bump": lambda th, mu_lower, a: mu_lower + a * np.exp(-(th**2)),
+}
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,8 @@ class ModelParams:
             raise ParamError(f"mu_lower must be > 0, got {self.mu_lower}")
         if not self.s > 1:
             raise ParamError(f"Sobolev index s must be > 1, got {self.s}")
-        if isinstance(self.viscosity, str) and self.viscosity not in _VISCOSITY_LAWS:
-            raise ParamError(f"unknown viscosity law {self.viscosity!r}; choose from {_VISCOSITY_LAWS}")
+        if not callable(self.viscosity) and self.viscosity not in VISCOSITY_LAWS:
+            raise ParamError(f"unknown viscosity law {self.viscosity!r}; choose from {tuple(VISCOSITY_LAWS)}")
         if self.eta is None:
             object.__setattr__(self, "eta", default_eta(self.beta))
         elif not (0.0 < self.eta <= default_eta(self.beta)):
@@ -175,12 +180,8 @@ class ModelParams:
         th = np.asarray(theta, dtype=np.float64)
         if callable(self.viscosity):
             out = self.viscosity(th)
-        elif self.viscosity == "quadratic":
-            out = self.mu_lower + th**2
-        elif self.viscosity == "constant":
-            out = np.full_like(th, self.mu_lower)
-        else:  # gauss-bump
-            out = self.mu_lower + self.viscosity_a * np.exp(-(th**2))
+        else:
+            out = VISCOSITY_LAWS[self.viscosity](th, self.mu_lower, self.viscosity_a)
         floor = self.mu_lower - 1e-12 * max(1.0, self.mu_lower)
         mn = float(np.min(out))
         if mn < floor:

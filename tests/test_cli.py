@@ -1,7 +1,10 @@
 """CLI and experiment-runner tests: config validation, artifacts, exit codes."""
 
+import importlib.util
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from tcm2d.cli import (
     EXIT_IO,
     EXIT_NONPOSITIVE,
     EXIT_UNSTABLE,
+    RunConfig,
     execute_fit,
     execute_run,
     load_run_config,
@@ -38,10 +42,26 @@ SMALL_DOC = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def load_module(path):
+    """Import a file that is not in a package (an experiment script, a benchmark module)."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_configs(doc):
+    base, cells, _ = parse_sweep(doc)
+    return [base] + [config for _, config in cells]
 
 
 class TestConfigParsing:
@@ -70,9 +90,49 @@ class TestConfigParsing:
             parse_run_config({"diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["u", 1]]}})
 
     def test_roundtrip_through_dict(self):
-        cfg = parse_run_config(SMALL_DOC)
-        again = parse_run_config(cfg.to_dict())
-        assert again == cfg
+        # SMALL_DOC, the benchmark's workload documents and the experiment scripts' documents.
+        workloads = load_module(ROOT / "perfbench" / "workloads.py")
+        stability = load_module(ROOT / "scripts" / "stability_experiment.py")
+        rates = load_module(ROOT / "scripts" / "decay_rate_sweep.py")
+        configs = [parse_run_config(SMALL_DOC)]
+        for kind, seed, build in workloads.WORKLOADS.values():
+            configs += sweep_configs(build(seed)) if kind == "sweep" else [parse_run_config(build(seed))]
+        configs += [parse_run_config(stability.run_doc(alpha, 1, 128, 0.01, 20.0)) for alpha in (0.0, 0.5)]
+        configs += sweep_configs(rates.sweep_doc(2, 100.0, [0.0, 0.5]))
+        assert len(configs) == 1 + 2 + 3 + 2 + 3
+        for cfg in configs:
+            again = parse_run_config(cfg.to_dict())
+            assert again == cfg
+
+    def test_readme_block_is_the_defaults(self):
+        # The README's run-configuration block says "defaults shown".
+        section = (ROOT / "README.md").read_text().split("### Run configuration", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        assert parse_run_config(json.loads(block)) == replace(RunConfig(), output_dir="results/run1")
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("run", {"params": dict(SMALL_DOC["params"], beta="abc")}, "params.beta"),
+            ("run", {"epsilon": None}, "epsilon"),
+            ("run", {"grid": dict(SMALL_DOC["grid"], box_length="x")}, "grid.box_length"),
+            ("run", {"diagnostics": {"norms": [["u"]]}}, "diagnostics.norms"),
+            ("run", {"seed": True}, "seed"),
+            ("run", {"seed": -1}, "seed"),
+            ("run", {"schema_version": True}, "schema_version"),
+            ("sweep", {"threads": "x"}, "threads"),
+            ("sweep", {"axes": {"alpha": ["x"]}}, "params.alpha"),
+        ],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, command, doc, key):
+        # A value of the wrong type, or out of range, is a config error that names its key.
+        if command == "run":
+            doc = dict(SMALL_DOC, **doc)
+        else:
+            doc = dict({"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0]}}, **doc)
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -130,6 +190,8 @@ class TestRunCommand:
     def test_config_error_exit_2(self, tmp_path):
         for change in (
             {"params": dict(SMALL_DOC["params"], beta=-2.0)},
+            # A gauss-bump law with a negative amplitude dips below mu_lower at theta = 0.
+            {"params": dict(SMALL_DOC["params"], viscosity="gauss-bump", viscosity_a=-0.5)},
             {"diagnostics": dict(SMALL_DOC["diagnostics"], functional_orders=[1.5, 2.0, 2.0])},
             # Misspelt keys, in every section and at the top level.
             {"grid": {"N": 64}},
