@@ -199,6 +199,14 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _read(key: str, value: Any) -> Any:
+    """The setting's reader applied to value; a rejected value is a ConfigError naming key."""
+    try:
+        return SETTINGS[key].read(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} {exc}") from exc
+
+
 def _set_at(doc: dict, path: tuple[str, ...], value: Any) -> None:
     """Set the value at path in doc, copying each section on the way, so that no other document changes."""
     *parents, name = path
@@ -244,10 +252,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         *parents, name = setting.path
         source = doc.get(parents[0], {}) if parents else doc
         if name in source:
-            try:
-                _set_at(given, setting.path, setting.read(source[name]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{setting.key} {exc}") from exc
+            _set_at(given, setting.path, _read(setting.key, source[name]))
     # The given settings by RunConfig attribute: the grid's sit on RunConfig itself, the other sections are objects.
     top = {key: _section(key, value) if isinstance(value, dict) else value for key, value in given.items() if key != "grid"}
     config = RunConfig(**given.get("grid", {}), **top)
@@ -736,7 +741,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             config = load_run_config(args.config)
             if args.seed is not None:
-                config = replace(config, seed=args.seed)
+                config = replace(config, seed=_read("seed", args.seed))
             out = _resolve_out_dir(args.out, config)
             return execute_run(config, out, quiet=args.quiet).exit_code
         if args.command == "sweep":

@@ -63,7 +63,8 @@ class Spectra:
 
     Holds the power of u, v and theta and, once asked for, the v . grad theta
     pairing (each a :func:`parseval_density` table); builds each |k|^{2 gamma} table
-    once, and sums each (field, gamma) norm once however often the functionals ask.
+    once, and sums each (field, gamma) norm, each field's L^2 norm and each
+    cross-term order once however often the functionals ask.
     A, B, X, Y and smallness are the functionals at an explicit order m.
     """
 
@@ -73,6 +74,15 @@ class Spectra:
         self.power = {name: parseval_density(c[sl], c[sl], g) for name, sl in FIELD_SLICES.items()}
         self._tables: dict[float, np.ndarray] = {}
         self._hom_sq: dict[tuple[str, float], float] = {}
+        self._l2_sq: dict[str, float] = {}
+        self._cross: dict[float, float] = {}
+
+    def _once(self, cache: dict, key: object, compute: Callable[[], float]) -> float:
+        """cache[key], computed on the first ask."""
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = compute()
+        return value
 
     @cached_property
     def pairing(self) -> np.ndarray:
@@ -87,15 +97,14 @@ class Spectra:
 
     def hom_sq(self, fieldname: str, gamma: float) -> float:
         """Squared homogeneous norm ||Lambda^gamma field||^2 (components summed)."""
-        key = (fieldname, gamma)
-        value = self._hom_sq.get(key)
-        if value is None:
-            value = self._hom_sq[key] = float(np.sum(self._table(gamma) * self.power[fieldname]))
-        return value
+        return self._once(
+            self._hom_sq, (fieldname, gamma), lambda: float(np.sum(self._table(gamma) * self.power[fieldname]))
+        )
 
     def hs_sq(self, fieldname: str, s: float) -> float:
         """Nonhomogeneous ||field||_{H^s}^2 = L^2 part plus homogeneous part."""
-        return float(np.sum(self.power[fieldname])) + self.hom_sq(fieldname, s)
+        l2_sq = self._once(self._l2_sq, fieldname, lambda: float(np.sum(self.power[fieldname])))
+        return l2_sq + self.hom_sq(fieldname, s)
 
     def field_norm(self, fieldname: str, gamma: float) -> float:
         """||Lambda^gamma field||_{L^2} over k != 0, components summed in quadrature."""
@@ -105,7 +114,7 @@ class Spectra:
         """int Lambda^{order-1} v . Lambda^{order-1} grad theta."""
         if order < 1:
             raise DiagnosticsError(f"cross-term order must be >= 1, got {order}")
-        return float(np.sum(self._table(order - 1.0) * self.pairing))
+        return self._once(self._cross, order, lambda: float(np.sum(self._table(order - 1.0) * self.pairing)))
 
     def cross_free_sum_A(self, params: ModelParams, m: float) -> float:
         """The squared-norm sum entering A without its cross terms."""

@@ -26,26 +26,34 @@ cancel against the (v.grad)u pairing.
 
 Since u is divergence-free, the transport by u is taken in divergence form,
 (u.grad)u = div(u (x) u) and u.grad theta = div(u theta), and d_y u_2 is read
-as -d_x u_1; for dealiased trigonometric polynomials both forms are the same
-Galerkin term.  The quadratic products are summed in physical space whenever
-they reach one tendency component through the same linear operator, and only
-then taken through one batched forward transform: (u.grad)v_i + (v.grad)u_i is
-one field per component, u theta is two, and -v(x)v - u(x)u is folded into the
-viscous remainder stress sigma = (mu(theta) - mu(0)) grad u - v(x)v - u(x)u.
-One call of :func:`nonlinear_tendency` transforms 13 fields inverse (the state,
-7 gradient components and the viscosity remainder) and 9 forward (8 products
-plus the remainder), or 12 inverse and 7 forward with the constant law, whose
-sigma = -v(x)v - u(x)u is symmetric.  That call is the one evaluation of a
-state: the integrator hands it to stage 1 of the next step, to the step bound
-and to the sampled record (:func:`budget_residual`, :func:`sup_norms`).
+as -d_x u_1.  The v-transport is taken in rotational form,
+(u.grad)v + (v.grad)u = grad(u.v) - u x curl v - v x curl u, which needs only
+the scalar curl of v and not its four gradient components, and P div sigma is
+the Biot-Savart velocity of curl div sigma, so no Leray projection is taken.
+For dealiased trigonometric polynomials each of these forms is the same
+Galerkin term as the advective one.  The quadratic products are summed in
+physical space whenever they reach one tendency component through the same
+linear operator, and only then taken through one batched forward transform:
+each v-component's curl terms are one field, u.v one, u theta two, and
+-v(x)v - u(x)u is folded into the viscous remainder stress
+sigma = (mu(theta) - mu(0)) grad u - v(x)v - u(x)u, which enters through
+sigma12, sigma21 and sigma22 - sigma11 only.  One call of
+:func:`nonlinear_tendency` transforms 10 fields inverse (the state, 3 gradient
+components of u, the curl of v and the viscosity remainder) and 9 forward (8
+products plus the remainder), or 9 inverse and 7 forward with the constant
+law, whose sigma = -v(x)v - u(x)u is symmetric.  That call is the one
+evaluation of a state: the integrator hands it to stage 1 of the next step, to
+the step bound and to the sampled record (:func:`budget_residual`,
+:func:`sup_norms`).
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
-(grid, params): the ik multipliers, the stiff diagonal symbol, the
-integrating-factor propagators of the last dt and preallocated work buffers,
-which the tendency and the if-rk4 stages fill with in-place ufuncs in the
-order of the plain expressions, so the numbers are bitwise those of freshly
-allocated arrays.  What a call returns is always a new array, never a view of
-a buffer.  The bare-state helpers (:func:`rhs`, :func:`dissipation`,
+(grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
+Biot-Savart multipliers of the u-tendency, the integrating-factor propagators
+of the last dt and preallocated work buffers, which the tendency and the
+if-rk4 stages fill with in-place ufuncs in the order of the plain
+expressions, so the numbers are bitwise those of freshly allocated arrays.
+What a call returns is always a new array, never a view of a buffer.  The
+bare-state helpers (:func:`rhs`, :func:`dissipation`,
 :func:`energy_budget_residual`) build a plan per call.
 """
 
@@ -61,7 +69,6 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     from_phys,
-    leray_project_coeffs,
     parseval_density,
     to_phys,
 )
@@ -252,12 +259,22 @@ class Plan:
     """What every evaluation on one (grid, params) pair reuses; built once per run.
 
     Holds the ``ik`` multipliers, the stiff diagonal symbol ``linear`` (see
-    :meth:`propagators`) and the work buffers that :func:`nonlinear_tendency`
-    and the if-rk4 stages fill with in-place ufuncs: the 12-field spectral
-    input of the inverse batch, the 7 or 8 product rows, two physical scratch
-    rows and three stage vectors.  A buffer holds nothing between calls, and
-    nothing a function returns is a view of one, so two evaluations on one
-    plan never alias.  One plan serves one thread at a time.
+    :meth:`propagators`), the spectral multipliers of the u-tendency and the
+    work buffers that :func:`nonlinear_tendency` and the if-rk4 stages fill
+    with in-place ufuncs: the 9-field spectral input of the inverse batch plus
+    one spectral scratch row, the 7 or 8 product rows, two physical scratch
+    rows and three stage vectors.
+
+    The u-tendency P div sigma is taken as the curl of div sigma followed by
+    the Biot-Savart law: ``curl_div`` maps the stress rows [sigma12, sigma21,
+    sigma22 - sigma11] (or [sigma12, sigma22 - sigma11] when sigma is symmetric,
+    with the constant law) to curl div sigma, and ``biot_savart`` maps a curl to
+    the divergence-free velocity, (i ky, -i kx) / |k|^2.  Every one of them is
+    zero at k = 0.
+
+    A buffer holds nothing between calls, and nothing a function returns is a
+    view of one, so two evaluations on one plan never alias.  One plan serves
+    one thread at a time.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParams):
@@ -272,10 +289,14 @@ class Plan:
         linear.setflags(write=False)
         self.linear = linear
         self.constant_mu = params.viscosity == "constant"
+        # curl div sigma = -kx^2 sigma21 + ky^2 sigma12 - kx ky (sigma22 - sigma11).
+        kx2, ky2, kxky = grid.kx**2, grid.ky**2, grid.kx * grid.ky
+        self.curl_div = (ky2 - kx2, -kxky) if self.constant_mu else (ky2, -kx2, -kxky)
+        self.biot_savart = (self.iky * grid.inv_k2, -self.ikx * grid.inv_k2)
         self._dt: float | None = None
         self._propagators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.spec = np.empty((NCOMP + 7,) + grid.shape_spec, dtype=np.complex128)
-        self.prods = np.empty(((7 if self.constant_mu else 8),) + grid.shape_phys)
+        self.spec = np.empty((NCOMP + 5,) + grid.shape_spec, dtype=np.complex128)
+        self.prods = np.empty((5 + len(self.curl_div),) + grid.shape_phys)
         self.scratch = np.empty((2,) + grid.shape_phys)
         self.stages = np.empty((3, NCOMP) + grid.shape_spec, dtype=np.complex128)
 
@@ -306,18 +327,25 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
     the integrator.  u must be divergence-free (k . u_hat = 0 to rounding, as
     the Leray projection leaves it): the transport by u is taken in divergence
-    form, div(u (x) u) and div(u theta), and d_y u_2 is read as -d_x u_1.  For
-    divergence-free, dealiased trigonometric polynomials the divergence and
-    advective forms are the same Galerkin term, so the tendency, and with it
+    form, div(u (x) u) and div(u theta), and d_y u_2 is read as -d_x u_1.  The
+    v-transport is taken in rotational form,
+
+        (u.grad)v + (v.grad)u = grad(u.v) - (u2 w_v + v2 w_u, -(u1 w_v + v1 w_u)),
+
+    with w_u and w_v the scalar curls of u and v, and the Leray projection of
+    div sigma as the Biot-Savart velocity of its curl (see :class:`Plan`).  For
+    divergence-free, dealiased trigonometric polynomials each of these forms is
+    the same Galerkin term as the advective one, so the tendency, and with it
     the discrete energy budget, agrees with the advective one to rounding.
     Returns three things, each a new array (the plan's buffers are scratch):
 
     * the transport terms, the baroclinic tensor term, the variable-viscosity
       remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
-      dealiased, with the u-tendency Leray projected;
+      dealiased, with the u-tendency divergence-free and zero at k = 0;
     * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
       beta ||v||^2, evaluated with the same collocation quadrature the
-      products use, so the discrete energy budget closes to rounding;
+      products use (exact for ||u||^2 and ||v||^2 by discrete Parseval), so
+      the discrete energy budget closes to rounding;
     * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
       view of the inverse transform the products were formed from.
 
@@ -326,19 +354,19 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     """
     grid, params = plan.grid, plan.params
     ikx, iky = plan.ikx, plan.iky
-    # The state and the 7 gradient components the products need (u is
-    # divergence-free, so d_y u2 = -d_x u1 is not transformed).
-    spec = plan.spec
+    # The state, the 3 gradient components of u the products need (u is
+    # divergence-free, so d_y u2 = -d_x u1 is not transformed) and w_v.
+    spec, t = plan.spec[:-1], plan.spec[-1]
     spec[:NCOMP] = coeffs
     np.multiply(ikx, coeffs[IU], out=spec[5:7])
     np.multiply(iky, coeffs[0], out=spec[7])
-    np.multiply(ikx, coeffs[IV], out=spec[8:10])
-    np.multiply(iky, coeffs[IV], out=spec[10:12])
+    # spec[8] = ikx * coeffs[3] - iky * coeffs[2]
+    np.multiply(ikx, coeffs[3], out=spec[8])
+    spec[8] -= np.multiply(iky, coeffs[2], out=t)
     phys = to_phys(spec, grid)
     u1, u2, v1, v2, th = phys[:NCOMP]
-    a, c, b = phys[5:8]           # d_x u1, d_x u2, d_y u1; d_y u2 = -a
-    dxv, dyv = phys[8:10], phys[10:12]
-    s, sym = plan.scratch
+    a, c, b, w_v = phys[5:9]      # d_x u1, d_x u2, d_y u1, curl v; d_y u2 = -a
+    s, w = plan.scratch
 
     mu0 = params.mu0
     constant_mu = plan.constant_mu
@@ -349,80 +377,71 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
         mu_rem = to_phys(np.multiply(grid.dealias_mask, rem, out=rem), grid)
 
     # Rows, each summed before the one forward transform (dealiasing and the
-    # ik multipliers are linear, so only rounding changes): (u.grad)v + (v.grad)u
-    # (2), u theta (2), and the stress sigma = mu_rem grad u - v(x)v - u(x)u (4,
-    # or its 3 distinct rows when mu_rem = 0).
+    # ik multipliers are linear, so only rounding changes): the two rotational
+    # v-rows, q = u.v, u theta (2), and the stress sigma = mu_rem grad u -
+    # v(x)v - u(x)u as sigma12, sigma21 and sigma22 - sigma11 (sigma12 = sigma21
+    # when mu_rem = 0).
     prods = plan.prods
-    # prods[0] = u1 * dxv[0] + u2 * dyv[0] + v1 * a + v2 * b
-    np.multiply(u1, dxv[0], out=prods[0])
-    prods[0] += np.multiply(u2, dyv[0], out=s)
-    prods[0] += np.multiply(v1, a, out=s)
-    prods[0] += np.multiply(v2, b, out=s)
-    # prods[1] = u1 * dxv[1] + u2 * dyv[1] + v1 * c - v2 * a
-    np.multiply(u1, dxv[1], out=prods[1])
-    prods[1] += np.multiply(u2, dyv[1], out=s)
-    prods[1] += np.multiply(v1, c, out=s)
-    prods[1] -= np.multiply(v2, a, out=s)
-    np.multiply(u1, th, out=prods[2])
-    np.multiply(u2, th, out=prods[3])
-    # sym = v1 * v2 + u1 * u2
-    np.multiply(v1, v2, out=sym)
-    sym += np.multiply(u1, u2, out=s)
+    np.subtract(c, b, out=w)      # w_u
+    # prods[0] = u2 * w_v + v2 * w_u; prods[1] = u1 * w_v + v1 * w_u
+    np.multiply(u2, w_v, out=prods[0])
+    prods[0] += np.multiply(v2, w, out=s)
+    np.multiply(u1, w_v, out=prods[1])
+    prods[1] += np.multiply(v1, w, out=s)
+    # prods[2] = u1 * v1 + u2 * v2
+    np.multiply(u1, v1, out=prods[2])
+    prods[2] += np.multiply(u2, v2, out=s)
+    np.multiply(u1, th, out=prods[3])
+    np.multiply(u2, th, out=prods[4])
+    # w = v1 * v2 + u1 * u2; diff = v1 * v1 + u1 * u1 - v2 * v2 - u2 * u2
+    np.multiply(v1, v2, out=w)
+    w += np.multiply(u1, u2, out=s)
+    diff = prods[-1]
+    np.multiply(v1, v1, out=diff)
+    diff += np.multiply(u1, u1, out=s)
+    diff -= np.multiply(v2, v2, out=s)
+    diff -= np.multiply(u2, u2, out=s)
     if constant_mu:
-        # prods[4] = -(v1 * v1 + u1 * u1); prods[5] = -sym; prods[6] = -(v2 * v2 + u2 * u2)
-        np.multiply(v1, v1, out=prods[4])
-        prods[4] += np.multiply(u1, u1, out=s)
-        np.negative(prods[4], out=prods[4])
-        np.negative(sym, out=prods[5])
-        np.multiply(v2, v2, out=prods[6])
-        prods[6] += np.multiply(u2, u2, out=s)
-        np.negative(prods[6], out=prods[6])
-        s11, s12, s21, s22 = 4, 5, 5, 6
+        np.negative(w, out=prods[5])  # sigma12 = sigma21
     else:
-        # prods[4] = mu_rem * a - v1 * v1 - u1 * u1
-        np.multiply(mu_rem, a, out=prods[4])
-        prods[4] -= np.multiply(v1, v1, out=s)
-        prods[4] -= np.multiply(u1, u1, out=s)
-        # prods[5] = mu_rem * b - sym; prods[6] = mu_rem * c - sym
+        # prods[5] = mu_rem * b - w; prods[6] = mu_rem * c - w; diff -= 2 * (mu_rem * a)
         np.multiply(mu_rem, b, out=prods[5])
-        prods[5] -= sym
+        prods[5] -= w
         np.multiply(mu_rem, c, out=prods[6])
-        prods[6] -= sym
-        # prods[7] = -mu_rem * a - v2 * v2 - u2 * u2
-        np.multiply(np.negative(mu_rem, out=s), a, out=prods[7])
-        prods[7] -= np.multiply(v2, v2, out=s)
-        prods[7] -= np.multiply(u2, u2, out=s)
-        s11, s12, s21, s22 = 4, 5, 6, 7
+        prods[6] -= w
+        diff -= np.multiply(2.0, np.multiply(mu_rem, a, out=s), out=s)
     p = from_phys(prods, grid)
     np.multiply(grid.dealias_mask, p, out=p)
 
     # The inverse batch has been taken: its spectral rows are free as scratch.
-    cx, cy, t = spec[0], spec[1], spec[2]
+    curl, g = spec[0], spec[1]
     out = np.empty_like(coeffs)
-    # u: div sigma, then project.
-    np.multiply(ikx, p[s11], out=cx)
-    cx += np.multiply(iky, p[s12], out=t)
-    np.multiply(ikx, p[s21], out=cy)
-    cy += np.multiply(iky, p[s22], out=t)
-    out[0], out[1] = leray_project_coeffs(cx, cy, grid)
-    # v: -(u.grad)v - (v.grad)u + grad theta.
-    np.negative(p[0], out=out[2])
-    out[2] += np.multiply(ikx, coeffs[ITH], out=t)
-    np.negative(p[1], out=out[3])
-    out[3] += np.multiply(iky, coeffs[ITH], out=t)
-    # theta: div(v - u theta) = ikx * (coeffs[2] - p[2]) + iky * (coeffs[3] - p[3]).
-    np.multiply(ikx, np.subtract(coeffs[2], p[2], out=t), out=out[ITH])
-    out[ITH] += np.multiply(iky, np.subtract(coeffs[3], p[3], out=t), out=t)
+    # u: the Biot-Savart velocity of curl div sigma.
+    np.multiply(plan.curl_div[0], p[5], out=curl)
+    for mult, row in zip(plan.curl_div[1:], p[6:]):
+        curl += np.multiply(mult, row, out=t)
+    np.multiply(plan.biot_savart[0], curl, out=out[0])
+    np.multiply(plan.biot_savart[1], curl, out=out[1])
+    # v: grad(theta - q) + (prods[0], -prods[1]).
+    np.subtract(coeffs[ITH], p[2], out=g)
+    np.multiply(ikx, g, out=out[2])
+    out[2] += p[0]
+    np.multiply(iky, g, out=out[3])
+    out[3] -= p[1]
+    # theta: div(v - u theta) = ikx * (coeffs[2] - p[3]) + iky * (coeffs[3] - p[4]).
+    np.multiply(ikx, np.subtract(coeffs[2], p[3], out=t), out=out[ITH])
+    out[ITH] += np.multiply(iky, np.subtract(coeffs[3], p[4], out=t), out=t)
 
-    # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in sym.
-    grad_u_sq = np.multiply(2.0, np.square(a, out=sym), out=sym)
+    # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in w.
+    grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
     grad_u_sq += np.square(b, out=s)
     grad_u_sq += np.square(c, out=s)
     mu_total = mu0 if constant_mu else np.add(mu0, mu_rem, out=s)
-    visc = float(np.sum(np.multiply(mu_total, grad_u_sq, out=grad_u_sq))) * grid.cell_area
-    u_sq = float(np.sum(parseval_density(coeffs[IU], coeffs[IU], grid)))
-    v_sq = float(np.sum(parseval_density(coeffs[IV], coeffs[IV], grid)))
-    return out, visc + params.alpha * u_sq + params.beta * v_sq, phys[:NCOMP]
+    visc = float(np.sum(np.multiply(mu_total, grad_u_sq, out=grad_u_sq)))
+    # ||u||^2 and ||v||^2 on the grid, into the product rows the forward batch has freed.
+    sq = np.square(phys[:4], out=prods[:4])
+    u_sq, v_sq = float(np.sum(sq[IU])), float(np.sum(sq[IV]))
+    return out, (visc + params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
 
 
 def rhs(state: TcmState, params: ModelParams) -> np.ndarray:

@@ -64,5 +64,5 @@ def test_tracer_wraps_every_layer(tmp_path):
     assert calls["model.tendency"] == 4 * steps + 1
     assert calls["integrator.stable_dt"] == steps
     # Every transform of the tendency goes through a wrapped scipy.fft name:
-    # 13 fields inverse and 9 forward per call with the quadratic law.
-    assert result["fields_in_tendency"] == 22 * calls["model.tendency"]
+    # 10 fields inverse and 9 forward per call with the quadratic law.
+    assert result["fields_in_tendency"] == 19 * calls["model.tendency"]

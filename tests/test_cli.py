@@ -358,6 +358,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(b), "--seed", "43", "--quiet"]) == 0
         assert (a / "diagnostics.csv").read_bytes() != (b / "diagnostics.csv").read_bytes()
 
+    def test_seed_override_is_read_like_the_config(self, tmp_path, capsys):
+        # The flag's value goes through the config's seed reader: a negative
+        # seed is a config error that names the key, and nothing runs.
+        cfg_path = write_config(tmp_path, SMALL_DOC)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-1", "--quiet"]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"
         monkeypatch.setenv("TCM_OUT_DIR", str(out))

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -498,4 +499,49 @@ class TestRecordAgainstFieldSums:
             monkeypatch.setattr(diagnostics_mod, "Spectra", spectra)
             records.append(compute_record(state, Plan(grid32, params), cfg, 0.01, 0.0, evaluate(state, params)))
         assert (len(calls), len(set(calls)), len(sums)) == (104, 23, 23)
+        assert records[0] == records[1]
+
+    def test_each_cross_term_and_l2_sum_is_taken_once(self, grid32, monkeypatch):
+        # The same dense record asks for 14 cross terms over 5 orders and 17
+        # nonhomogeneous norms over 2 fields.  Each cross-term order and each
+        # field's L^2 sum is summed once, and the record equals one whose every
+        # sum is taken afresh.
+        import tcm2d.diagnostics as diagnostics_mod
+
+        asks, sums = Counter(), Counter()
+
+        class CountingSpectra(Spectra):
+            def cross_term(self, order):
+                asks["cross", order] += 1
+                return super().cross_term(order)
+
+            def hs_sq(self, fieldname, s):
+                asks["l2", fieldname] += 1
+                return super().hs_sq(fieldname, s)
+
+            def _once(self, cache, key, compute):
+                kind = {id(self._cross): "cross", id(self._l2_sq): "l2"}.get(id(cache))
+
+                def counted():
+                    if kind:
+                        sums[kind, key] += 1
+                    return compute()
+
+                return super()._once(cache, key, counted)
+
+        class AfreshSpectra(Spectra):
+            def _once(self, cache, key, compute):
+                return compute()
+
+        params = ModelParams(alpha=0.5, beta=1.0, s=1.5, viscosity="constant")
+        norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0))
+        cfg = DiagnosticsConfig(norms=norms, functional_orders=(1.5, 2.0, 3.0, 4.0))
+        state = make_random_state(grid32, seed=3, amplitude=0.2)
+        records = []
+        for spectra in (CountingSpectra, AfreshSpectra):
+            monkeypatch.setattr(diagnostics_mod, "Spectra", spectra)
+            records.append(compute_record(state, Plan(grid32, params), cfg, 0.01, 0.0, evaluate(state, params)))
+        assert Counter(kind for kind, _ in asks.elements()) == {"cross": 14, "l2": 17}
+        assert Counter(kind for kind, _ in asks) == {"cross": 5, "l2": 2}
+        assert sums == Counter(dict.fromkeys(asks, 1))
         assert records[0] == records[1]

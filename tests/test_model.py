@@ -234,12 +234,12 @@ class TestGroupedTendency:
 
     @pytest.mark.parametrize(
         "params, forward, inverse",
-        [pytest.param(p, f, i, id=p.viscosity) for p, f, i in zip(LAWS, (9, 7, 9), (13, 12, 13))],
+        [pytest.param(p, f, i, id=p.viscosity) for p, f, i in zip(LAWS, (9, 7, 9), (10, 9, 10))],
     )
     def test_transform_counts(self, grid64, monkeypatch, params, forward, inverse):
         # Fields per call: 8 grouped products (7 with the constant law) plus the
-        # viscosity remainder forward; the state, 7 gradient components (d_y u2
-        # is -d_x u1) and the remainder inverse.
+        # viscosity remainder forward; the state, 3 gradient components of u
+        # (d_y u2 is -d_x u1), the curl of v and the remainder inverse.
         counts = {"rfft2": 0, "irfft2": 0}
 
         def counting(name):
@@ -256,6 +256,20 @@ class TestGroupedTendency:
         st_ = make_random_state(grid64, seed=5, amplitude=0.5)
         nonlinear_tendency(st_.coeffs, Plan(grid64, params))
         assert counts == {"rfft2": forward, "irfft2": inverse}
+
+
+    @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
+    def test_u_tendency_is_divergence_free(self, grid64, params):
+        # The Biot-Savart velocity of curl div sigma: k . u_hat vanishes to
+        # rounding, and the mean mode is exactly zero.
+        st_ = make_random_state(grid64, seed=4, amplitude=0.5)
+        out = nonlinear_tendency(st_.coeffs, Plan(grid64, params))[0]
+        g = grid64
+        k_dot_u = np.abs(g.kx * out[0] + g.ky * out[1])
+        scale = np.max(g.kmag * np.sqrt(np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2))
+        assert scale > 0
+        assert np.max(k_dot_u) <= 1e-13 * scale
+        assert out[0, 0, 0] == 0 and out[1, 0, 0] == 0
 
 
 class TestPlan:
@@ -293,14 +307,13 @@ class TestPlan:
     def test_tendency_allocation_peak(self, grid64):
         # What one call at n = 64 must allocate, with F = n^2 doubles (32 KiB)
         # for a physical field and S = n (n/2 + 1) complex (33 KiB) for a
-        # spectral one: the inverse batch's output, 12 F, which the returned
+        # spectral one: the inverse batch's output, 9 F, which the returned
         # physical fields keep alive; the forward batch's output, 8 S; the
-        # returned tendency, 5 S; and, on top, at most 10 S of single-field
-        # temporaries (mu(theta) and the remainder's transforms, the Leray
-        # projection, the Parseval sums).  Work arrays of the batch size (the
-        # 12-field spectral input, the product rows) come from the plan and
-        # must not be allocated per call: allocating them again, as per-call
-        # temporaries did, peaks at about 52 S.
+        # returned tendency, 5 S; and, on top, single-field temporaries
+        # (mu(theta) and the remainder's transforms): about 25 S in all,
+        # against a bound of about 35 S.  Work arrays of the batch size (the
+        # 9-field spectral input, the product and scratch rows, about 20 S)
+        # come from the plan and must not be allocated per call.
         params = ModelParams(alpha=0.3, viscosity="quadratic")
         plan = Plan(grid64, params)
         coeffs = make_random_state(grid64, seed=4, amplitude=0.5).coeffs
