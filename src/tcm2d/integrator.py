@@ -24,7 +24,11 @@ four tendency evaluations.  The if-rk4 stages are formed in the plan's three
 stage vectors (the stage state, E2 z0 and E z0, each formed once per step)
 with the plan's propagators, which a fixed dt reuses on every step; neither
 stage 1 nor the state stepped from is written to, and the new state is a new
-array.
+array.  Every state, stage vector and tendency is zero outside the dealiased
+band of ky columns (:attr:`~tcm2d.spectral.SpectralGrid.band`); the tendency
+works on that band alone, while the stage arithmetic runs over the full,
+contiguous half-spectrum, which numpy's ufuncs run faster than the strided
+band columns of the same arrays.
 """
 
 from __future__ import annotations

@@ -40,8 +40,13 @@ sigma = (mu(theta) - mu(0)) grad u - v(x)v - u(x)u, which enters through
 sigma12, sigma21 and sigma22 - sigma11 only.  One call of
 :func:`nonlinear_tendency` transforms 10 fields inverse (the state, 3 gradient
 components of u, the curl of v and the viscosity remainder) and 9 forward (8
-products plus the remainder), or 9 inverse and 7 forward with the constant
-law, whose sigma = -v(x)v - u(x)u is symmetric.  That call is the one
+products plus the remainder), or 7 inverse (the state and the curls of u and
+v) and 7 forward with the constant law, whose sigma = -v(x)v - u(x)u is
+symmetric and whose mu(0) ||grad u||^2 is a Parseval sum.  Every state and
+tendency is zero in the ky columns from ``grid.band`` on, so the inverse
+batch is built from the band columns alone (a pruned inverse, see
+:func:`~tcm2d.spectral.to_phys`) and the spectral arithmetic after the
+forward transform runs on the band only.  That call is the one
 evaluation of a state: the integrator hands it to stage 1 of the next step, to
 the step bound and to the sampled record (:func:`budget_residual`,
 :func:`sup_norms`).
@@ -49,10 +54,12 @@ the step bound and to the sampled record (:func:`budget_residual`,
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
 Biot-Savart multipliers of the u-tendency, the integrating-factor propagators
-of the last dt and preallocated work buffers, which the tendency and the
-if-rk4 stages fill with in-place ufuncs in the order of the plain
-expressions, so the numbers are bitwise those of freshly allocated arrays.
-What a call returns is always a new array, never a view of a buffer.  The
+of the last dt and preallocated work buffers, which the tendency (including
+its forward batch) and the if-rk4 stages fill with in-place ufuncs in the
+order of the plain expressions, so the numbers are bitwise those of freshly
+allocated arrays.
+What an evaluation or a step returns is always a new array, never a view of
+a buffer; the propagators are read-only views of the plan's rows.  The
 bare-state helpers (:func:`rhs`, :func:`dissipation`,
 :func:`energy_budget_residual`) build a plan per call.
 """
@@ -261,9 +268,21 @@ class Plan:
     Holds the ``ik`` multipliers, the stiff diagonal symbol ``linear`` (see
     :meth:`propagators`), the spectral multipliers of the u-tendency and the
     work buffers that :func:`nonlinear_tendency` and the if-rk4 stages fill
-    with in-place ufuncs: the 9-field spectral input of the inverse batch plus
-    one spectral scratch row, the 7 or 8 product rows, two physical scratch
-    rows and three stage vectors.
+    with in-place ufuncs: the spectral input of the inverse batch (9 fields,
+    7 with the constant law) plus one spectral scratch row, the 7 or 8
+    product rows, their forward transform and its dealiased band, two
+    physical scratch rows, three stage vectors and the three propagator
+    rows.
+
+    A dealiased field is zero in the ky columns from ``grid.band`` on, so the
+    tendency's spectral work runs on the band columns only: the multipliers
+    (``ikx`` broadcasts over columns; ``iky``, ``mask``, ``k2``, ``curl_div``
+    and ``biot_savart``), the inverse batch's input and the band of the
+    forward batch have the band's width and are contiguous.  ``linear``, the
+    propagators and the stage vectors keep the full half-spectrum layout, and
+    the stage arithmetic runs over it: numpy's ufuncs on a strided
+    ``[..., :band]`` view of a full-layout array buffer their operands and
+    measured slower than the full-width contiguous loops.
 
     The u-tendency P div sigma is taken as the curl of div sigma followed by
     the Biot-Savart law: ``curl_div`` maps the stress rows [sigma12, sigma21,
@@ -272,16 +291,22 @@ class Plan:
     the divergence-free velocity, (i ky, -i kx) / |k|^2.  Every one of them is
     zero at k = 0.
 
-    A buffer holds nothing between calls, and nothing a function returns is a
-    view of one, so two evaluations on one plan never alias.  One plan serves
+    A work buffer holds nothing between calls, and nothing an evaluation or a
+    step returns is a view of one, so two evaluations on one plan never alias.
+    The propagators are the exception: they are read-only views of the plan's
+    propagator rows, which a call with a new dt overwrites.  One plan serves
     one thread at a time.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.ikx = 1j * grid.kx
-        self.iky = 1j * grid.ky
+        cols = slice(0, grid.band)
+        kx, ky = grid.kx, grid.ky[:, cols]
+        self.ikx = 1j * kx
+        self.iky = 1j * ky
+        self.mask = grid.dealias_mask[:, cols]
+        self.k2 = grid.k2[:, cols]
         # -(mu0 |k|^2 + alpha) on u, -beta on v, 0 on theta.
         linear = np.zeros((NCOMP,) + grid.shape_spec)
         linear[0] = linear[1] = -(params.mu0 * grid.k2 + params.alpha)
@@ -290,13 +315,20 @@ class Plan:
         self.linear = linear
         self.constant_mu = params.viscosity == "constant"
         # curl div sigma = -kx^2 sigma21 + ky^2 sigma12 - kx ky (sigma22 - sigma11).
-        kx2, ky2, kxky = grid.kx**2, grid.ky**2, grid.kx * grid.ky
+        kx2, ky2, kxky = kx**2, ky**2, kx * ky
         self.curl_div = (ky2 - kx2, -kxky) if self.constant_mu else (ky2, -kx2, -kxky)
-        self.biot_savart = (self.iky * grid.inv_k2, -self.ikx * grid.inv_k2)
+        inv_k2 = grid.inv_k2[:, cols]
+        self.biot_savart = (self.iky * inv_k2, -self.ikx * inv_k2)
         self._dt: float | None = None
-        self._propagators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.spec = np.empty((NCOMP + 5,) + grid.shape_spec, dtype=np.complex128)
+        self._propagator_rows = np.empty((3, NCOMP) + grid.shape_spec)
+        self._propagators = tuple(row.view() for row in self._propagator_rows)
+        for a in self._propagators:
+            a.setflags(write=False)
+        inverse = NCOMP + (2 if self.constant_mu else 4)
+        self.spec = np.empty((inverse + 1, grid.n, grid.band), dtype=np.complex128)
         self.prods = np.empty((5 + len(self.curl_div),) + grid.shape_phys)
+        self.fwd = np.empty((len(self.prods),) + grid.shape_spec, dtype=np.complex128)
+        self.band_prods = np.empty((len(self.prods), grid.n, grid.band), dtype=np.complex128)
         self.scratch = np.empty((2,) + grid.shape_phys)
         self.stages = np.empty((3, NCOMP) + grid.shape_spec, dtype=np.complex128)
 
@@ -305,14 +337,14 @@ class Plan:
         the last if-rk4 stage), kept for the last dt only.
 
         A fixed dt reuses them on every step; an auto dt, a new float each
-        step, recomputes them.
+        step, recomputes them in place, so they are read-only views that hold
+        the propagators of the last dt asked for.
         """
         if dt != self._dt:
-            e = np.exp(dt * self.linear)
-            e2 = np.exp(0.5 * dt * self.linear)
-            self._propagators = (e, e2, 2.0 * e2)
-            for a in self._propagators:
-                a.setflags(write=False)
+            e, e2, e2x2 = self._propagator_rows
+            np.exp(np.multiply(dt, self.linear, out=e), out=e)
+            np.exp(np.multiply(0.5 * dt, self.linear, out=e2), out=e2)
+            np.multiply(2.0, e2, out=e2x2)
             self._dt = dt
         return self._propagators
 
@@ -344,50 +376,65 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
       dealiased, with the u-tendency divergence-free and zero at k = 0;
     * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
       beta ||v||^2, evaluated with the same collocation quadrature the
-      products use (exact for ||u||^2 and ||v||^2 by discrete Parseval), so
-      the discrete energy budget closes to rounding;
+      products use (exact for ||u||^2 and ||v||^2 by discrete Parseval; with
+      the constant law mu(0) ||grad u||^2 is the Parseval sum itself), so the
+      discrete energy budget closes to rounding;
     * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
       view of the inverse transform the products were formed from.
 
-    Every buffer is filled with ``out=`` ufuncs in the order of the plain
-    expressions in the comments, so the result is bitwise that of those.
+    Only the band columns ``coeffs[..., :grid.band]`` are read: the state
+    must be dealiased, as the integrator keeps it.  The tendency has the full
+    layout of coeffs, with exact zeros from column band on.  Every buffer is
+    filled with ``out=`` ufuncs in the order of the plain expressions in the
+    comments, so the result is bitwise that of those.
     """
     grid, params = plan.grid, plan.params
-    ikx, iky = plan.ikx, plan.iky
-    # The state, the 3 gradient components of u the products need (u is
-    # divergence-free, so d_y u2 = -d_x u1 is not transformed) and w_v.
+    ikx, iky, mask = plan.ikx, plan.iky, plan.mask
+    constant_mu = plan.constant_mu
+    cols = slice(0, grid.band)
+    # The inverse batch, on the band columns: the state, then the 3 gradient
+    # components of u the products need (u is divergence-free, so d_y u2 =
+    # -d_x u1 is not transformed), or w_u alone with the constant law, then w_v.
     spec, t = plan.spec[:-1], plan.spec[-1]
-    spec[:NCOMP] = coeffs
-    np.multiply(ikx, coeffs[IU], out=spec[5:7])
-    np.multiply(iky, coeffs[0], out=spec[7])
-    # spec[8] = ikx * coeffs[3] - iky * coeffs[2]
-    np.multiply(ikx, coeffs[3], out=spec[8])
-    spec[8] -= np.multiply(iky, coeffs[2], out=t)
+    state = spec[:NCOMP]
+    state[...] = coeffs[..., cols]
+    if constant_mu:
+        # spec[5] = ikx * coeffs[1] - iky * coeffs[0]
+        np.multiply(ikx, state[1], out=spec[5])
+        spec[5] -= np.multiply(iky, state[0], out=t)
+    else:
+        np.multiply(ikx, state[IU], out=spec[5:7])
+        np.multiply(iky, state[0], out=spec[7])
+    # spec[-1] = ikx * coeffs[3] - iky * coeffs[2]
+    np.multiply(ikx, state[3], out=spec[-1])
+    spec[-1] -= np.multiply(iky, state[2], out=t)
     phys = to_phys(spec, grid)
     u1, u2, v1, v2, th = phys[:NCOMP]
-    a, c, b, w_v = phys[5:9]      # d_x u1, d_x u2, d_y u1, curl v; d_y u2 = -a
+    w_v = phys[-1]
     s, w = plan.scratch
+    prods, fwd = plan.prods, plan.fwd
 
     mu0 = params.mu0
-    constant_mu = plan.constant_mu
-    if not constant_mu:
+    if constant_mu:
+        w_u = phys[5]
+    else:
+        a, c, b = phys[5:8]       # d_x u1, d_x u2, d_y u1; d_y u2 = -a
         # Dealias the remainder before the product so the cubic term is formed
         # from two alias-free quadratic stages.
-        rem = from_phys(np.subtract(params.mu(th), mu0, out=s), grid)
-        mu_rem = to_phys(np.multiply(grid.dealias_mask, rem, out=rem), grid)
+        rem = from_phys(np.subtract(params.mu(th), mu0, out=s), grid, out=fwd[0])
+        mu_rem = to_phys(np.multiply(mask, rem[:, cols], out=t), grid)
+        w_u = np.subtract(c, b, out=w)
 
     # Rows, each summed before the one forward transform (dealiasing and the
     # ik multipliers are linear, so only rounding changes): the two rotational
     # v-rows, q = u.v, u theta (2), and the stress sigma = mu_rem grad u -
     # v(x)v - u(x)u as sigma12, sigma21 and sigma22 - sigma11 (sigma12 = sigma21
     # when mu_rem = 0).
-    prods = plan.prods
-    np.subtract(c, b, out=w)      # w_u
     # prods[0] = u2 * w_v + v2 * w_u; prods[1] = u1 * w_v + v1 * w_u
     np.multiply(u2, w_v, out=prods[0])
-    prods[0] += np.multiply(v2, w, out=s)
+    prods[0] += np.multiply(v2, w_u, out=s)
     np.multiply(u1, w_v, out=prods[1])
-    prods[1] += np.multiply(v1, w, out=s)
+    prods[1] += np.multiply(v1, w_u, out=s)
     # prods[2] = u1 * v1 + u2 * v2
     np.multiply(u1, v1, out=prods[2])
     prods[2] += np.multiply(u2, v2, out=s)
@@ -410,37 +457,41 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
         np.multiply(mu_rem, c, out=prods[6])
         prods[6] -= w
         diff -= np.multiply(2.0, np.multiply(mu_rem, a, out=s), out=s)
-    p = from_phys(prods, grid)
-    np.multiply(grid.dealias_mask, p, out=p)
+    # The dealiased band of the forward batch, in a contiguous buffer.
+    p = np.multiply(mask, from_phys(prods, grid, out=fwd)[..., cols], out=plan.band_prods)
 
-    # The inverse batch has been taken: its spectral rows are free as scratch.
-    curl, g = spec[0], spec[1]
-    out = np.empty_like(coeffs)
+    # The inverse batch has been taken: the rows of spec after the state are
+    # free as scratch.  Each tendency row is written once into the band
+    # columns of a zero array.
+    curl, g = spec[NCOMP], spec[NCOMP + 1]
+    out = np.zeros_like(coeffs)
+    tend = out[..., cols]
     # u: the Biot-Savart velocity of curl div sigma.
     np.multiply(plan.curl_div[0], p[5], out=curl)
     for mult, row in zip(plan.curl_div[1:], p[6:]):
         curl += np.multiply(mult, row, out=t)
-    np.multiply(plan.biot_savart[0], curl, out=out[0])
-    np.multiply(plan.biot_savart[1], curl, out=out[1])
+    np.multiply(plan.biot_savart[0], curl, out=tend[0])
+    np.multiply(plan.biot_savart[1], curl, out=tend[1])
     # v: grad(theta - q) + (prods[0], -prods[1]).
-    np.subtract(coeffs[ITH], p[2], out=g)
-    np.multiply(ikx, g, out=out[2])
-    out[2] += p[0]
-    np.multiply(iky, g, out=out[3])
-    out[3] -= p[1]
+    np.subtract(state[ITH], p[2], out=g)
+    np.add(np.multiply(ikx, g, out=t), p[0], out=tend[2])
+    np.subtract(np.multiply(iky, g, out=t), p[1], out=tend[3])
     # theta: div(v - u theta) = ikx * (coeffs[2] - p[3]) + iky * (coeffs[3] - p[4]).
-    np.multiply(ikx, np.subtract(coeffs[2], p[3], out=t), out=out[ITH])
-    out[ITH] += np.multiply(iky, np.subtract(coeffs[3], p[4], out=t), out=t)
+    np.multiply(ikx, np.subtract(state[2], p[3], out=g), out=g)
+    np.add(g, np.multiply(iky, np.subtract(state[3], p[4], out=t), out=t), out=tend[ITH])
 
+    # ||u||^2 and ||v||^2 on the grid, into the product rows the forward batch has freed.
+    sq = np.square(phys[:4], out=prods[:4])
+    u_sq, v_sq = float(np.sum(sq[IU])), float(np.sum(sq[IV]))
+    if constant_mu:
+        # mu0 ||grad u||^2 = mu0 sum |k|^2 |u_hat|^2, by Parseval.
+        visc = mu0 * float(np.sum(plan.k2 * parseval_density(state[IU], state[IU], grid)))
+        return out, visc + (params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
     # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in w.
     grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
     grad_u_sq += np.square(b, out=s)
     grad_u_sq += np.square(c, out=s)
-    mu_total = mu0 if constant_mu else np.add(mu0, mu_rem, out=s)
-    visc = float(np.sum(np.multiply(mu_total, grad_u_sq, out=grad_u_sq)))
-    # ||u||^2 and ||v||^2 on the grid, into the product rows the forward batch has freed.
-    sq = np.square(phys[:4], out=prods[:4])
-    u_sq, v_sq = float(np.sum(sq[IU])), float(np.sum(sq[IV]))
+    visc = float(np.sum(np.multiply(np.add(mu0, mu_rem, out=s), grad_u_sq, out=grad_u_sq)))
     return out, (visc + params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
 
 

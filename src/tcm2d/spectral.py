@@ -15,7 +15,14 @@ Dealiasing keeps modes with integer indices |j| <= (n - 1) // 3 on each axis.
 This is the strict two-thirds rule: products of two retained modes alias only
 onto discarded modes, so masked quadratic products coincide with the Galerkin
 truncation.  The exact skew-symmetries behind the energy diagnostics rely on
-this property.
+this property.  A dealiased field is zero in every ky column from
+:attr:`SpectralGrid.band` on, so :func:`to_phys` may be handed the band
+columns ``[..., :band]`` alone: the inverse then runs its kx pass over those
+columns only and zero-pads the rest before the ky pass (a pruned transform),
+with the same numbers as the full-width one.
+
+The transforms are numpy's (``numpy.fft``, pocketfft), looked up on the module
+at each call.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 
 class SpectralError(ValueError):
@@ -43,7 +50,8 @@ class SpectralGrid:
 
     Wavenumber arrays are broadcastable over the (n, n//2 + 1) half-spectrum
     layout: `kx` varies along axis 0 (full fftfreq order), `ky` along axis 1
-    (non-negative frequencies only).
+    (non-negative frequencies only).  `band` is the number of leading ky
+    columns the dealias mask keeps any mode of.
     """
 
     n: int
@@ -81,6 +89,11 @@ class SpectralGrid:
         w[0] = 1.0
         w[n // 2] = 1.0
         object.__setattr__(self, "parseval_weight", w[None, :])
+
+    @property
+    def band(self) -> int:
+        """Kept ky columns: a dealiased field is zero in columns [band:]."""
+        return _dealias_cut(self.n) + 1
 
     @property
     def spacing(self) -> float:
@@ -161,13 +174,17 @@ def _check_same_grid(f: SpectralField, g: SpectralField) -> None:
 
 
 def to_phys(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Inverse transform of coefficient-normalized (possibly batched) spectra."""
+    """Inverse transform of coefficient-normalized (possibly batched) spectra, as a new array.
+
+    coeffs may hold only the first ky columns (``[..., :grid.band]`` of a
+    dealiased field): the missing ones are taken as zero.
+    """
     return _fft.irfft2(coeffs, s=grid.shape_phys, norm="forward")
 
 
-def from_phys(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Forward transform of (possibly batched) physical arrays to coefficients."""
-    return _fft.rfft2(values, norm="forward")
+def from_phys(values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform of (possibly batched) physical arrays to coefficients, into out if given."""
+    return _fft.rfft2(values, norm="forward", out=out)
 
 
 def lambda_pow(f: SpectralField, s: float) -> SpectralField:
@@ -237,10 +254,11 @@ def parseval_density(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> np.nda
 
     The one quadratic-form kernel: its plain sum is the L^2 pairing int a . b,
     its sum against :func:`sobolev_symbol` the pairing int Lambda^s a . Lambda^s b.
+    a and b may hold the first ky columns only; the result then has their width.
     """
     terms = (a * np.conj(b)).real
     terms = terms.sum(axis=tuple(range(terms.ndim - 2)))
-    return grid.box_length**2 * grid.parseval_weight * terms
+    return grid.box_length**2 * grid.parseval_weight[:, : terms.shape[-1]] * terms
 
 
 def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:

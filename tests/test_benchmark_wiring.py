@@ -63,6 +63,6 @@ def test_tracer_wraps_every_layer(tmp_path):
     # one bound per state stepped from, each through a wrapped name.
     assert calls["model.tendency"] == 4 * steps + 1
     assert calls["integrator.stable_dt"] == steps
-    # Every transform of the tendency goes through a wrapped scipy.fft name:
+    # Every transform of the tendency goes through a wrapped numpy.fft name:
     # 10 fields inverse and 9 forward per call with the quadratic law.
     assert result["fields_in_tendency"] == 19 * calls["model.tendency"]

@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -601,3 +604,15 @@ class TestFitCommand:
         code = main(["fit", str(path), "--field", "v", "--gamma", "1",
                      "--window", "5", "35", "--undamped", "--quiet"])
         assert code == 0
+
+
+def test_package_imports_no_scipy():
+    # The transforms are numpy.fft's: importing the package and its CLI, in a
+    # fresh interpreter, loads no scipy module.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, tcm2d, tcm2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcm2d import spectral
+from tcm2d.integrator import step
 from tcm2d.model import (
     ModelParams,
     ParamError,
@@ -234,12 +235,13 @@ class TestGroupedTendency:
 
     @pytest.mark.parametrize(
         "params, forward, inverse",
-        [pytest.param(p, f, i, id=p.viscosity) for p, f, i in zip(LAWS, (9, 7, 9), (10, 9, 10))],
+        [pytest.param(p, f, i, id=p.viscosity) for p, f, i in zip(LAWS, (9, 7, 9), (10, 7, 10))],
     )
     def test_transform_counts(self, grid64, monkeypatch, params, forward, inverse):
         # Fields per call: 8 grouped products (7 with the constant law) plus the
         # viscosity remainder forward; the state, 3 gradient components of u
-        # (d_y u2 is -d_x u1), the curl of v and the remainder inverse.
+        # (d_y u2 is -d_x u1), the curl of v and the remainder inverse.  The
+        # constant law needs the curl of u only, not its gradient components.
         counts = {"rfft2": 0, "irfft2": 0}
 
         def counting(name):
@@ -270,6 +272,22 @@ class TestGroupedTendency:
         assert scale > 0
         assert np.max(k_dot_u) <= 1e-13 * scale
         assert out[0, 0, 0] == 0 and out[1, 0, 0] == 0
+
+    @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
+    def test_columns_past_the_band_stay_zero(self, grid64, params):
+        # The tendency and the states stepped with it keep the full layout,
+        # with exact zeros in every column from grid.band on.
+        band = grid64.band
+        plan = Plan(grid64, params)
+        st_ = make_random_state(grid64, seed=6, amplitude=0.5)
+        for _ in range(2):
+            tendency, diss, _ = nonlinear_tendency(st_.coeffs, plan)
+            assert tendency.shape == st_.coeffs.shape
+            assert np.any(tendency[..., :band] != 0)
+            assert np.all(tendency[..., band:] == 0)
+            st_ = step(st_, plan, 1e-3, (tendency, diss))[0]
+            assert np.any(st_.coeffs[..., :band] != 0)
+            assert np.all(st_.coeffs[..., band:] == 0)
 
 
 class TestPlan:
@@ -304,29 +322,45 @@ class TestPlan:
         np.testing.assert_array_equal(plan.propagators(0.2)[1], np.exp(0.1 * plan.linear))
         assert not plan.linear.flags.writeable
 
+    def test_a_new_dt_overwrites_the_propagators_in_place(self, grid64, params_damped):
+        # An auto dt is a new float on every step: its propagators go into the
+        # plan's rows, with the numbers of freshly computed ones, and the
+        # arrays handed out are read-only.
+        plan = Plan(grid64, params_damped)
+        first = plan.propagators(0.1)
+        second = plan.propagators(0.07)
+        assert all(a is b for a, b in zip(first, second))
+        np.testing.assert_array_equal(second[0], np.exp(0.07 * plan.linear))
+        np.testing.assert_array_equal(second[1], np.exp(0.5 * 0.07 * plan.linear))
+        np.testing.assert_array_equal(second[2], 2.0 * np.exp(0.5 * 0.07 * plan.linear))
+        assert not any(a.flags.writeable for a in second)
+
     def test_tendency_allocation_peak(self, grid64):
-        # What one call at n = 64 must allocate, with F = n^2 doubles (32 KiB)
-        # for a physical field and S = n (n/2 + 1) complex (33 KiB) for a
-        # spectral one: the inverse batch's output, 9 F, which the returned
-        # physical fields keep alive; the forward batch's output, 8 S; the
-        # returned tendency, 5 S; and, on top, single-field temporaries
-        # (mu(theta) and the remainder's transforms): about 25 S in all,
-        # against a bound of about 35 S.  Work arrays of the batch size (the
-        # 9-field spectral input, the product and scratch rows, about 20 S)
-        # come from the plan and must not be allocated per call.
+        # What one call at n = 64 may allocate, with F = n^2 doubles (32 KiB)
+        # for a physical field, S = n (n/2 + 1) complex (33 KiB) for a spectral
+        # one and B = n band complex (22 KiB) for the band columns of one:
+        # the inverse batch's output, 9 F, which the returned physical fields
+        # keep alive; the remainder's inverse, F; the returned tendency, 5 S;
+        # and one transient of up to 9 B (the kx pass of the pruned inverse,
+        # or numpy's buffer when the band of the forward batch is copied out).
+        # Their sum, about 20.7 S, bounds the peak (measured: 16.5 S).  Work
+        # arrays come from the plan and must not be allocated per call: the 8
+        # product rows (8 F) or the forward batch's output (8 S) would each
+        # break the bound.
         params = ModelParams(alpha=0.3, viscosity="quadratic")
         plan = Plan(grid64, params)
         coeffs = make_random_state(grid64, seed=4, amplitude=0.5).coeffs
         nonlinear_tendency(coeffs, plan)  # warm-up: transform plans, lazy imports
         F = grid64.n**2 * 8
         S = grid64.n * (grid64.n // 2 + 1) * 16
+        B = grid64.n * grid64.band * 16
         tracemalloc.start()
         try:
             nonlinear_tendency(coeffs, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * F + (8 + 5 + 10) * S
+        assert peak <= 10 * F + 5 * S + 9 * B
 
 
 def _fd_rhs(fields, params, m, L):

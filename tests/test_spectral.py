@@ -25,6 +25,7 @@ from tcm2d.spectral import (
     oversampled_values,
     random_coeffs,
     sobolev_norm,
+    to_phys,
 )
 
 TWO_PI_SQ = 2 * np.pi**2  # int_{[0,2pi)^2} sin^2(x) dx dy
@@ -176,6 +177,24 @@ class TestDealias:
         inside = grid64.dealias_mask
         np.testing.assert_array_equal(g.coeffs[inside], f.coeffs[inside])
         assert np.all(g.coeffs[~inside] == 0)
+
+
+class TestPrunedInverse:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_band_columns_give_the_full_inverse(self, n):
+        # A dealiased field is zero from column band on, so the inverse of its
+        # band columns alone (zero-padded by the transform) is the full-width
+        # inverse, bit for bit, for a batch as for one field.
+        grid = SpectralGrid(n, 2 * np.pi)
+        cut = (n - 1) // 3
+        assert grid.band == cut + 1
+        assert np.any(grid.dealias_mask[:, cut]) and not np.any(grid.dealias_mask[:, grid.band:])
+        rng = np.random.default_rng(n)
+        batch = np.stack([random_coeffs(grid, rng, lambda k: k ** (-1.0), band_cut=cut) for _ in range(3)])
+        assert np.any(batch[..., cut] != 0) and np.all(batch[..., grid.band:] == 0)
+        full = to_phys(batch, grid)
+        np.testing.assert_array_equal(to_phys(batch[..., : grid.band], grid), full)
+        np.testing.assert_array_equal(to_phys(np.ascontiguousarray(batch[1, :, : grid.band]), grid), full[1])
 
 
 class TestNormsAndInnerProduct:
