@@ -130,7 +130,7 @@ def check_gn(trials: int, grids: Sequence[SpectralGrid], rng: np.random.Generato
 
 
 def _oversq(f: SpectralField) -> np.ndarray:
-    return oversampled_values(f, 2) ** 2
+    return oversampled_values(f) ** 2
 
 
 def check_interpolation(
@@ -213,14 +213,14 @@ def check_composition(
     rng: np.random.Generator,
     s: float = 1.5,
     law: str | Callable[[np.ndarray], np.ndarray] = "quadratic",
-    mu_lower: float = 1.0,
 ) -> InequalityReport:
     """Composition bound ||Lambda^s(law(theta) - law(0))|| against
     (1 + ||grad theta||^ceil(s-1)) ||Lambda^s theta||.
 
-    ``law`` is a name in :data:`~tcm2d.model.VISCOSITY_LAWS` (gauss-bump with
-    amplitude 1) or any smooth callable; the lab probes the inequality
-    itself, so no lower-bound contract is enforced here.  Fields are
+    ``law`` is a name in :data:`~tcm2d.model.VISCOSITY_LAWS` (with mu_lower 1,
+    which cancels in law(theta) - law(0), and gauss-bump amplitude 1) or any
+    smooth callable; the lab probes the inequality itself, so no lower-bound
+    contract is enforced here.  Fields are
     normalized to unit sup so the composed field stays in a fixed compact
     range; zero draws are skipped.
     """
@@ -229,7 +229,7 @@ def check_composition(
     if callable(law):
         law_fn, name = law, "composition-custom"
     else:
-        law_fn = lambda th: VISCOSITY_LAWS[law](th, mu_lower, 1.0)
+        law_fn = lambda th: VISCOSITY_LAWS[law](th, 1.0, 1.0)
         name = f"composition-{law}"
     law0 = float(law_fn(np.zeros(1))[0])
     ceil_pow = math.ceil(s - 1.0)

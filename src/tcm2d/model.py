@@ -358,9 +358,9 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
 
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
     the integrator.  u must be divergence-free (k . u_hat = 0 to rounding, as
-    the Leray projection leaves it): the transport by u is taken in divergence
-    form, div(u (x) u) and div(u theta), and d_y u_2 is read as -d_x u_1.  The
-    v-transport is taken in rotational form,
+    every state the integrator steps to is): the transport by u is taken in
+    divergence form, div(u (x) u) and div(u theta), and d_y u_2 is read as
+    -d_x u_1.  The v-transport is taken in rotational form,
 
         (u.grad)v + (v.grad)u = grad(u.v) - (u2 w_v + v2 w_u, -(u1 w_v + v1 w_u)),
 
@@ -384,9 +384,10 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
 
     Only the band columns ``coeffs[..., :grid.band]`` are read: the state
     must be dealiased, as the integrator keeps it.  The tendency has the full
-    layout of coeffs, with exact zeros from column band on.  Every buffer is
-    filled with ``out=`` ufuncs in the order of the plain expressions in the
-    comments, so the result is bitwise that of those.
+    layout of coeffs and is exactly zero outside the dealias mask, so a step
+    keeps a dealiased state dealiased exactly.  Every buffer is filled with
+    ``out=`` ufuncs in the order of the plain expressions in the comments, so
+    the result is bitwise that of those.
     """
     grid, params = plan.grid, plan.params
     ikx, iky, mask = plan.ikx, plan.iky, plan.mask

@@ -289,25 +289,22 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     return float(np.sqrt(sq))
 
 
-def lp_norm(f: SpectralField, p: float, oversample: int = 2) -> float:
-    """L^p norm computed on an `oversample`-times finer physical grid.
+def lp_norm(f: SpectralField, p: float) -> float:
+    """L^p norm computed on the 2x finer physical grid of :func:`oversampled_values`.
 
     Non-quadratic norms are not Parseval-exact; zero-padding the spectrum
     before quadrature suppresses the bias of the collocation product.
     """
+    vals = oversampled_values(f)
     if p == np.inf:
-        vals = oversampled_values(f, oversample)
         return float(np.max(np.abs(vals)))
-    vals = oversampled_values(f, oversample)
-    h2 = (f.grid.box_length / (oversample * f.grid.n)) ** 2
+    h2 = (f.grid.box_length / (2 * f.grid.n)) ** 2
     return float((np.sum(np.abs(vals) ** p) * h2) ** (1.0 / p))
 
 
-def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a factor-times finer grid."""
-    if factor == 1:
-        return f.values()
-    n, m = f.grid.n, factor * f.grid.n
+def oversampled_values(f: SpectralField) -> np.ndarray:
+    """Evaluate the trigonometric polynomial on a 2x finer grid."""
+    n, m = f.grid.n, 2 * f.grid.n
     big = np.zeros((m, m // 2 + 1), dtype=np.complex128)
     half = n // 2
     big[:half, : half + 1] = f.coeffs[:half, :]

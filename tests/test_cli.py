@@ -170,6 +170,12 @@ class TestMakeInitialData:
         scale = np.sqrt(np.sum(np.abs(state.coeffs[0:2]) ** 2))
         assert np.max(np.abs(div)) <= 1e-13 * scale
 
+    def test_a_zero_draw_raises(self, monkeypatch):
+        # One draw per seed: a zero state is an error, not a retry with seed + 1.
+        monkeypatch.setattr(cli_mod, "random_coeffs", lambda grid, rng, amp: np.zeros(grid.shape_spec, complex))
+        with pytest.raises(RuntimeError, match="zero"):
+            make_initial_data(parse_run_config(SMALL_DOC))
+
 
 class TestRunCommand:
     def test_artifacts_and_exit_zero(self, tmp_path):

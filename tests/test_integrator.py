@@ -144,6 +144,41 @@ class TestRun:
         assert seen == [0.0]
         np.testing.assert_array_equal(out.coeffs, st.coeffs)
 
+    def test_entry_zeroes_the_modes_outside_the_mask(self, grid32, params_undamped):
+        # from_function leaves rounding noise outside the dealias mask; run
+        # zeroes it on its own copy, so the t = 0 sample is dealiased exactly.
+        st = shear_state(grid32)
+        outside = ~grid32.dealias_mask
+        noisy = st.coeffs.copy()
+        assert np.any(noisy[:, outside] != 0)
+        seen = []
+        run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.coeffs.copy()))
+        assert np.all(seen[0][:, outside] == 0)
+        np.testing.assert_array_equal(seen[0][:, ~outside], noisy[:, ~outside])
+        np.testing.assert_array_equal(st.coeffs, noisy)
+
+    def test_entry_rejects_a_gradient_part_in_u(self, grid32, params_undamped):
+        st = TcmState.zero(grid32)
+        st.coeffs[0] = SpectralField.from_function(grid32, lambda x, y: np.cos(x)).coeffs
+        with pytest.raises(ValueError, match="divergence-free"):
+            run(st, params_undamped, StepperConfig(t_end=0.1, dt=1e-2))
+
+    def test_divergence_drift_over_many_auto_steps(self, grid32):
+        # No step re-projects u: k . u_hat stays at rounding level on its own,
+        # sample after sample, over a few hundred nonlinear auto-dt steps.
+        g = grid32
+        p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0, viscosity="constant")
+        ratios = []
+
+        def sink(s, plan, dt, w, ev):
+            u = s.coeffs[:2]
+            k_dot_u = np.max(np.abs(g.kx * u[0] + g.ky * u[1]))
+            ratios.append(k_dot_u / np.max(g.kmag * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
+
+        run(make_random_state(g, seed=10, amplitude=0.5), p, StepperConfig(t_end=5.0, dt="auto", sample_every=1e-3), sink)
+        assert len(ratios) - 1 >= 200
+        assert max(ratios) <= 1e-13
+
     def test_shear_envelope_over_unit_time(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0, viscosity="constant")
         out = run(shear_state(grid64), p, StepperConfig(t_end=1.0, dt=1e-2, sample_every=0.5))

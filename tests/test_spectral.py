@@ -261,7 +261,7 @@ class TestRandomFields:
 
     def test_oversampling_exact_for_trig(self, grid64):
         f = SpectralField.from_function(grid64, lambda x, y: np.sin(x) + np.cos(2 * y))
-        vals = oversampled_values(f, 2)
+        vals = oversampled_values(f)
         m = 2 * grid64.n
         xb = np.arange(m) * (grid64.box_length / m)
         xx, yy = np.meshgrid(xb, xb, indexing="ij")
