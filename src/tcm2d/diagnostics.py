@@ -19,10 +19,13 @@ the per-mode power of u, v and theta and the v . grad theta pairing once per
 state through the single kernel :func:`tcm2d.spectral.parseval_density`, and
 builds each |k|^{2 gamma} table once per exponent; a norm, cross term or
 functional is then a sum of table x power.  The exported ``functional_*``,
-``cross_term`` and ``smallness_norm`` build a Spectra for one call, while
-:func:`compute_record` builds one per sample and evaluates everything on it.
-The budget residual, the dissipation and the L^inf norms are read off the
-state's evaluation (:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
+``cross_term`` and ``smallness_norm`` build a Spectra for one call, on the
+full width of the state they are given, while :func:`compute_record` builds
+one per sample on the dealiased band columns, with the run's tables memoised
+on its :class:`~tcm2d.model.Plan`, and evaluates everything on it; the energy
+is half its L^2 sums.  The budget residual, the dissipation and the L^inf
+norms are read off the state's evaluation
+(:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
 
 A record is laid out once: :func:`record_schema` reads the ordered columns off
 the :class:`DiagnosticsRecord` fields, and the CSV header, the CSV row and the
@@ -43,7 +46,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ITH, IU, IV, Evaluation, ModelParams, Plan, TcmState, budget_residual, energy, sup_norms
+from .model import ITH, IU, IV, Evaluation, ModelParams, Plan, TcmState, budget_residual, sup_norms
 from .spectral import SpectralField, parseval_density, sobolev_symbol
 
 
@@ -66,13 +69,18 @@ class Spectra:
     once, and sums each (field, gamma) norm, each field's L^2 norm and each
     cross-term order once however often the functionals ask.
     A, B, X, Y and smallness are the functionals at an explicit order m.
+
+    Every table has the width of state.coeffs: the full half-spectrum, or its
+    first ``grid.band`` columns for a dealiased state.  ``tables``, if given,
+    is a memo of |k|^{2 gamma} tables of that width kept across states (a
+    :class:`~tcm2d.model.Plan`'s ``sobolev_tables``).
     """
 
-    def __init__(self, state: TcmState):
+    def __init__(self, state: TcmState, tables: dict[float, np.ndarray] | None = None):
         g, c = state.grid, state.coeffs
-        self.grid, self._coeffs = g, c
+        self.grid, self._coeffs, self.width = g, c, c.shape[-1]
         self.power = {name: parseval_density(c[sl], c[sl], g) for name, sl in FIELD_SLICES.items()}
-        self._tables: dict[float, np.ndarray] = {}
+        self._tables: dict[float, np.ndarray] = {} if tables is None else tables
         self._hom_sq: dict[tuple[str, float], float] = {}
         self._l2_sq: dict[str, float] = {}
         self._cross: dict[float, float] = {}
@@ -87,13 +95,18 @@ class Spectra:
     @cached_property
     def pairing(self) -> np.ndarray:
         g, c = self.grid, self._coeffs
-        return parseval_density(c[2], 1j * g.kx * c[ITH], g) + parseval_density(c[3], 1j * g.ky * c[ITH], g)
+        ky = g.ky[:, : self.width]
+        return parseval_density(c[2], 1j * g.kx * c[ITH], g) + parseval_density(c[3], 1j * ky * c[ITH], g)
 
     def _table(self, gamma: float) -> np.ndarray:
         table = self._tables.get(gamma)
         if table is None:
-            table = self._tables[gamma] = sobolev_symbol(self.grid, gamma)
+            table = self._tables[gamma] = np.ascontiguousarray(sobolev_symbol(self.grid, gamma)[:, : self.width])
         return table
+
+    def energy(self) -> float:
+        """Half the summed L^2 norms of u, v and theta."""
+        return 0.5 * sum(float(np.sum(power)) for power in self.power.values())
 
     def hom_sq(self, fieldname: str, gamma: float) -> float:
         """Squared homogeneous norm ||Lambda^gamma field||^2 (components summed)."""
@@ -366,9 +379,10 @@ def compute_record(
     diss_integral: float,
     evaluation: Evaluation,
 ) -> DiagnosticsRecord:
-    """Every value of one sample, from the state's spectra and its evaluation on plan."""
+    """Every value of one sample, from the spectra of the state's band columns and its evaluation on plan."""
     params = plan.params
-    spectra = Spectra(state)
+    band = TcmState(state.grid, np.ascontiguousarray(state.coeffs[..., : state.grid.band]), state.time)
+    spectra = Spectra(band, plan.sobolev_tables)
     m0 = config.orders(params)[0]
     a = spectra.A(params, m0)
     x = spectra.X(params, m0)
@@ -381,10 +395,10 @@ def compute_record(
         Y_m=spectra.Y(params, m0),
         cross_s=spectra.cross_term(m0),
         cross_1=spectra.cross_term(1.0),
-        budget_residual=budget_residual(state, plan, evaluation),
+        budget_residual=budget_residual(band, plan, evaluation),
         B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
         smallness=spectra.smallness(params),
-        energy=energy(state),
+        energy=spectra.energy(),
         dissipation=evaluation[1],
         diss_integral=diss_integral,
         band_A=spectra.cross_free_sum_A(params, m0) / a**2 if a > 0 else 1.0,

@@ -17,18 +17,19 @@ dissipation with the same RK4 stage weights, so the cumulative energy budget
 can be checked at the integrator's own order of accuracy.
 
 :func:`run` builds one :class:`~tcm2d.model.Plan` for the run and evaluates
-each state it visits once, right after the step that made it:
-:func:`stable_dt` and the sink read that evaluation, and its tendency and
-dissipation are stage 1 of the next :func:`step`, so an if-rk4 step costs
-four tendency evaluations.  The if-rk4 stages are formed in the plan's three
-stage vectors (the stage state, E2 z0 and E z0, each formed once per step)
-with the plan's propagators, which a fixed dt reuses on every step; neither
-stage 1 nor the state stepped from is written to, and the new state is a new
-array.  Every state, stage vector and tendency is zero outside the dealiased
-band of ky columns (:attr:`~tcm2d.spectral.SpectralGrid.band`); the tendency
-works on that band alone, while the stage arithmetic runs over the full,
-contiguous half-spectrum, which numpy's ufuncs run faster than the strided
-band columns of the same arrays.
+each state it visits once, right after the step that made it, into one
+tendency buffer that the run owns: :func:`stable_dt` and the sink read that
+evaluation, and its tendency and dissipation are stage 1 of the next
+:func:`step`, so an if-rk4 step costs four tendency evaluations.  Every state,
+stage vector and tendency is zero outside the dealiased band of ky columns
+(:attr:`~tcm2d.spectral.SpectralGrid.band`), so the loop holds them as
+contiguous ``(5, n, band)`` arrays.  An if-rk4 step forms each stage state in
+the plan's state rows, where the tendency evaluates it without a copy, writes
+stages 2-4 into the plan's stage vectors and applies the plan's propagators,
+which a fixed dt reuses on every step; neither stage 1 nor the state stepped
+from is written to, and the new state is a new band array.  The full
+half-spectrum layout is built only for the states that leave the loop: each
+one the sink sees and the one :func:`run` returns.
 
 A stepped state is exactly zero outside the dealias mask and its u is
 divergence-free to rounding, by construction and with no per-step repair: the
@@ -38,6 +39,7 @@ u_1 and u_2 of a mode alike.  :func:`run` checks its initial state once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -47,6 +49,7 @@ from .model import (
     BlowUpError,
     Evaluation,
     ITH,
+    NCOMP,
     ModelParams,
     Plan,
     TcmState,
@@ -116,13 +119,15 @@ def stable_dt(state: TcmState, plan: Plan, evaluation: Evaluation, cfl: float = 
 def step(state: TcmState, plan: Plan, dt: float, stage1: tuple, scheme: str = "if-rk4") -> tuple[TcmState, float]:
     """Advance one step from stage1, the state's (tendency, dissipation); returns (new state, dissipation integral).
 
-    Neither stage1 nor state.coeffs is written to; the new state's coefficients are a new array.
+    Only the band columns of state.coeffs are read, and the new state's coefficients are a new
+    ``(5, n, band)`` array of the band columns; neither stage1 nor state.coeffs is written to.
     A dealiased state with divergence-free u steps to one: dealiased exactly, divergence-free to rounding.
     """
+    z0 = state.coeffs[..., : plan.grid.band]
     if scheme == "if-rk4":
-        z1, diss_int = _ifrk4(state.coeffs, plan, dt, stage1)
+        z1, diss_int = _ifrk4(z0, plan, dt, stage1)
     elif scheme == "imex-euler":
-        z1, diss_int = _imex_euler(state.coeffs, plan, dt, stage1)
+        z1, diss_int = _imex_euler(z0, plan, dt, stage1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     t1 = state.time + dt
@@ -133,26 +138,31 @@ def step(state: TcmState, plan: Plan, dt: float, stage1: tuple, scheme: str = "i
 
 def _ifrk4(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
     E, E2, E2x2 = plan.propagators(dt)
-    # The stage state z, E2 z0 and E z0 live in the plan's stage vectors; E2 z0
-    # is then the accumulator of the final combination.  Each line keeps the
-    # operation order of the expression in its comment.
-    z, e2z0, ez0 = plan.stages
+    # The stage state z is formed in the plan's state rows, which the tendency
+    # evaluates in place; k2 and k3 (then k2 + k3) and k3 (then k4) are
+    # written into two stage vectors and E z0 into the third, which first
+    # holds E2 z0; z is the accumulator of the final combination.  Each line
+    # keeps the operation order of the expression in its comment.
+    z = plan.state_rows
+    k2, k3, ez0 = plan.stages
 
     # Each stage keeps its tendency and dissipation only, not its physical fields.
     k1, d1 = stage1
     # za = E2 * (z0 + (0.5 * dt) * k1)
     np.multiply(E2, np.add(z0, np.multiply(0.5 * dt, k1, out=z), out=z), out=z)
-    k2, d2 = nonlinear_tendency(z, plan)[:2]
+    d2 = nonlinear_tendency(z, plan, out=k2)[1]
     # zb = E2 * z0 + (0.5 * dt) * k2
-    np.add(np.multiply(E2, z0, out=e2z0), np.multiply(0.5 * dt, k2, out=z), out=z)
-    k3, d3 = nonlinear_tendency(z, plan)[:2]
+    np.add(np.multiply(E2, z0, out=ez0), np.multiply(0.5 * dt, k2, out=z), out=z)
+    d3 = nonlinear_tendency(z, plan, out=k3)[1]
     # zc = E * z0 + dt * (E2 * k3)
     np.add(np.multiply(E, z0, out=ez0), np.multiply(dt, np.multiply(E2, k3, out=z), out=z), out=z)
-    k4, d4 = nonlinear_tendency(z, plan)[:2]
+    k2 += k3
+    k4 = k3
+    d4 = nonlinear_tendency(z, plan, out=k4)[1]
 
     # z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
-    acc = np.multiply(E, k1, out=e2z0)
-    acc += np.multiply(E2x2, np.add(k2, k3, out=z), out=z)
+    acc = np.multiply(E, k1, out=z)
+    acc += np.multiply(E2x2, k2, out=k2)
     acc += k4
     z1 = ez0 + np.multiply(dt / 6.0, acc, out=acc)
     return z1, (dt / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
@@ -161,6 +171,14 @@ def _ifrk4(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.nda
 def _imex_euler(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.ndarray, float]:
     nl, d0 = stage1
     return (z0 + dt * nl) / (1.0 - dt * plan.linear), dt * d0
+
+
+def _full_layout(state: TcmState) -> TcmState:
+    """A copy of the state in the full half-spectrum layout: its band columns, zeros past them."""
+    band = state.grid.band
+    coeffs = np.zeros((NCOMP,) + state.grid.shape_spec, dtype=np.complex128)
+    coeffs[..., :band] = state.coeffs[..., :band]
+    return TcmState(state.grid, coeffs, state.time)
 
 
 Sink = Callable[[TcmState, Plan, float, float, Evaluation], None]
@@ -179,7 +197,10 @@ def run(
     diss_integral is the running integral of the dissipation since the start
     of the run, accumulated with the stepper's own stage weights; evaluation
     is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
-    values are the next step's stage 1.  Deterministic for fixed inputs.
+    values are the next step's stage 1; its tendency is the run's band buffer,
+    which the next evaluation overwrites, so a sink that keeps it keeps a
+    copy.  Every state the sink sees after the initial one, and the state
+    returned, is a new array in the full layout.  Deterministic for fixed inputs.
     The run's copy of the initial state is zeroed outside the dealias mask (a
     no-op on a dealiased state); a u with max |k . u_hat| > 1e-12 max |k| |u_hat|
     raises ValueError.  So every state the sink sees keeps the step's contract.
@@ -195,11 +216,14 @@ def run(
     t_end = initial.time + stepper.t_end
     diss_int = 0.0
     auto = stepper.dt == "auto"
-    evaluation = nonlinear_tendency(state.coeffs, plan)
+    # Every evaluation of the run writes its tendency here; a step reads it as stage 1.
+    tendency = np.empty(plan.linear.shape, dtype=np.complex128)
+    evaluation = nonlinear_tendency(state.coeffs, plan, out=tendency)
     dt = stable_dt(state, plan, evaluation, stepper.cfl) if auto else float(stepper.dt)
     if sink is not None:
         sink(state, plan, dt, diss_int, evaluation)
-    next_sample = initial.time + stepper.sample_every
+    t0, every = initial.time, stepper.sample_every
+    next_sample = t0 + every
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.time < t_end - eps:
         dt_step = min(dt, t_end - state.time)
@@ -207,15 +231,15 @@ def run(
         stage1 = evaluation[:2]
         del evaluation
         state, w = step(state, plan, dt_step, stage1, stepper.scheme)
-        evaluation = nonlinear_tendency(state.coeffs, plan)
+        evaluation = nonlinear_tendency(state.coeffs, plan, out=tendency)
         diss_int += w
         done = state.time >= t_end - eps
         if state.time >= next_sample - eps or done:
             if sink is not None:
-                sink(state, plan, dt_step, diss_int, evaluation)
-            while next_sample <= state.time + eps:
-                next_sample += stepper.sample_every
+                sink(_full_layout(state), plan, dt_step, diss_int, evaluation)
+            # The first sample time past this one, counted in whole intervals from t0.
+            next_sample = t0 + (math.floor((state.time + eps - t0) / every) + 1) * every
         # The bound of a state is taken once, and only for a state that is stepped from.
         if auto and not done:
             dt = stable_dt(state, plan, evaluation, stepper.cfl)
-    return state
+    return _full_layout(state)

@@ -42,14 +42,19 @@ sigma12, sigma21 and sigma22 - sigma11 only.  One call of
 components of u, the curl of v and the viscosity remainder) and 9 forward (8
 products plus the remainder), or 7 inverse (the state and the curls of u and
 v) and 7 forward with the constant law, whose sigma = -v(x)v - u(x)u is
-symmetric and whose mu(0) ||grad u||^2 is a Parseval sum.  Every state and
-tendency is zero in the ky columns from ``grid.band`` on, so the inverse
-batch is built from the band columns alone (a pruned inverse, see
-:func:`~tcm2d.spectral.to_phys`) and the spectral arithmetic after the
-forward transform runs on the band only.  That call is the one
-evaluation of a state: the integrator hands it to stage 1 of the next step, to
-the step bound and to the sampled record (:func:`budget_residual`,
+symmetric and whose mu(0) ||grad u||^2 is a Parseval sum.  That call is the
+one evaluation of a state: the integrator hands it to stage 1 of the next
+step, to the step bound and to the sampled record (:func:`budget_residual`,
 :func:`sup_norms`).
+
+Every state and tendency is zero in the ky columns from ``grid.band`` on, so
+the integrator's hot loop works on the band columns alone, as contiguous
+``(5, n, band)`` arrays: the inverse batch is built from them (a pruned
+inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency is one, and so are
+the stiff symbol, the propagators and the if-rk4 stage vectors.  The full
+``(n, n/2 + 1)`` half-spectrum layout of a :class:`TcmState` is built only
+where a state leaves the loop (:func:`tcm2d.integrator.run`'s sink and
+return) and by :func:`rhs`.
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
@@ -58,9 +63,9 @@ of the last dt and preallocated work buffers, which the tendency (including
 its forward batch) and the if-rk4 stages fill with in-place ufuncs in the
 order of the plain expressions, so the numbers are bitwise those of freshly
 allocated arrays.
-What an evaluation or a step returns is always a new array, never a view of
-a buffer; the propagators are read-only views of the plan's rows.  The
-bare-state helpers (:func:`rhs`, :func:`dissipation`,
+What an evaluation returns is a new array unless the caller hands it the
+array to write the tendency into; the propagators are read-only views of the
+plan's rows.  The bare-state helpers (:func:`rhs`, :func:`dissipation`,
 :func:`energy_budget_residual`) build a plan per call.
 """
 
@@ -222,8 +227,10 @@ class TcmState:
     """The (u, v, theta) triple at one instant, stored as stacked spectra.
 
     coeffs has shape (5, n, n//2 + 1): components [u_x, u_y, v_x, v_y, theta].
-    u is kept divergence-free and all fields dealiased; helper properties
-    expose the components as SpectralField views (shared memory).
+    A state :func:`tcm2d.integrator.step` returns holds the band columns only,
+    shape (5, n, grid.band), which is all a dealiased state has.  u is kept
+    divergence-free and all fields dealiased; helper properties expose the
+    components as SpectralField views (shared memory).
     """
 
     grid: SpectralGrid
@@ -265,24 +272,19 @@ class TcmState:
 class Plan:
     """What every evaluation on one (grid, params) pair reuses; built once per run.
 
-    Holds the ``ik`` multipliers, the stiff diagonal symbol ``linear`` (see
-    :meth:`propagators`), the spectral multipliers of the u-tendency and the
-    work buffers that :func:`nonlinear_tendency` and the if-rk4 stages fill
-    with in-place ufuncs: the spectral input of the inverse batch (9 fields,
-    7 with the constant law) plus one spectral scratch row, the 7 or 8
-    product rows, their forward transform and its dealiased band, two
-    physical scratch rows, three stage vectors and the three propagator
-    rows.
-
-    A dealiased field is zero in the ky columns from ``grid.band`` on, so the
-    tendency's spectral work runs on the band columns only: the multipliers
-    (``ikx`` broadcasts over columns; ``iky``, ``mask``, ``k2``, ``curl_div``
-    and ``biot_savart``), the inverse batch's input and the band of the
-    forward batch have the band's width and are contiguous.  ``linear``, the
-    propagators and the stage vectors keep the full half-spectrum layout, and
-    the stage arithmetic runs over it: numpy's ufuncs on a strided
-    ``[..., :band]`` view of a full-layout array buffer their operands and
-    measured slower than the full-width contiguous loops.
+    A dealiased field is zero in the ky columns from ``grid.band`` on, so
+    everything here has the band's width: the multipliers (``ikx``
+    broadcasts over columns; ``iky``, ``mask``, ``k2``, ``curl_div`` and
+    ``biot_savart``), the stiff diagonal symbol ``linear`` (see
+    :meth:`propagators`) and the work buffers that :func:`nonlinear_tendency`
+    and the if-rk4 stages fill with in-place ufuncs, each contiguous: the
+    spectral input of the inverse batch (9 fields, 7 with the constant law),
+    whose first 5 rows ``state_rows`` hold the state evaluated, plus one
+    spectral scratch row; the 7 or 8 product rows, their forward transform and
+    its dealiased band; two physical scratch rows; three stage vectors; and
+    the three propagator rows.  ``sobolev_tables`` memoises the
+    |k|^{2 gamma} tables of the band that :class:`tcm2d.diagnostics.Spectra`
+    reads for every sample of a run.
 
     The u-tendency P div sigma is taken as the curl of div sigma followed by
     the Biot-Savart law: ``curl_div`` maps the stress rows [sigma12, sigma21,
@@ -291,25 +293,27 @@ class Plan:
     the divergence-free velocity, (i ky, -i kx) / |k|^2.  Every one of them is
     zero at k = 0.
 
-    A work buffer holds nothing between calls, and nothing an evaluation or a
-    step returns is a view of one, so two evaluations on one plan never alias.
-    The propagators are the exception: they are read-only views of the plan's
-    propagator rows, which a call with a new dt overwrites.  One plan serves
-    one thread at a time.
+    A work buffer holds nothing between calls, and nothing an evaluation
+    returns is a view of one unless the caller passed it as ``out``, so two
+    evaluations on one plan never alias.  The propagators are read-only views
+    of the plan's propagator rows, which a call with a new dt overwrites.  One
+    plan serves one thread at a time.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParams):
         self.grid = grid
         self.params = params
         cols = slice(0, grid.band)
+        shape_band = (NCOMP, grid.n, grid.band)
         kx, ky = grid.kx, grid.ky[:, cols]
         self.ikx = 1j * kx
         self.iky = 1j * ky
-        self.mask = grid.dealias_mask[:, cols]
+        # Complex, so that masking a complex row casts nothing (the products are the same).
+        self.mask = grid.dealias_mask[:, cols].astype(np.complex128)
         self.k2 = grid.k2[:, cols]
         # -(mu0 |k|^2 + alpha) on u, -beta on v, 0 on theta.
-        linear = np.zeros((NCOMP,) + grid.shape_spec)
-        linear[0] = linear[1] = -(params.mu0 * grid.k2 + params.alpha)
+        linear = np.zeros(shape_band)
+        linear[0] = linear[1] = -(params.mu0 * self.k2 + params.alpha)
         linear[2] = linear[3] = -params.beta
         linear.setflags(write=False)
         self.linear = linear
@@ -320,21 +324,23 @@ class Plan:
         inv_k2 = grid.inv_k2[:, cols]
         self.biot_savart = (self.iky * inv_k2, -self.ikx * inv_k2)
         self._dt: float | None = None
-        self._propagator_rows = np.empty((3, NCOMP) + grid.shape_spec)
+        self._propagator_rows = np.empty((3,) + shape_band)
         self._propagators = tuple(row.view() for row in self._propagator_rows)
         for a in self._propagators:
             a.setflags(write=False)
         inverse = NCOMP + (2 if self.constant_mu else 4)
         self.spec = np.empty((inverse + 1, grid.n, grid.band), dtype=np.complex128)
+        self.state_rows = self.spec[:NCOMP]
         self.prods = np.empty((5 + len(self.curl_div),) + grid.shape_phys)
         self.fwd = np.empty((len(self.prods),) + grid.shape_spec, dtype=np.complex128)
         self.band_prods = np.empty((len(self.prods), grid.n, grid.band), dtype=np.complex128)
         self.scratch = np.empty((2,) + grid.shape_phys)
-        self.stages = np.empty((3, NCOMP) + grid.shape_spec, dtype=np.complex128)
+        self.stages = np.empty((3,) + shape_band, dtype=np.complex128)
+        self.sobolev_tables: dict[float, np.ndarray] = {}
 
     def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """exp(dt L), exp(dt L / 2) and twice the latter (the weight of k2 + k3 in
-        the last if-rk4 stage), kept for the last dt only.
+        the last if-rk4 stage), on the band columns, kept for the last dt only.
 
         A fixed dt reuses them on every step; an auto dt, a new float each
         step, recomputes them in place, so they are read-only views that hold
@@ -353,7 +359,7 @@ class Plan:
 Evaluation = tuple[np.ndarray, float, np.ndarray]
 
 
-def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
+def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = None) -> Evaluation:
     """Evaluate one state: everything in the tendency except the stiff diagonal part.
 
     The stiff part (mu(0) Laplacian and -alpha on u, -beta on v) is left to
@@ -369,25 +375,28 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     divergence-free, dealiased trigonometric polynomials each of these forms is
     the same Galerkin term as the advective one, so the tendency, and with it
     the discrete energy budget, agrees with the advective one to rounding.
-    Returns three things, each a new array (the plan's buffers are scratch):
+    Returns three things:
 
     * the transport terms, the baroclinic tensor term, the variable-viscosity
       remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
-      dealiased, with the u-tendency divergence-free and zero at k = 0;
+      dealiased, with the u-tendency divergence-free and zero at k = 0, on the
+      band columns: a ``(5, n, band)`` array, ``out`` if given (it must not
+      overlap coeffs or a plan buffer) and a new array otherwise;
     * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
       beta ||v||^2, evaluated with the same collocation quadrature the
       products use (exact for ||u||^2 and ||v||^2 by discrete Parseval; with
       the constant law mu(0) ||grad u||^2 is the Parseval sum itself), so the
       discrete energy budget closes to rounding;
     * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
-      view of the inverse transform the products were formed from.
+      view of the new array the inverse transform returned.
 
-    Only the band columns ``coeffs[..., :grid.band]`` are read: the state
-    must be dealiased, as the integrator keeps it.  The tendency has the full
-    layout of coeffs and is exactly zero outside the dealias mask, so a step
-    keeps a dealiased state dealiased exactly.  Every buffer is filled with
-    ``out=`` ufuncs in the order of the plain expressions in the comments, so
-    the result is bitwise that of those.
+    Only the band columns ``coeffs[..., :grid.band]`` are read, so coeffs may
+    have either width: the state must be dealiased, as the integrator keeps
+    it.  A state formed in ``plan.state_rows`` is evaluated in place, with no
+    copy.  The tendency is exactly zero outside the dealias mask, so a step
+    keeps a dealiased state dealiased exactly.  Every entry of the tendency is
+    written by an ``out=`` ufunc in the order of the plain expressions in the
+    comments, so the result is bitwise that of those.
     """
     grid, params = plan.grid, plan.params
     ikx, iky, mask = plan.ikx, plan.iky, plan.mask
@@ -397,8 +406,9 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     # components of u the products need (u is divergence-free, so d_y u2 =
     # -d_x u1 is not transformed), or w_u alone with the constant law, then w_v.
     spec, t = plan.spec[:-1], plan.spec[-1]
-    state = spec[:NCOMP]
-    state[...] = coeffs[..., cols]
+    state = plan.state_rows
+    if coeffs is not state:
+        state[...] = coeffs[..., cols]
     if constant_mu:
         # spec[5] = ikx * coeffs[1] - iky * coeffs[0]
         np.multiply(ikx, state[1], out=spec[5])
@@ -458,15 +468,16 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
         np.multiply(mu_rem, c, out=prods[6])
         prods[6] -= w
         diff -= np.multiply(2.0, np.multiply(mu_rem, a, out=s), out=s)
-    # The dealiased band of the forward batch, in a contiguous buffer.
-    p = np.multiply(mask, from_phys(prods, grid, out=fwd)[..., cols], out=plan.band_prods)
+    # The dealiased band of the forward batch, in a contiguous buffer:
+    # p = mask * fwd[..., cols].
+    p = plan.band_prods
+    np.copyto(p, from_phys(prods, grid, out=fwd)[..., cols])
+    p *= mask
 
     # The inverse batch has been taken: the rows of spec after the state are
-    # free as scratch.  Each tendency row is written once into the band
-    # columns of a zero array.
+    # free as scratch.  Each tendency row is written whole, once.
     curl, g = spec[NCOMP], spec[NCOMP + 1]
-    out = np.zeros_like(coeffs)
-    tend = out[..., cols]
+    tend = np.empty(plan.linear.shape, dtype=np.complex128) if out is None else out
     # u: the Biot-Savart velocity of curl div sigma.
     np.multiply(plan.curl_div[0], p[5], out=curl)
     for mult, row in zip(plan.curl_div[1:], p[6:]):
@@ -487,19 +498,22 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan) -> Evaluation:
     if constant_mu:
         # mu0 ||grad u||^2 = mu0 sum |k|^2 |u_hat|^2, by Parseval.
         visc = mu0 * float(np.sum(plan.k2 * parseval_density(state[IU], state[IU], grid)))
-        return out, visc + (params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
+        return tend, visc + (params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
     # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in w.
     grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
     grad_u_sq += np.square(b, out=s)
     grad_u_sq += np.square(c, out=s)
     visc = float(np.sum(np.multiply(np.add(mu0, mu_rem, out=s), grad_u_sq, out=grad_u_sq)))
-    return out, (visc + params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
+    return tend, (visc + params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
 
 
 def rhs(state: TcmState, params: ModelParams) -> np.ndarray:
-    """Full semi-discrete tendency (d/dt of the stacked coefficients)."""
+    """Full semi-discrete tendency (d/dt of the stacked coefficients), in the layout of state.coeffs."""
     plan = Plan(state.grid, params)
-    return nonlinear_tendency(state.coeffs, plan)[0] + plan.linear * state.coeffs
+    z = state.coeffs[..., : state.grid.band]
+    out = np.zeros_like(state.coeffs)
+    out[..., : state.grid.band] = nonlinear_tendency(state.coeffs, plan)[0] + plan.linear * z
+    return out
 
 
 def dissipation(state: TcmState, params: ModelParams) -> float:
@@ -519,10 +533,11 @@ def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
 
 
 def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
-    """<z, N(z) + Lz> + D, read off the evaluation of this state."""
+    """<z, N(z) + Lz> + D, read off the evaluation of this state, on the band columns."""
     nl, diss, _ = evaluation
-    tend = nl + plan.linear * state.coeffs
-    return float(np.sum(parseval_density(state.coeffs, tend, state.grid))) + diss
+    z = state.coeffs[..., : state.grid.band]
+    tend = nl + plan.linear * z
+    return float(np.sum(parseval_density(z, tend, state.grid))) + diss
 
 
 def sup_norms(phys: np.ndarray) -> dict[str, float]:

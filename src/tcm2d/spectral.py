@@ -178,6 +178,12 @@ def to_phys(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
     coeffs may hold only the first ky columns (``[..., :grid.band]`` of a
     dealiased field): the missing ones are taken as zero.
+
+    The result is always newly allocated: numpy's ``irfft2`` accepts ``out=``
+    but drops it (numpy 2.4 calls ``irfftn(a, s, axes, norm, out=None)``), so
+    a caller cannot hand it a buffer.  ``irfftn`` honours ``out=``, but
+    ``irfft2`` stays the one inverse entry point, the name the transform-count
+    tests and the benchmark's span tracer wrap.
     """
     return _fft.irfft2(coeffs, s=grid.shape_phys, norm="forward")
 

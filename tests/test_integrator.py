@@ -1,11 +1,14 @@
 """Integrator tests: exact linear decay, step bounds, convergence, determinism."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tcm2d.integrator import DT_FLOOR, StepperConfig, run, stable_dt, step
-from tcm2d.model import BlowUpError, ModelParams, Plan, TcmState, energy, nonlinear_tendency
-from tcm2d.spectral import SpectralField
+from tcm2d.model import NCOMP, BlowUpError, ModelParams, Plan, TcmState, energy, nonlinear_tendency
+from tcm2d.spectral import SpectralField, SpectralGrid
 
 from conftest import evaluate, make_random_state
 
@@ -95,7 +98,7 @@ class TestStep:
         for _ in range(5):
             s, _ = step(s, plan, dt, nonlinear_tendency(s.coeffs, plan)[:2])
         g = grid64
-        div = 1j * (g.kx * s.coeffs[0] + g.ky * s.coeffs[1])
+        div = 1j * (g.kx * s.coeffs[0] + g.ky[:, : s.coeffs.shape[-1]] * s.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(s.coeffs[0]) ** 2 + np.abs(s.coeffs[1]) ** 2))
         assert np.max(np.abs(div)) <= 1e-12 * scale
 
@@ -136,7 +139,130 @@ class TestStep:
         np.testing.assert_array_equal(stage1[0], k1)
 
 
+def _reference_step(z0, plan, dt, stage1, scheme):
+    """One step as the plain full-layout expressions, with E = exp(dt L) and
+    each stage tendency embedded into the full layout: Lawson RK4 for if-rk4,
+    (z0 + dt N) / (1 - dt L) for imex-euler."""
+    g, params = plan.grid, plan.params
+    linear = np.zeros((NCOMP,) + g.shape_spec)
+    linear[0] = linear[1] = -(params.mu0 * g.k2 + params.alpha)
+    linear[2] = linear[3] = -params.beta
+
+    def full(tendency):
+        out = np.zeros_like(z0)
+        out[..., : tendency.shape[-1]] = tendency
+        return out
+
+    def N(z):
+        tendency, diss, _ = nonlinear_tendency(z, plan)
+        return full(tendency), diss
+
+    k1, d1 = full(stage1[0]), stage1[1]
+    if scheme == "imex-euler":
+        return (z0 + dt * k1) / (1.0 - dt * linear), dt * d1
+    E, E2 = np.exp(dt * linear), np.exp(0.5 * dt * linear)
+    k2, d2 = N(E2 * (z0 + (0.5 * dt) * k1))
+    k3, d3 = N(E2 * z0 + (0.5 * dt) * k2)
+    k4, d4 = N(E * z0 + dt * (E2 * k3))
+    z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    return z1, (dt / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+
+
+class TestStepReference:
+    @pytest.mark.parametrize("scheme", ["if-rk4", "imex-euler"])
+    @pytest.mark.parametrize("dt", [2e-3, "auto"])
+    @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
+    def test_step_is_the_plain_expressions_bit_for_bit(self, grid32, viscosity, dt, scheme):
+        # The band layout, the plan's buffers and the in-place ufuncs keep the
+        # operation order of the plain expressions: three steps, the first
+        # from a full-layout state and the next two from the band states a
+        # step returns, equal the reference bit for bit, and the reference is
+        # exactly zero past the band.
+        params = ModelParams(alpha=0.5, beta=1.0, mu_lower=0.5, viscosity=viscosity)
+        plan = Plan(grid32, params)
+        band = grid32.band
+        st = make_random_state(grid32, seed=12, amplitude=0.3)
+        z_ref = st.coeffs.copy()
+        for _ in range(3):
+            evaluation = nonlinear_tendency(st.coeffs, plan)
+            h = stable_dt(st, plan, evaluation) if dt == "auto" else dt
+            st, w = step(st, plan, h, evaluation[:2], scheme)
+            z_ref, w_ref = _reference_step(z_ref, plan, h, evaluation[:2], scheme)
+            assert st.coeffs.shape == (NCOMP, grid32.n, band)
+            np.testing.assert_array_equal(st.coeffs, z_ref[..., :band])
+            assert np.all(z_ref[..., band:] == 0)
+            assert w == w_ref
+
+
+class TestStepAllocation:
+    def test_a_step_allocates_the_new_state_only(self, grid64, monkeypatch):
+        # An if-rk4 step at n = 64 forms its stage states in the plan's state
+        # rows and writes stages 2-4 into the plan's stage vectors, so
+        # outside its three tendency calls it allocates the new state, 5 B
+        # (B = n band complex, 22 KiB), and that state's finiteness mask, and
+        # it holds no array across a call.  A stage vector or tendency of the
+        # full layout, 5 S (S = n (n/2 + 1) complex, 33 KiB), allocated
+        # anywhere in the step, or a new band one held across a call, breaks
+        # a bound.  The peak within a call is test_tendency_allocation_peak's.
+        from tcm2d import integrator
+
+        tendency = integrator.nonlinear_tendency
+        held, peaks = [], []
+
+        def tendency_outside_peaks(coeffs, plan, out=None):
+            current, peak = tracemalloc.get_traced_memory()
+            held.append(current)
+            peaks.append(peak)
+            result = tendency(coeffs, plan, out)[:2]  # the physical fields are freed here
+            tracemalloc.reset_peak()
+            return result + (None,)
+
+        params = ModelParams(alpha=0.3, viscosity="quadratic")
+        plan = Plan(grid64, params)
+        st = make_random_state(grid64, seed=4, amplitude=0.5)
+        st = step(st, plan, 1e-3, nonlinear_tendency(st.coeffs, plan)[:2])[0]
+        stage1 = nonlinear_tendency(st.coeffs, plan)[:2]
+        step(st, plan, 2e-3, stage1)  # warm-up
+        monkeypatch.setattr(integrator, "nonlinear_tendency", tendency_outside_peaks)
+        B = grid64.n * grid64.band * 16
+        tracemalloc.start()
+        try:
+            new, _ = step(st, plan, 1e-3, stage1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        assert new.coeffs.shape == (NCOMP, grid64.n, grid64.band)
+        assert max(held) <= 4096
+        assert max(peaks) <= 5 * B + 5 * B // 16 + 4096
+
+
 class TestRun:
+    def test_a_tiny_sample_interval_costs_nothing_per_step(self, params_undamped, monkeypatch):
+        # The next sample time is counted in whole intervals from the start,
+        # not reached by adding sample_every once per interval: with steps of
+        # about 10^7 intervals each, the run finishes at once and samples
+        # every step.
+        from tcm2d import integrator
+
+        grid = SpectralGrid(16, 2 * np.pi)
+        steps = []
+
+        def counted(*args):
+            steps.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(integrator, "step", counted)
+        times = []
+        start = time.perf_counter()
+        run(make_random_state(grid, seed=3, amplitude=0.1), params_undamped,
+            StepperConfig(t_end=0.2, dt="auto", sample_every=1e-9), lambda s, plan, dt, w, ev: times.append(s.time))
+        assert time.perf_counter() - start < 2.0
+        assert len(steps) >= 3
+        assert len(times) == len(steps) + 1
+        assert times == sorted(set(times))
+        assert times[-1] == pytest.approx(0.2, abs=1e-12)
+
     def test_t_end_zero_returns_initial(self, grid32, params_undamped):
         st = make_random_state(grid32, seed=3, amplitude=0.01)
         seen = []
@@ -211,10 +337,10 @@ class TestRun:
         tendency = integrator.nonlinear_tendency
         ratios = []
 
-        def checked(coeffs, plan):
-            k_dot_u = plan.grid.kx * coeffs[0] + plan.grid.ky * coeffs[1]
+        def checked(coeffs, plan, out=None):
+            k_dot_u = plan.grid.kx * coeffs[0] + plan.grid.ky[:, : coeffs.shape[-1]] * coeffs[1]
             ratios.append(np.max(np.abs(k_dot_u)) / np.max(np.abs(coeffs[:2])))
-            return tendency(coeffs, plan)
+            return tendency(coeffs, plan, out)
 
         monkeypatch.setattr(integrator, "nonlinear_tendency", checked)
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0)

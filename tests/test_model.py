@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcm2d import spectral
-from tcm2d.integrator import step
+from tcm2d.integrator import StepperConfig, run, step
 from tcm2d.model import (
     ModelParams,
     ParamError,
@@ -29,6 +29,7 @@ from tcm2d.model import (
     nonlinear_tendency,
     rhs,
     ITH,
+    NCOMP,
 )
 from tcm2d.spectral import (
     SpectralField,
@@ -220,7 +221,8 @@ class TestGroupedTendency:
         st_ = make_random_state(grid64, seed=seed, amplitude=0.5)
         ref, ref_diss = _reference_tendency(st_, params)
         out, diss, _ = nonlinear_tendency(st_.coeffs, Plan(grid64, params))
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(ref[..., out.shape[-1]:] == 0)
+        assert np.max(np.abs(out - ref[..., : out.shape[-1]])) <= 1e-13 * np.max(np.abs(ref))
         assert abs(diss - ref_diss) <= 1e-13 * ref_diss
 
     @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
@@ -266,32 +268,43 @@ class TestGroupedTendency:
         # rounding, and the mean mode is exactly zero.
         st_ = make_random_state(grid64, seed=4, amplitude=0.5)
         out = nonlinear_tendency(st_.coeffs, Plan(grid64, params))[0]
-        g = grid64
-        k_dot_u = np.abs(g.kx * out[0] + g.ky * out[1])
-        scale = np.max(g.kmag * np.sqrt(np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2))
+        g, w = grid64, out.shape[-1]
+        k_dot_u = np.abs(g.kx * out[0] + g.ky[:, :w] * out[1])
+        scale = np.max(g.kmag[:, :w] * np.sqrt(np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2))
         assert scale > 0
         assert np.max(k_dot_u) <= 1e-13 * scale
         assert out[0, 0, 0] == 0 and out[1, 0, 0] == 0
 
     @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
     def test_columns_past_the_band_stay_zero(self, grid64, params):
-        # The tendency and the states stepped with it keep the full layout,
-        # with exact zeros in every column from grid.band on and, with no
-        # per-step repair, in every mode outside the dealias mask.
+        # The tendency and the states stepped with it hold the band columns
+        # only, with exact zeros, with no per-step repair, in every mode
+        # outside the dealias mask.  The full layout a run hands its sink and
+        # returns has exact zeros in every column from grid.band on.
         band, outside = grid64.band, ~grid64.dealias_mask
         plan = Plan(grid64, params)
         for scheme in ("if-rk4", "imex-euler"):
             st_ = make_random_state(grid64, seed=6, amplitude=0.5)
             for _ in range(2):
                 tendency, diss, _ = nonlinear_tendency(st_.coeffs, plan)
-                assert tendency.shape == st_.coeffs.shape
+                assert tendency.shape == (NCOMP, grid64.n, band)
                 assert np.any(tendency[..., :band] != 0)
                 assert np.all(tendency[..., band:] == 0)
-                assert np.all(tendency[:, outside] == 0)
+                assert np.all(tendency[:, outside[:, : tendency.shape[-1]]] == 0)
                 st_ = step(st_, plan, 1e-3, (tendency, diss), scheme)[0]
                 assert np.any(st_.coeffs[..., :band] != 0)
                 assert np.all(st_.coeffs[..., band:] == 0)
-                assert np.all(st_.coeffs[:, outside] == 0)
+                assert np.all(st_.coeffs[:, outside[:, : st_.coeffs.shape[-1]]] == 0)
+        seen = []
+        final = run(make_random_state(grid64, seed=6, amplitude=0.5), params,
+                    StepperConfig(t_end=3e-3, dt=1e-3, sample_every=1e-3),
+                    lambda s, plan, dt, w, ev: seen.append(s.coeffs))
+        assert len(seen) == 4
+        for coeffs in (*seen, final.coeffs):
+            assert coeffs.shape == (NCOMP,) + grid64.shape_spec
+            assert np.any(coeffs[..., :band] != 0)
+            assert np.all(coeffs[..., band:] == 0)
+            assert np.all(coeffs[:, outside] == 0)
 
 
 class TestPlan:
@@ -341,30 +354,33 @@ class TestPlan:
 
     def test_tendency_allocation_peak(self, grid64):
         # What one call at n = 64 may allocate, with F = n^2 doubles (32 KiB)
-        # for a physical field, S = n (n/2 + 1) complex (33 KiB) for a spectral
-        # one and B = n band complex (22 KiB) for the band columns of one:
-        # the inverse batch's output, 9 F, which the returned physical fields
-        # keep alive; the remainder's inverse, F; the returned tendency, 5 S;
-        # and one transient of up to 9 B (the kx pass of the pruned inverse,
-        # or numpy's buffer when the band of the forward batch is copied out).
-        # Their sum, about 20.7 S, bounds the peak (measured: 16.5 S).  Work
-        # arrays come from the plan and must not be allocated per call: the 8
-        # product rows (8 F) or the forward batch's output (8 S) would each
-        # break the bound.
+        # for a physical field and B = n band complex (22 KiB) for the band
+        # columns of a spectral one: the inverse batch's output, 9 F, which
+        # the returned physical fields keep alive (numpy's irfft2 drops an
+        # out= argument, so it cannot be a plan buffer); the remainder's
+        # inverse, F; and one transient of up to 9 B, the kx pass of the
+        # pruned inverse.  Their sum, about 16.2 F, bounds the peak (measured:
+        # 15.3 F).  Work arrays come from the plan and must not be allocated
+        # per call: the 8 product rows (8 F) or the forward batch's output
+        # (8 S, S = n (n/2 + 1) complex) would each break the bound.  Given
+        # out, the call allocates no tendency: it returns out, and all it
+        # leaves allocated is the inverse output.
         params = ModelParams(alpha=0.3, viscosity="quadratic")
         plan = Plan(grid64, params)
         coeffs = make_random_state(grid64, seed=4, amplitude=0.5).coeffs
-        nonlinear_tendency(coeffs, plan)  # warm-up: transform plans, lazy imports
+        out = np.empty((NCOMP, grid64.n, grid64.band), dtype=np.complex128)
+        nonlinear_tendency(coeffs, plan, out)  # warm-up: transform plans, lazy imports
         F = grid64.n**2 * 8
-        S = grid64.n * (grid64.n // 2 + 1) * 16
         B = grid64.n * grid64.band * 16
         tracemalloc.start()
         try:
-            nonlinear_tendency(coeffs, plan)
-            peak = tracemalloc.get_traced_memory()[1]
+            evaluation = nonlinear_tendency(coeffs, plan, out)
+            left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * F + 5 * S + 9 * B
+        assert evaluation[0] is out
+        assert peak <= 10 * F + 9 * B
+        assert left <= 9 * F + B // 4
 
 
 def _fd_rhs(fields, params, m, L):
