@@ -143,6 +143,12 @@ _norm = _reader(
     lambda e: (e[0], float(e[1])),
 )
 _order = _reader(lambda m: _is_number(m) and m <= MAX_FUNCTIONAL_ORDER, f"entries are numbers capped at {MAX_FUNCTIONAL_ORDER}", float)
+_threads = _reader(lambda t: _is_int(t) and t >= 1, "must be an integer >= 1")
+_grid_sizes = _reader(
+    lambda text: all(tok.strip().isdecimal() and int(tok) > 0 and int(tok) % 2 == 0 for tok in text.split(",")),
+    "must be comma-separated positive even integers",
+    lambda text: [int(tok) for tok in text.split(",")],
+)
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,11 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _read(key: str, value: Any) -> Any:
-    """The setting's reader applied to value; a rejected value is a ConfigError naming key."""
+def _read(key: str, value: Any, read: Callable[[Any], Any] | None = None) -> Any:
+    """read, by default the reader of the setting key, applied to value; a rejected
+    value is a ConfigError naming key (a setting, a sweep-file key or a flag)."""
     try:
-        return SETTINGS[key].read(value)
+        return (read or SETTINGS[key].read)(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} {exc}") from exc
 
@@ -521,8 +528,7 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     for key, values in axes.items():
         _expect(key in SWEEP_AXES, f"axes.{key} is not sweepable (allowed: {sorted(SWEEP_AXES)})")
         _expect(isinstance(values, list) and values, f"axes.{key} must be a non-empty list")
-    threads = doc.get("threads", 1)
-    _expect(_is_int(threads) and threads >= 1, f"threads must be an integer >= 1, got {threads!r}")
+    threads = _read("threads", doc.get("threads", 1), _threads)
     assignments: list[dict[str, Any]] = [{}]
     for name in sorted(axes):
         assignments = [dict(cell, **{name: v}) for cell in assignments for v in axes[name]]
@@ -747,11 +753,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 doc = json.load(fh)
             base, cells, threads = parse_sweep(doc)
             if args.threads is not None:
-                threads = args.threads
+                threads = _read("--threads", args.threads, _threads)
             out = _resolve_out_dir(args.out, base)
             return execute_sweep(base, cells, out, threads, quiet=args.quiet)
         if args.command == "validate":
-            resolutions = [int(tok) for tok in args.resolutions.split(",") if tok]
+            resolutions = _read("--resolutions", args.resolutions, _grid_sizes)
             code, reports = execute_validate(args.trials, resolutions, args.seed, quiet=args.quiet)
             if args.out:
                 _write_json(Path(args.out), {"reports": [r.to_dict() for r in reports]})

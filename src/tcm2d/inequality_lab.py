@@ -186,7 +186,6 @@ def check_kato_ponce(
         g_ = random_test_field(grid, rng)
         lhs = commutator_norm(f, g_, s)
         gx, gy = gradient(f)
-        h2 = (grid.box_length / (2 * grid.n)) ** 2
         grad_f_inf = float(np.max(np.sqrt(_oversq(gx) + _oversq(gy))))
         rhs = grad_f_inf * sobolev_norm(g_, s - 1.0, homogeneous=True) + lp_norm(
             g_, np.inf

@@ -27,9 +27,9 @@ contiguous ``(5, n, band)`` arrays.  An if-rk4 step forms each stage state in
 the plan's state rows, where the tendency evaluates it without a copy, writes
 stages 2-4 into the plan's stage vectors and applies the plan's propagators,
 which a fixed dt reuses on every step; neither stage 1 nor the state stepped
-from is written to, and the new state is a new band array.  The full
-half-spectrum layout is built only for the states that leave the loop: each
-one the sink sees and the one :func:`run` returns.
+from is written to, and the new state is a new band array.  Every state the
+integrator makes has this band layout; the full half-spectrum layout is an
+accepted input only.
 
 A stepped state is exactly zero outside the dealias mask and its u is
 divergence-free to rounding, by construction and with no per-step repair: the
@@ -49,7 +49,6 @@ from .model import (
     BlowUpError,
     Evaluation,
     ITH,
-    NCOMP,
     ModelParams,
     Plan,
     TcmState,
@@ -173,14 +172,6 @@ def _imex_euler(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[n
     return (z0 + dt * nl) / (1.0 - dt * plan.linear), dt * d0
 
 
-def _full_layout(state: TcmState) -> TcmState:
-    """A copy of the state in the full half-spectrum layout: its band columns, zeros past them."""
-    band = state.grid.band
-    coeffs = np.zeros((NCOMP,) + state.grid.shape_spec, dtype=np.complex128)
-    coeffs[..., :band] = state.coeffs[..., :band]
-    return TcmState(state.grid, coeffs, state.time)
-
-
 Sink = Callable[[TcmState, Plan, float, float, Evaluation], None]
 
 
@@ -199,19 +190,22 @@ def run(
     is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
     values are the next step's stage 1; its tendency is the run's band buffer,
     which the next evaluation overwrites, so a sink that keeps it keeps a
-    copy.  Every state the sink sees after the initial one, and the state
-    returned, is a new array in the full layout.  Deterministic for fixed inputs.
-    The run's copy of the initial state is zeroed outside the dealias mask (a
-    no-op on a dealiased state); a u with max |k . u_hat| > 1e-12 max |k| |u_hat|
-    raises ValueError.  So every state the sink sees keeps the step's contract.
+    copy.  The run copies the band columns of the initial state once, zeroes
+    that copy outside the dealias mask (a no-op on a dealiased state) and
+    raises ValueError for a u with max |k . u_hat| > 1e-12 max |k| |u_hat|.
+    Every state the sink sees, and the one returned, is then the run's own
+    ``(5, n, band)`` state, with read-only coefficients: the next step reads
+    it, so a sink cannot change the trajectory.  Deterministic for fixed inputs.
     """
     grid = initial.grid
     plan = Plan(grid, params)
-    state = initial.copy()
-    state.coeffs[:, ~grid.dealias_mask] = 0.0
+    cols = slice(0, grid.band)
+    state = TcmState(grid, initial.coeffs[..., cols].copy(), initial.time)
+    state.coeffs[:, ~grid.dealias_mask[:, cols]] = 0.0
+    state.coeffs.flags.writeable = False
     u = state.coeffs[:2]
-    k_dot_u = np.max(np.abs(grid.kx * u[0] + grid.ky * u[1]))
-    if k_dot_u > 1e-12 * np.max(grid.kmag * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)):
+    k_dot_u = np.max(np.abs(grid.kx * u[0] + grid.ky[:, cols] * u[1]))
+    if k_dot_u > 1e-12 * np.max(grid.kmag[:, cols] * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)):
         raise ValueError(f"initial u is not divergence-free: max |k . u_hat| = {k_dot_u:.3g}")
     t_end = initial.time + stepper.t_end
     diss_int = 0.0
@@ -231,15 +225,16 @@ def run(
         stage1 = evaluation[:2]
         del evaluation
         state, w = step(state, plan, dt_step, stage1, stepper.scheme)
+        state.coeffs.flags.writeable = False
         evaluation = nonlinear_tendency(state.coeffs, plan, out=tendency)
         diss_int += w
         done = state.time >= t_end - eps
         if state.time >= next_sample - eps or done:
             if sink is not None:
-                sink(_full_layout(state), plan, dt_step, diss_int, evaluation)
+                sink(state, plan, dt_step, diss_int, evaluation)
             # The first sample time past this one, counted in whole intervals from t0.
             next_sample = t0 + (math.floor((state.time + eps - t0) / every) + 1) * every
         # The bound of a state is taken once, and only for a state that is stepped from.
         if auto and not done:
             dt = stable_dt(state, plan, evaluation, stepper.cfl)
-    return _full_layout(state)
+    return state

@@ -51,10 +51,9 @@ Every state and tendency is zero in the ky columns from ``grid.band`` on, so
 the integrator's hot loop works on the band columns alone, as contiguous
 ``(5, n, band)`` arrays: the inverse batch is built from them (a pruned
 inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency is one, and so are
-the stiff symbol, the propagators and the if-rk4 stage vectors.  The full
-``(n, n/2 + 1)`` half-spectrum layout of a :class:`TcmState` is built only
-where a state leaves the loop (:func:`tcm2d.integrator.run`'s sink and
-return) and by :func:`rhs`.
+the stiff symbol, the propagators and the if-rk4 stage vectors.  Every state
+the integrator makes has that band layout; the full ``(n, n/2 + 1)``
+half-spectrum layout of a :class:`TcmState` is an accepted input only.
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
@@ -226,11 +225,11 @@ NCOMP = 5
 class TcmState:
     """The (u, v, theta) triple at one instant, stored as stacked spectra.
 
-    coeffs has shape (5, n, n//2 + 1): components [u_x, u_y, v_x, v_y, theta].
-    A state :func:`tcm2d.integrator.step` returns holds the band columns only,
-    shape (5, n, grid.band), which is all a dealiased state has.  u is kept
-    divergence-free and all fields dealiased; helper properties expose the
-    components as SpectralField views (shared memory).
+    coeffs stacks the components [u_x, u_y, v_x, v_y, theta].  Every state
+    the integrator makes has shape (5, n, grid.band), the band columns that
+    are all a dealiased state has; the full (5, n, n//2 + 1) layout is an
+    accepted input only.  u is kept divergence-free and all fields dealiased;
+    helper properties expose the components as SpectralField views (shared memory).
     """
 
     grid: SpectralGrid
@@ -264,9 +263,6 @@ class TcmState:
     @property
     def theta(self) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[ITH])
-
-    def copy(self) -> "TcmState":
-        return TcmState(self.grid, self.coeffs.copy(), self.time)
 
 
 class Plan:

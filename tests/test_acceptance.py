@@ -140,6 +140,24 @@ class TestCriterion4:
                 assert mono["violations"] == 0
             print("  zero violations across 11 runs")
 
+    @pytest.mark.parametrize("epsilon, verdict, violations", [(1000.0, "fail", 2), (0.01, "pass", 0)])
+    def test_x2_verdict_negative_control(self, tmp_path, epsilon, verdict, violations):
+        # Far outside the small-data regime X^2 grows between samples and the
+        # verdict must say so, while the energy budget still closes; the same
+        # configuration with small data passes.
+        doc = dict(
+            STABILITY_DOC,
+            grid={"n": 64, "box_length": 16 * math.pi},
+            params={"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5, "viscosity": "constant"},
+            stepper={"t_end": 1.0, "sample_every": 0.5, "dt": "auto"},
+            epsilon=epsilon,
+        )
+        summary = execute_run(parse_run_config(doc), tmp_path).summary
+        assert summary["status"] == "completed"
+        mono = summary["x2_monotonicity"]
+        assert (mono["verdict"], mono["violations"], mono["intervals"]) == (verdict, violations, 2)
+        assert summary["budget"]["cumulative_mismatch"] <= 1e-6
+
 
 class TestCriterion5:
     def test_equivalence_bands(self, stability_runs, budget_run):

@@ -137,6 +137,25 @@ class TestConfigParsing:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--threads", "0"], "--threads"),
+            (["sweep", "--threads", "-1"], "--threads"),
+            (["validate", "--resolutions", "63"], "--resolutions"),
+            (["validate", "--resolutions", ""], "--resolutions"),
+            (["validate", "--resolutions", "64,x"], "--resolutions"),
+        ],
+    )
+    def test_malformed_flag_exit_2(self, tmp_path, capsys, argv, flag):
+        # A flag gets the check of its config twin: exit 2, naming the flag, before anything is written.
+        path = write_config(tmp_path, {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0]}})
+        out = tmp_path / "o"
+        config = ["--config", str(path)] if argv[0] == "sweep" else []
+        assert main([*argv, *config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

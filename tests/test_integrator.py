@@ -268,7 +268,7 @@ class TestRun:
         seen = []
         out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.time))
         assert seen == [0.0]
-        np.testing.assert_array_equal(out.coeffs, st.coeffs)
+        np.testing.assert_array_equal(out.coeffs, st.coeffs[..., : out.coeffs.shape[-1]])
 
     def test_entry_zeroes_the_modes_outside_the_mask(self, grid32, params_undamped):
         # from_function leaves rounding noise outside the dealias mask; run
@@ -279,9 +279,30 @@ class TestRun:
         assert np.any(noisy[:, outside] != 0)
         seen = []
         run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.coeffs.copy()))
-        assert np.all(seen[0][:, outside] == 0)
-        np.testing.assert_array_equal(seen[0][:, ~outside], noisy[:, ~outside])
+        w = seen[0].shape[-1]
+        assert np.all(seen[0][:, outside[:, :w]] == 0)
+        np.testing.assert_array_equal(seen[0][:, ~outside[:, :w]], noisy[:, ~outside])
         np.testing.assert_array_equal(st.coeffs, noisy)
+
+    def test_sink_gets_the_runs_own_read_only_band_states(self, grid32, params_undamped):
+        # The sink is handed the state the next step reads, in the band layout
+        # the loop holds, with no copy; it cannot write to it, so a sink that
+        # only reads leaves the trajectory bit for bit as it is with no sink.
+        st = make_random_state(grid32, seed=3, amplitude=0.3)
+        stepper = StepperConfig(t_end=0.2, dt="auto", sample_every=0.05)
+        seen = []
+        out = run(st, params_undamped, stepper, lambda s, plan, dt, w, ev: seen.append(s.coeffs))
+        assert len(seen) >= 5 and seen[-1] is out.coeffs
+        for coeffs in seen:
+            assert coeffs.shape == (NCOMP, grid32.n, grid32.band)
+            assert coeffs.flags.c_contiguous and not coeffs.flags.writeable
+        np.testing.assert_array_equal(out.coeffs, run(st, params_undamped, stepper).coeffs)
+
+        def writer(s, plan, dt, w, ev):
+            s.coeffs[0, 1, 1] += 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run(st, params_undamped, stepper, writer)
 
     def test_entry_rejects_a_gradient_part_in_u(self, grid32, params_undamped):
         st = TcmState.zero(grid32)
@@ -297,9 +318,9 @@ class TestRun:
         ratios = []
 
         def sink(s, plan, dt, w, ev):
-            u = s.coeffs[:2]
-            k_dot_u = np.max(np.abs(g.kx * u[0] + g.ky * u[1]))
-            ratios.append(k_dot_u / np.max(g.kmag * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
+            u, w = s.coeffs[:2], s.coeffs.shape[-1]
+            k_dot_u = np.max(np.abs(g.kx * u[0] + g.ky[:, :w] * u[1]))
+            ratios.append(k_dot_u / np.max(g.kmag[:, :w] * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
 
         run(make_random_state(g, seed=10, amplitude=0.5), p, StepperConfig(t_end=5.0, dt="auto", sample_every=1e-3), sink)
         assert len(ratios) - 1 >= 200
