@@ -13,7 +13,9 @@ Configurations are JSON with a schema_version field (documented in the
 README).  Exit codes: 0 success, 2 config/usage error, 3 blow-up, 4 I/O
 error, 5 inequality-lab instability, 6 nonpositive values in a fit window,
 7 unexpected error (the traceback goes to stderr; the run's manifest, or the
-sweep cell's row in aggregate.csv, records status ``error``).
+sweep cell's row in aggregate.csv, records status ``error``), 8 the auto step
+fell to its floor (status ``dt-floor``: the run stopped rather than step at
+``integrator.DT_FLOOR``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .diagnostics import (
     smallness_norm,
     theory_exponent,
 )
-from .integrator import StepperConfig, run as integrate
+from .integrator import DtFloorError, StepperConfig, run as integrate
 from .inequality_lab import (
     INTERPOLATION_TOL,
     check_composition,
@@ -81,6 +83,7 @@ EXIT_IO = 4
 EXIT_UNSTABLE = 5
 EXIT_NONPOSITIVE = 6
 EXIT_ERROR = 7
+EXIT_DT_FLOOR = 8
 
 
 class ConfigError(ValueError):
@@ -427,7 +430,7 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
     records: list[DiagnosticsRecord] = []
 
     status = "completed"
-    blow_up_time = None
+    extra: dict[str, Any] = {}
     with open(out / "diagnostics.csv", "w") as csv_fh, open(out / "diagnostics.jsonl", "w") as jsonl_fh:
         schema = record_schema(config.diagnostics)
         csv_w = CsvWriter(csv_fh, schema)
@@ -443,7 +446,10 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
             integrate(initial, params, config.stepper, sink)
         except BlowUpError as exc:
             status = "blow-up"
-            blow_up_time = exc.time
+            extra["blow_up_time"] = exc.time
+        except DtFloorError as exc:
+            status = "dt-floor"
+            extra["dt_floor_time"] = exc.time
 
     sup_small = max((r.smallness for r in records), default=0.0)
     summary: dict[str, Any] = {
@@ -468,7 +474,6 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
         "budget": _budget_block(records),
         "fits": _fit_block(records, config) if status == "completed" else [],
     }
-    extra = {} if blow_up_time is None else {"blow_up_time": blow_up_time}
     summary.update(extra)
     _write_json(out / "summary.json", summary)
     _finish_manifest(out, manifest, status, **extra)
@@ -476,7 +481,7 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
     if not quiet:
         print(f"run {out}: status={status} stability={summary['stability']['verdict']} "
               f"x2_monotone={summary['x2_monotonicity']['verdict']}")
-    return RunResult(EXIT_BLOWUP if status == "blow-up" else EXIT_OK, out, summary)
+    return RunResult({"blow-up": EXIT_BLOWUP, "dt-floor": EXIT_DT_FLOOR}.get(status, EXIT_OK), out, summary)
 
 
 def _finish_manifest(out: Path, manifest: dict, status: str, **extra: Any) -> None:

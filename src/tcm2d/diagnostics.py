@@ -14,17 +14,20 @@ The B functional exists in two variants that differ in the theta slot
 (nonhomogeneous versus homogeneous gradient norm); both are computed and
 labeled, never conflated.
 
-Every quadratic quantity here is one Parseval sum.  :class:`Spectra` takes
-the per-mode power of u, v and theta and the v . grad theta pairing once per
-state through the single kernel :func:`tcm2d.spectral.parseval_density`, and
-builds each |k|^{2 gamma} table once per exponent; a norm, cross term or
-functional is then a sum of table x power.  The exported ``functional_*``,
-``cross_term`` and ``smallness_norm`` build a Spectra for one call, on the
-full width of the state they are given, while :func:`compute_record` builds
-one per sample on the dealiased band columns, with the run's tables memoised
-on its :class:`~tcm2d.model.Plan`, and evaluates everything on it; the energy
-is half its L^2 sums.  The budget residual, the dissipation and the L^inf
-norms are read off the state's evaluation
+Every quadratic quantity here is one Parseval sum.  :class:`Spectra` fills
+four power rows per state (the per-mode power of u, v and theta and the
+v . grad theta pairing); every norm, cross term and L^2 sum is the sum of
+one power row against one weight row, |k|^{2 gamma} times the Parseval
+weight (:func:`tcm2d.spectral.sobolev_rows`).  :func:`compute_record` builds
+one Spectra per sample on the dealiased band columns and sums its power rows
+against the run's stacked weight rows, built once on its
+:class:`~tcm2d.model.Plan` for every gamma the :class:`DiagnosticsConfig`
+reads, in one matrix product; the energy is half its L^2 sums.  The exported
+``functional_*``, ``cross_term`` and ``smallness_norm`` build a Spectra for
+one call, on the full width of the state they are given, and take each
+weight row they read through the same product, so on the band columns they
+return the record's values exactly.  The budget residual, the dissipation
+and the L^inf norms are read off the state's evaluation
 (:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
 
 A record is laid out once: :func:`record_schema` reads the ordered columns off
@@ -40,14 +43,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 from operator import attrgetter
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ITH, IU, IV, Evaluation, ModelParams, Plan, TcmState, budget_residual, sup_norms
-from .spectral import SpectralField, parseval_density, sobolev_symbol
+from .model import (
+    Evaluation,
+    ModelParams,
+    Plan,
+    TcmState,
+    budget_residual,
+    carve,
+    sup_norms,
+)
+from .spectral import SpectralField, sobolev_rows
 
 
 class DiagnosticsError(RuntimeError):
@@ -58,66 +68,103 @@ class DecayFitError(ValueError):
     """The requested decay fit is ill-posed (window, sample count, signs)."""
 
 
-FIELD_SLICES = {"u": IU, "v": IV, "theta": slice(ITH, ITH + 1)}
+FIELDS = ("u", "v", "theta")
+
+# The rows of Spectra.power: the per-mode power of each field, then the pairing.
+POWER_ROWS = {"u": 0, "v": 1, "theta": 2, "pairing": 3}
+
+# The key of the L^2 weight row (see tcm2d.spectral.sobolev_rows).
+L2 = None
 
 
 class Spectra:
-    """The Parseval densities of one state, from which every quadratic quantity is summed.
+    """The per-mode power of one state, from which every quadratic quantity is one weighted sum.
 
-    Holds the power of u, v and theta and, once asked for, the v . grad theta
-    pairing (each a :func:`parseval_density` table); builds each |k|^{2 gamma} table
-    once, and sums each (field, gamma) norm, each field's L^2 norm and each
-    cross-term order once however often the functionals ask.
-    A, B, X, Y and smallness are the functionals at an explicit order m.
+    ``power`` holds four rows over the modes of the state's width: the power
+    of u, v and theta (components summed) and the v . grad theta pairing
+    Im((k . v) conj theta).  Every norm, cross term and L^2 sum is the sum of
+    one power row against one weight row of
+    :func:`~tcm2d.spectral.sobolev_rows`, so one matrix product of the power
+    rows with a stack of weight rows gives all of them at once.  A, B, X, Y
+    and smallness are the functionals at an explicit order m.
 
-    Every table has the width of state.coeffs: the full half-spectrum, or its
-    first ``grid.band`` columns for a dealiased state.  ``tables``, if given,
-    is a memo of |k|^{2 gamma} tables of that width kept across states (a
-    :class:`~tcm2d.model.Plan`'s ``sobolev_tables``).
+    Every row has the width of state.coeffs: the full half-spectrum, or its
+    first ``grid.band`` columns for a dealiased state.  The weight rows of
+    ``gammas`` are contracted at construction: ``rows`` if given (of that
+    width, :meth:`tcm2d.model.Plan.sobolev_rows` for a record), else built
+    here.  The row of any other gamma is built and contracted on its first
+    ask, by the same product, so a value does not depend on which others
+    were asked for.  ``work``, if given, is a flat float buffer of at least
+    8 n width entries that holds the power rows and their scratch (the plan's
+    work buffer for a record, where they last until the plan's next use of
+    it); without it they are arrays of their own.
     """
 
-    def __init__(self, state: TcmState, tables: dict[float, np.ndarray] | None = None):
+    def __init__(
+        self,
+        state: TcmState,
+        gammas: tuple[float | None, ...] = (),
+        rows: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ):
         g, c = state.grid, state.coeffs
-        self.grid, self._coeffs, self.width = g, c, c.shape[-1]
-        self.power = {name: parseval_density(c[sl], c[sl], g) for name, sl in FIELD_SLICES.items()}
-        self._tables: dict[float, np.ndarray] = {} if tables is None else tables
-        self._hom_sq: dict[tuple[str, float], float] = {}
-        self._l2_sq: dict[str, float] = {}
-        self._cross: dict[float, float] = {}
+        n, width = g.n, c.shape[-1]
+        self.grid, self.width = g, width
+        shapes = ((4, n * width), (2, n, width), (2, n, width))
+        if work is None:
+            power, re, im = (np.empty(shape) for shape in shapes)
+        else:
+            power, re, im = carve(work, *shapes)
+        fields = power.reshape(4, n, width)
+        # Each component's power re^2 + im^2, then each field's sum over its components.
+        for row, comps in ((fields[0], c[0:2]), (fields[1], c[2:4])):
+            np.square(comps.real, out=re)
+            re += np.square(comps.imag, out=im)
+            np.add(re[0], re[1], out=row)
+        np.square(c[4].real, out=fields[2])
+        fields[2] += np.square(c[4].imag, out=im[0])
+        # pairing = Re(v . conj(i k theta)) = kx Im(v1 conj theta) + ky Im(v2 conj theta);
+        # einsum scales by kx and ky without numpy's broadcasting buffer.
+        theta = c[4]
+        (im1, im2), t = re, im[0]
+        for part, v in ((im1, c[2]), (im2, c[3])):
+            np.multiply(v.imag, theta.real, out=part)
+            part -= np.multiply(v.real, theta.imag, out=t)
+        pairing = fields[3]
+        np.einsum("j,jk->jk", g.kx[:, 0], im1, out=pairing)
+        pairing += np.einsum("k,jk->jk", g.ky[0, :width], im2, out=t)
+        self.power = power
+        self._sums: dict[float | None, list[float]] = {}
+        if gammas:
+            rows = sobolev_rows(g, gammas, width) if rows is None else rows
+            self._sums.update(zip(gammas, self._contract(rows).tolist()))
 
-    def _once(self, cache: dict, key: object, compute: Callable[[], float]) -> float:
-        """cache[key], computed on the first ask."""
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = compute()
-        return value
+    def _contract(self, rows: np.ndarray) -> np.ndarray:
+        """The sums of every weight row against every power row, shape (len(rows), 4).
 
-    @cached_property
-    def pairing(self) -> np.ndarray:
-        g, c = self.grid, self._coeffs
-        ky = g.ky[:, : self.width]
-        return parseval_density(c[2], 1j * g.kx * c[ITH], g) + parseval_density(c[3], 1j * ky * c[ITH], g)
+        numpy's einsum, not BLAS: each sum runs over the modes in one order,
+        whatever the other rows and the number of BLAS threads.
+        """
+        return np.einsum("gk,rk->gr", rows, self.power)
 
-    def _table(self, gamma: float) -> np.ndarray:
-        table = self._tables.get(gamma)
-        if table is None:
-            table = self._tables[gamma] = np.ascontiguousarray(sobolev_symbol(self.grid, gamma)[:, : self.width])
-        return table
+    def _sums_at(self, gamma: float | None) -> list[float]:
+        sums = self._sums.get(gamma)
+        if sums is None:
+            sums = self._sums[gamma] = self._contract(sobolev_rows(self.grid, (gamma,), self.width))[0].tolist()
+        return sums
 
     def energy(self) -> float:
         """Half the summed L^2 norms of u, v and theta."""
-        return 0.5 * sum(float(np.sum(power)) for power in self.power.values())
+        l2 = self._sums_at(L2)
+        return 0.5 * (l2[0] + l2[1] + l2[2])
 
     def hom_sq(self, fieldname: str, gamma: float) -> float:
         """Squared homogeneous norm ||Lambda^gamma field||^2 (components summed)."""
-        return self._once(
-            self._hom_sq, (fieldname, gamma), lambda: float(np.sum(self._table(gamma) * self.power[fieldname]))
-        )
+        return self._sums_at(gamma)[POWER_ROWS[fieldname]]
 
     def hs_sq(self, fieldname: str, s: float) -> float:
         """Nonhomogeneous ||field||_{H^s}^2 = L^2 part plus homogeneous part."""
-        l2_sq = self._once(self._l2_sq, fieldname, lambda: float(np.sum(self.power[fieldname])))
-        return l2_sq + self.hom_sq(fieldname, s)
+        return self._sums_at(L2)[POWER_ROWS[fieldname]] + self.hom_sq(fieldname, s)
 
     def field_norm(self, fieldname: str, gamma: float) -> float:
         """||Lambda^gamma field||_{L^2} over k != 0, components summed in quadrature."""
@@ -127,7 +174,7 @@ class Spectra:
         """int Lambda^{order-1} v . Lambda^{order-1} grad theta."""
         if order < 1:
             raise DiagnosticsError(f"cross-term order must be >= 1, got {order}")
-        return self._once(self._cross, order, lambda: float(np.sum(self._table(order - 1.0) * self.pairing)))
+        return self._sums_at(order - 1.0)[POWER_ROWS["pairing"]]
 
     def cross_free_sum_A(self, params: ModelParams, m: float) -> float:
         """The squared-norm sum entering A without its cross terms."""
@@ -161,7 +208,7 @@ class Spectra:
 
     def cross_free_sum_X(self, m: float) -> float:
         """The squared-norm sum entering X without its cross term."""
-        return sum(self.hom_sq(name, order) for name in FIELD_SLICES for order in (m, m - 1.0))
+        return sum(self.hom_sq(name, order) for name in FIELDS for order in (m, m - 1.0))
 
     def X(self, params: ModelParams, m: float) -> float:
         if not m > 1:
@@ -324,7 +371,7 @@ class DiagnosticsConfig:
     def __post_init__(self) -> None:
         # Each entry names its own columns; two entries with one name would collide.
         for f, g in self.norms:
-            if f not in FIELD_SLICES:
+            if f not in FIELDS:
                 raise ValueError(f"norms field must be u, v, or theta, got {f!r}")
             if not g >= 0:
                 raise ValueError(f"norms gamma must be >= 0, got {g}")
@@ -337,6 +384,13 @@ class DiagnosticsConfig:
 
     def orders(self, params: ModelParams) -> tuple[float, ...]:
         return self.functional_orders if self.functional_orders else (params.s,)
+
+    def gammas(self, params: ModelParams) -> tuple[float | None, ...]:
+        """The weight rows a record is summed against: L^2, then each gamma its norms, functionals and cross terms read."""
+        gammas = {g for _, g in self.norms} | {0.0, 1.0, params.s, float(params.delta1)}
+        for m in self.orders(params):
+            gammas |= {m - 1.0, m, m + 1.0}
+        return (L2, *sorted(g for g in gammas if g >= 0))
 
 
 @dataclass
@@ -379,10 +433,17 @@ def compute_record(
     diss_integral: float,
     evaluation: Evaluation,
 ) -> DiagnosticsRecord:
-    """Every value of one sample, from the spectra of the state's band columns and its evaluation on plan."""
+    """Every value of one sample, from the spectra of the state's band columns and its evaluation on plan.
+
+    The power rows are summed against the plan's weight rows for
+    ``config.gammas(params)`` in one product, in the plan's work buffer, so
+    a record allocates no array of the band's or the grid's size.
+    """
     params = plan.params
-    band = TcmState(state.grid, np.ascontiguousarray(state.coeffs[..., : state.grid.band]), state.time)
-    spectra = Spectra(band, plan.sobolev_tables)
+    band = TcmState(state.grid, state.coeffs[..., : state.grid.band], state.time)
+    residual = budget_residual(band, plan, evaluation)
+    gammas = config.gammas(params)
+    spectra = Spectra(band, gammas, plan.sobolev_rows(gammas), plan.work)
     m0 = config.orders(params)[0]
     a = spectra.A(params, m0)
     x = spectra.X(params, m0)
@@ -395,7 +456,7 @@ def compute_record(
         Y_m=spectra.Y(params, m0),
         cross_s=spectra.cross_term(m0),
         cross_1=spectra.cross_term(1.0),
-        budget_residual=budget_residual(band, plan, evaluation),
+        budget_residual=residual,
         B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
         smallness=spectra.smallness(params),
         energy=spectra.energy(),
@@ -404,7 +465,7 @@ def compute_record(
         band_A=spectra.cross_free_sum_A(params, m0) / a**2 if a > 0 else 1.0,
         band_X=spectra.cross_free_sum_X(m0) / x**2 if x > 0 else 1.0,
         dt=dt,
-        linf=sup_norms(evaluation[2]),
+        linf=sup_norms(evaluation, plan),
         extra_orders={
             m: (spectra.A(params, m), spectra.B(params, m), spectra.X(params, m), spectra.Y(params, m))
             for m in config.functional_orders[1:]
@@ -440,7 +501,7 @@ def record_schema(config: DiagnosticsConfig) -> list[Column]:
                 for key in config.norms
             ]
         elif fld.name == "linf":
-            cols += [Column(f"linf_{f}", ("linf", f), lambda r, f=f: r.linf[f]) for f in FIELD_SLICES]
+            cols += [Column(f"linf_{f}", ("linf", f), lambda r, f=f: r.linf[f]) for f in FIELDS]
         elif fld.name == "extra_orders":
             cols += [
                 Column(f"{name}_{m:g}", ("extra_orders", f"{m:g}", name), lambda r, m=m, i=i: r.extra_orders[m][i])

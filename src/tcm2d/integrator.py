@@ -58,6 +58,15 @@ from .model import (
 
 DT_FLOOR = 1e-8
 
+
+class DtFloorError(RuntimeError):
+    """The auto step bound fell to DT_FLOOR: the run stops rather than step at the floor."""
+
+    def __init__(self, time: float):
+        super().__init__(f"auto dt fell to its floor {DT_FLOOR:g} at t = {time:.6g}")
+        self.time = time
+
+
 SCHEMES = ("if-rk4", "imex-euler")
 
 
@@ -104,13 +113,19 @@ def stable_dt(state: TcmState, plan: Plan, evaluation: Evaluation, cfl: float = 
                  + beta + alpha + kmax ),
 
     the trailing kmax covering the grad-theta / div-v coupling.  kmax is the
-    largest dealiased |k|.  The result is floored at 1e-8.
+    largest dealiased |k|.  The sup norms are the evaluation's (see
+    :func:`~tcm2d.model.sup_norms`), and the viscosity deviation is 0 with
+    the constant law, whose mu(theta) is not evaluated.  The result is
+    floored at DT_FLOOR; :func:`run` stops with :class:`DtFloorError` there.
     """
     params = plan.params
     kmax = state.grid.kmax_dealiased
-    phys = evaluation[2]
-    sup = sup_norms(phys)
-    mu_dev = float(np.max(np.abs(params.mu(phys[ITH]) - params.mu0)))
+    sup = sup_norms(evaluation, plan)
+    mu_dev = 0.0
+    if not plan.constant_mu:
+        dev = plan.scratch[0]
+        np.subtract(params.mu(evaluation[2][ITH]), params.mu0, out=dev)
+        mu_dev = float(np.max(np.abs(dev, out=dev)))
     denom = kmax * (sup["u"] + sup["v"]) + kmax**2 * mu_dev + params.beta + params.alpha + kmax
     return max(cfl / denom, DT_FLOOR)
 
@@ -184,6 +199,10 @@ def run(
     """Integrate to t_end, invoking ``sink(state, plan, dt, diss_integral, evaluation)``
     at the sampling cadence (always at the start and at t_end).
 
+    With dt "auto", a step bound at DT_FLOOR raises :class:`DtFloorError`
+    instead of taking that step: the sink has seen the initial state, and
+    the run stops at the last state it reached.
+
     plan is the run's :class:`~tcm2d.model.Plan`, built here once;
     diss_integral is the running integral of the dissipation since the start
     of the run, accumulated with the stepper's own stage weights; evaluation
@@ -220,6 +239,8 @@ def run(
     next_sample = t0 + every
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.time < t_end - eps:
+        if auto and dt <= DT_FLOOR:
+            raise DtFloorError(state.time)
         dt_step = min(dt, t_end - state.time)
         # The physical fields have had their last reader: free them before the step.
         stage1 = evaluation[:2]

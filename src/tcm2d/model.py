@@ -22,7 +22,11 @@ holds exactly for the continuous system; the discrete residual reported by
 :func:`energy_budget_residual` measures only floating-point defect because the
 transport terms are skew-symmetric in dealiased spectral arithmetic, the
 <grad theta, v> and <div v, theta> pairings cancel, and the v-tensor terms
-cancel against the (v.grad)u pairing.
+cancel against the (v.grad)u pairing.  The dissipation is split as the stiff
+part mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 = -<z, Lz>, one
+Parseval sum (:func:`parseval_dissipation`) that <z, Lz> in the residual
+shares, plus the grid sum int (mu(theta) - mu(0)) |grad u|^2 of the
+variable-viscosity remainder, which the constant law does not take.
 
 Since u is divergence-free, the transport by u is taken in divergence form,
 (u.grad)u = div(u (x) u) and u.grad theta = div(u theta), and d_y u_2 is read
@@ -81,6 +85,8 @@ from .spectral import (
     SpectralGrid,
     from_phys,
     parseval_density,
+    parseval_weights,
+    sobolev_rows,
     to_phys,
 )
 
@@ -214,9 +220,8 @@ class ModelParams:
         return self._mu0
 
 
-# Component layout of the stacked coefficient array.
+# Component layout of the stacked coefficient array: u in rows 0-1, v in 2-3, theta in 4.
 IU = slice(0, 2)
-IV = slice(2, 4)
 ITH = 4
 NCOMP = 5
 
@@ -270,17 +275,28 @@ class Plan:
 
     A dealiased field is zero in the ky columns from ``grid.band`` on, so
     everything here has the band's width: the multipliers (``ikx``
-    broadcasts over columns; ``iky``, ``mask``, ``k2``, ``curl_div`` and
+    broadcasts over columns; ``iky``, ``curl_div`` and
     ``biot_savart``), the stiff diagonal symbol ``linear`` (see
     :meth:`propagators`) and the work buffers that :func:`nonlinear_tendency`
     and the if-rk4 stages fill with in-place ufuncs, each contiguous: the
     spectral input of the inverse batch (9 fields, 7 with the constant law),
     whose first 5 rows ``state_rows`` hold the state evaluated, plus one
     spectral scratch row; the 7 or 8 product rows, their forward transform and
-    its dealiased band; two physical scratch rows; three stage vectors; and
-    the three propagator rows.  ``sobolev_tables`` memoises the
-    |k|^{2 gamma} tables of the band that :class:`tcm2d.diagnostics.Spectra`
-    reads for every sample of a run.
+    its dealiased band, and the viscosity remainder's band with a variable
+    law; two physical scratch rows; three stage vectors; and the three
+    propagator rows.  The dealiased band is gathered by copying: of the band
+    columns, the mask keeps the rows ``kept_rows`` (|jx| <= (n-1)//3), so only
+    those are copied, and the other rows of the band buffers are zeroed once,
+    here.
+
+    Every quadratic form of a state is a weighted sum over the band: the
+    Parseval weights ``parseval_weights`` (L^2 w(k_y)), the stiff weights
+    ``stiff_weights`` (-L times them on the u and v rows, so that
+    -<z, Lz> = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 is their sum
+    against |z_hat|^2, see :func:`parseval_dissipation`) and the stacked
+    Sobolev weight rows of the per-sample diagnostics (:meth:`sobolev_rows`).
+    Outside the forward transform the forward batch's buffer is free: its
+    flat float view ``work`` is the scratch of those sums.
 
     The u-tendency P div sigma is taken as the curl of div sigma followed by
     the Biot-Savart law: ``curl_div`` maps the stress rows [sigma12, sigma21,
@@ -304,15 +320,16 @@ class Plan:
         kx, ky = grid.kx, grid.ky[:, cols]
         self.ikx = 1j * kx
         self.iky = 1j * ky
-        # Complex, so that masking a complex row casts nothing (the products are the same).
-        self.mask = grid.dealias_mask[:, cols].astype(np.complex128)
-        self.k2 = grid.k2[:, cols]
+        cut = grid.band - 1
+        self.kept_rows = (slice(0, cut + 1), slice(grid.n - cut, grid.n))
         # -(mu0 |k|^2 + alpha) on u, -beta on v, 0 on theta.
         linear = np.zeros(shape_band)
-        linear[0] = linear[1] = -(params.mu0 * self.k2 + params.alpha)
+        linear[0] = linear[1] = -(params.mu0 * grid.k2[:, cols] + params.alpha)
         linear[2] = linear[3] = -params.beta
         linear.setflags(write=False)
         self.linear = linear
+        self.parseval_weights = parseval_weights(grid, grid.band)
+        self.stiff_weights = -linear[0:4:2] * self.parseval_weights
         self.constant_mu = params.viscosity == "constant"
         # curl div sigma = -kx^2 sigma21 + ky^2 sigma12 - kx ky (sigma22 - sigma11).
         kx2, ky2, kxky = kx**2, ky**2, kx * ky
@@ -329,10 +346,31 @@ class Plan:
         self.state_rows = self.spec[:NCOMP]
         self.prods = np.empty((5 + len(self.curl_div),) + grid.shape_phys)
         self.fwd = np.empty((len(self.prods),) + grid.shape_spec, dtype=np.complex128)
-        self.band_prods = np.empty((len(self.prods), grid.n, grid.band), dtype=np.complex128)
+        self.work = self.fwd.view(np.float64).reshape(-1)
+        self.band_prods = np.zeros((len(self.prods), grid.n, grid.band), dtype=np.complex128)
+        self.rem_band = None if self.constant_mu else np.zeros((grid.n, grid.band), dtype=np.complex128)
         self.scratch = np.empty((2,) + grid.shape_phys)
         self.stages = np.empty((3,) + shape_band, dtype=np.complex128)
-        self.sobolev_tables: dict[float, np.ndarray] = {}
+        self._rows_key: tuple | None = None
+        self._rows: np.ndarray | None = None
+
+    def sobolev_rows(self, gammas: tuple[float | None, ...]) -> np.ndarray:
+        """The stacked weight rows of the band for gammas (see :func:`~tcm2d.spectral.sobolev_rows`).
+
+        Built on the first ask and kept for the last tuple of gammas asked
+        for, so a run whose samples all ask for one tuple builds them once.
+        """
+        if gammas != self._rows_key:
+            self._rows = sobolev_rows(self.grid, gammas, self.grid.band)
+            self._rows_key = gammas
+        return self._rows
+
+    def gather_band(self, spectra: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Copy the dealiased band of full-width spectra into the kept rows of dst, whose other rows stay zero."""
+        band = self.grid.band
+        for rows in self.kept_rows:
+            np.copyto(dst[..., rows, :], spectra[..., rows, :band])
+        return dst
 
     def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """exp(dt L), exp(dt L / 2) and twice the latter (the weight of k2 + k3 in
@@ -351,8 +389,42 @@ class Plan:
         return self._propagators
 
 
-# One evaluation of a state: (nonlinear tendency, dissipation, physical fields).
-Evaluation = tuple[np.ndarray, float, np.ndarray]
+class Evaluation(tuple):
+    """One evaluation of a state: the tuple (nonlinear tendency, dissipation, physical fields).
+
+    ``linf`` holds the L^inf norms of its physical fields once
+    :func:`sup_norms` has taken them, so the step bound and the record of one
+    state share one pass over the grid.
+    """
+
+    linf: dict[str, float] | None = None
+
+
+def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive views of the flat buffer work, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def parseval_dissipation(z: np.ndarray, plan: Plan) -> float:
+    """-<z, Lz> = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2, by Parseval, of the band columns z.
+
+    One weighted sum of |z_hat|^2 over the u and v rows against the plan's
+    stiff weights, in the plan's work buffer.  The dissipation of every
+    evaluation and <z, Lz> in :func:`budget_residual` are this one sum.
+    """
+    _, n, w = z.shape
+    sq, power = carve(plan.work, (4, n, w, 2), (4, n, w))
+    # |z_hat|^2 per component and mode: the squares of the real and imaginary parts, summed.
+    np.square(z[:4].view(np.float64).reshape(sq.shape), out=sq)
+    np.add(sq[..., 0], sq[..., 1], out=power)
+    power[0] += power[1]
+    power[2] += power[3]
+    return float(np.einsum("rjk,rjk->", power[0::2], plan.stiff_weights))
 
 
 def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = None) -> Evaluation:
@@ -379,12 +451,16 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
       band columns: a ``(5, n, band)`` array, ``out`` if given (it must not
       overlap coeffs or a plan buffer) and a new array otherwise;
     * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
-      beta ||v||^2, evaluated with the same collocation quadrature the
-      products use (exact for ||u||^2 and ||v||^2 by discrete Parseval; with
-      the constant law mu(0) ||grad u||^2 is the Parseval sum itself), so the
-      discrete energy budget closes to rounding;
+      beta ||v||^2: its stiff part mu(0) ||grad u||^2 + alpha ||u||^2 +
+      beta ||v||^2 is the Parseval sum :func:`parseval_dissipation`, and the
+      remainder int (mu(theta) - mu(0)) |grad u|^2 is evaluated with the
+      collocation quadrature the products use, so the discrete energy budget
+      closes to rounding;
     * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
       view of the new array the inverse transform returned.
+
+    They come as an :class:`Evaluation`, which also keeps the state's sup
+    norms once :func:`sup_norms` has taken them.
 
     Only the band columns ``coeffs[..., :grid.band]`` are read, so coeffs may
     have either width: the state must be dealiased, as the integrator keeps
@@ -395,7 +471,7 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     comments, so the result is bitwise that of those.
     """
     grid, params = plan.grid, plan.params
-    ikx, iky, mask = plan.ikx, plan.iky, plan.mask
+    ikx, iky = plan.ikx, plan.iky
     constant_mu = plan.constant_mu
     cols = slice(0, grid.band)
     # The inverse batch, on the band columns: the state, then the 3 gradient
@@ -429,7 +505,7 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
         # Dealias the remainder before the product so the cubic term is formed
         # from two alias-free quadratic stages.
         rem = from_phys(np.subtract(params.mu(th), mu0, out=s), grid, out=fwd[0])
-        mu_rem = to_phys(np.multiply(mask, rem[:, cols], out=t), grid)
+        mu_rem = to_phys(plan.gather_band(rem, plan.rem_band), grid)
         w_u = np.subtract(c, b, out=w)
 
     # Rows, each summed before the one forward transform (dealiasing and the
@@ -466,9 +542,7 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
         diff -= np.multiply(2.0, np.multiply(mu_rem, a, out=s), out=s)
     # The dealiased band of the forward batch, in a contiguous buffer:
     # p = mask * fwd[..., cols].
-    p = plan.band_prods
-    np.copyto(p, from_phys(prods, grid, out=fwd)[..., cols])
-    p *= mask
+    p = plan.gather_band(from_phys(prods, grid, out=fwd), plan.band_prods)
 
     # The inverse batch has been taken: the rows of spec after the state are
     # free as scratch.  Each tendency row is written whole, once.
@@ -488,19 +562,16 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     np.multiply(ikx, np.subtract(state[2], p[3], out=g), out=g)
     np.add(g, np.multiply(iky, np.subtract(state[3], p[4], out=t), out=t), out=tend[ITH])
 
-    # ||u||^2 and ||v||^2 on the grid, into the product rows the forward batch has freed.
-    sq = np.square(phys[:4], out=prods[:4])
-    u_sq, v_sq = float(np.sum(sq[IU])), float(np.sum(sq[IV]))
-    if constant_mu:
-        # mu0 ||grad u||^2 = mu0 sum |k|^2 |u_hat|^2, by Parseval.
-        visc = mu0 * float(np.sum(plan.k2 * parseval_density(state[IU], state[IU], grid)))
-        return tend, visc + (params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
-    # int (mu0 + mu_rem) (2 a^2 + b^2 + c^2), with grad_u_sq in w.
-    grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
-    grad_u_sq += np.square(b, out=s)
-    grad_u_sq += np.square(c, out=s)
-    visc = float(np.sum(np.multiply(np.add(mu0, mu_rem, out=s), grad_u_sq, out=grad_u_sq)))
-    return tend, (visc + params.alpha * u_sq + params.beta * v_sq) * grid.cell_area, phys[:NCOMP]
+    # mu0 ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 is a Parseval sum; only
+    # the remainder's int (mu(theta) - mu0) |grad u|^2 is a grid sum.
+    diss = parseval_dissipation(state, plan)
+    if not constant_mu:
+        # |grad u|^2 = 2 a^2 + b^2 + c^2, into w.
+        grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
+        grad_u_sq += np.square(b, out=s)
+        grad_u_sq += np.square(c, out=s)
+        diss += float(np.einsum("ij,ij->", mu_rem, grad_u_sq)) * grid.cell_area
+    return Evaluation((tend, diss, phys[:NCOMP]))
 
 
 def rhs(state: TcmState, params: ModelParams) -> np.ndarray:
@@ -529,17 +600,38 @@ def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
 
 
 def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
-    """<z, N(z) + Lz> + D, read off the evaluation of this state, on the band columns."""
+    """<z, N(z) + Lz> + D, read off the evaluation of this state, on the band columns.
+
+    Re <z, N> is the sum of Re(z_hat conj N_hat) against the plan's Parseval
+    weights and <z, Lz> is minus :func:`parseval_dissipation`, the sum the
+    dissipation D takes its Parseval part from, so the residual is
+    Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.  Both sums
+    run in the plan's work buffer.
+    """
     nl, diss, _ = evaluation
-    z = state.coeffs[..., : state.grid.band]
-    tend = nl + plan.linear * z
-    return float(np.sum(parseval_density(z, tend, state.grid))) + diss
+    z = state.coeffs[..., : plan.grid.band]
+    rows, n, w = z.shape
+    prod, terms = carve(plan.work, (rows, n, w, 2), (rows, n, w))
+    np.multiply(z.view(np.float64).reshape(prod.shape), nl.view(np.float64).reshape(prod.shape), out=prod)
+    re_zn = float(np.einsum("cjk,jk->", np.add(prod[..., 0], prod[..., 1], out=terms), plan.parseval_weights))
+    return re_zn - parseval_dissipation(z, plan) + diss
 
 
-def sup_norms(phys: np.ndarray) -> dict[str, float]:
-    """The L^inf norms of |u|, |v| and |theta| from their physical values."""
-    return {
-        "u": float(np.max(np.sqrt(phys[0] ** 2 + phys[1] ** 2))),
-        "v": float(np.max(np.sqrt(phys[2] ** 2 + phys[3] ** 2))),
-        "theta": float(np.max(np.abs(phys[ITH]))),
-    }
+def sup_norms(evaluation: Evaluation, plan: Plan) -> dict[str, float]:
+    """The L^inf norms of |u|, |v| and |theta| of an evaluated state, taken once per evaluation.
+
+    The maximum of u1^2 + u2^2 is rooted after it is taken, which is bitwise
+    the maximum of the roots, since the root is monotone.  The squares go
+    into the plan's physical scratch rows.
+    """
+    if evaluation.linf is None:
+        u1, u2, v1, v2, th = evaluation[2]
+        s, w = plan.scratch
+        sup = {}
+        for name, (x, y) in (("u", (u1, u2)), ("v", (v1, v2))):
+            np.multiply(x, x, out=s)
+            s += np.multiply(y, y, out=w)
+            sup[name] = math.sqrt(float(np.max(s)))
+        sup["theta"] = float(np.max(np.abs(th, out=s)))
+        evaluation.linf = sup
+    return evaluation.linf

@@ -267,6 +267,33 @@ def parseval_density(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> np.nda
     return grid.box_length**2 * grid.parseval_weight[:, : terms.shape[-1]] * terms
 
 
+def parseval_weights(grid: SpectralGrid, width: int) -> np.ndarray:
+    """L^2 w(k_y) over the first width ky columns, shape (n, width): the per-mode weight of an L^2 pairing."""
+    weights = np.empty((grid.n, width))
+    weights[...] = grid.box_length**2 * grid.parseval_weight[:, :width]
+    return weights
+
+
+def sobolev_rows(grid: SpectralGrid, gammas: tuple[float | None, ...], width: int) -> np.ndarray:
+    """Stacked per-mode weights over the first width ky columns, one flattened row per entry of gammas.
+
+    The row of gamma is the weight of ||Lambda^gamma .||^2 in a Parseval
+    sum, :func:`parseval_weights` times :func:`sobolev_symbol`; the row of
+    None is the Parseval weight alone, the weight of the L^2 norm (which,
+    unlike gamma = 0, keeps k = 0).  A power row of the same width summed
+    against a row is that norm.
+    """
+    weights = parseval_weights(grid, width)
+    rows = np.empty((len(gammas), grid.n * width))
+    for row, gamma in zip(rows, gammas):
+        table = row.reshape(grid.n, width)
+        if gamma is None:
+            table[...] = weights
+        else:
+            np.multiply(weights, sobolev_symbol(grid, gamma)[:, :width], out=table)
+    return rows
+
+
 def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
     """|k|^(2 s) with the k = 0 entry zeroed: the weight of ||Lambda^s .||^2 in a Parseval sum."""
     mult = grid.kmag ** (2.0 * s)

@@ -16,6 +16,7 @@ from tcm2d.cli import (
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_DT_FLOOR,
     EXIT_ERROR,
     EXIT_IO,
     EXIT_NONPOSITIVE,
@@ -32,6 +33,9 @@ from tcm2d.cli import (
 from tcm2d import cli as cli_mod
 from tcm2d.diagnostics import CsvWriter, DiagnosticsError, compute_record, smallness_norm
 from tcm2d.model import default_eta, default_kappa, derive_delta1, derive_lambda
+from tcm2d.spectral import SpectralGrid
+
+from conftest import make_random_state
 
 SMALL_DOC = {
     "schema_version": 1,
@@ -43,6 +47,11 @@ SMALL_DOC = {
     "spectrum_peak": 4,
     "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
 }
+
+
+def floor_state(config, grid=None):
+    """test_integrator's floor state in place of the config's initial data: its auto step is DT_FLOOR."""
+    return make_random_state(SpectralGrid(64, 2 * math.pi), seed=4, amplitude=1e12)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -248,6 +257,19 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "blow-up"
 
+    def test_dt_floor_exit_8_and_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "make_initial_data", floor_state)
+        cfg_path = write_config(tmp_path, dict(SMALL_DOC, grid={"n": 64, "box_length": 2 * math.pi}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_DT_FLOOR
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert manifest["status"] == summary["status"] == "dt-floor"
+        assert manifest["dt_floor_time"] == summary["dt_floor_time"] == 0.0
+        assert summary["fits"] == []
+        rows = (out / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0.0,")
+
     def test_imex_euler_auto_dt_rejected(self, tmp_path, capsys):
         # With the if-rk4 bound (dt ~ 0.016 here, against beta/kmax^2 ~ 1.1e-3)
         # this run left imex-euler's stability region: the smallness norm grew
@@ -378,6 +400,23 @@ class TestRunCommand:
             outs.append((out / "diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_reruns_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # No sum of a record takes its order from the number of BLAS threads:
+        # in fresh interpreters, 1 and 2 threads write the same bytes.
+        cfg_path = write_config(tmp_path, SMALL_DOC)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tcm2d", "run", "--config", str(cfg_path), "--out", str(out), "--quiet"],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "diagnostics.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_DOC)
         a = tmp_path / "a"
@@ -447,6 +486,20 @@ class TestSweepCommand:
         assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "error"}
         failed = next(p for p in out.iterdir() if "alpha_0.5" in p.name)
         assert json.loads((failed / "manifest.json").read_text())["status"] == "error"
+
+    def test_dt_floor_cell_recorded(self, tmp_path, monkeypatch):
+        initial_data = cli_mod.make_initial_data
+        monkeypatch.setattr(
+            cli_mod, "make_initial_data",
+            lambda config, grid=None: floor_state(config) if config.params.alpha > 0 else initial_data(config, grid),
+        )
+        base = dict(SMALL_DOC, grid={"n": 64, "box_length": 2 * math.pi}, stepper=dict(SMALL_DOC["stepper"], t_end=0.1))
+        sweep_path = write_config(tmp_path, {"base": base, "axes": {"alpha": [0.0, 0.5]}}, "sweep.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_DT_FLOOR
+        rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
+        status = rows[0].index("status")
+        assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "dt-floor"}
 
     def test_other_exceptions_stop_the_sweep(self, tmp_path, monkeypatch):
         # Only run failures are isolated per cell; an exception a hook raises

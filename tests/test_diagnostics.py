@@ -3,7 +3,7 @@
 import io
 import json
 import math
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +25,20 @@ from tcm2d.diagnostics import (
     functional_X,
     functional_Y,
     record_schema,
+    smallness_norm,
     theory_exponent,
 )
-from tcm2d.model import ITH, ModelParams, Plan, TcmState, derive_lambda, dissipation, energy_budget_residual
+from tcm2d.integrator import StepperConfig, run, stable_dt
+from tcm2d.model import (
+    ITH,
+    ModelParams,
+    Plan,
+    TcmState,
+    derive_lambda,
+    dissipation,
+    energy_budget_residual,
+    nonlinear_tendency,
+)
 from tcm2d.spectral import (
     SpectralField,
     SpectralGrid,
@@ -463,87 +474,86 @@ class TestRecordAgainstFieldSums:
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
             assert abs(rec.budget_residual) <= 1e-9 * rec.dissipation
 
-    def test_each_norm_is_summed_once(self, grid32, monkeypatch):
-        # The dense benchmark's record (9 norms, orders 1.5, 2, 3 and 4) asks
-        # for 104 squared norms over 23 distinct (field, gamma) pairs.  Each
-        # pair is summed once, and the record equals one whose every norm is
-        # summed afresh.
+    def test_one_contraction_per_record_and_one_build_of_the_rows_per_run(self, grid32, monkeypatch):
+        # The dense benchmark's record (9 norms, orders 1.5, 2, 3 and 4) reads
+        # 23 distinct (field, gamma) norms, 5 cross-term orders and 3 L^2
+        # sums.  Each record sums its power rows against the run's weight rows
+        # in one product, the rows are built once per run, and no row is
+        # built on demand.  The values are those of a Spectra that builds and
+        # contracts each row on its first ask, as the exported functionals do.
         import tcm2d.diagnostics as diagnostics_mod
+        import tcm2d.model as model_mod
 
-        calls, sums = [], []
-
-        class CountingSpectra(Spectra):
-            summing = False
-
-            def hom_sq(self, fieldname, gamma):
-                calls.append((fieldname, gamma))
-                self.summing = True
-                try:
-                    return super().hom_sq(fieldname, gamma)
-                finally:
-                    self.summing = False
-
-            def _table(self, gamma):
-                if self.summing:
-                    sums.append(gamma)
-                return super()._table(gamma)
-
-        class AfreshSpectra(Spectra):
-            def hom_sq(self, fieldname, gamma):
-                return float(np.sum(self._table(gamma) * self.power[fieldname]))
+        builds, contractions, on_demand = [], [], []
+        real_rows, real_contract = model_mod.sobolev_rows, Spectra._contract
+        monkeypatch.setattr(model_mod, "sobolev_rows", lambda *a: builds.append(a[1]) or real_rows(*a))
+        monkeypatch.setattr(diagnostics_mod, "sobolev_rows", lambda *a: on_demand.append(a[1]) or real_rows(*a))
+        monkeypatch.setattr(Spectra, "_contract", lambda self, rows: contractions.append(len(rows)) or real_contract(self, rows))
 
         params = ModelParams(alpha=0.5, beta=1.0, s=1.5, viscosity="constant")
         norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0))
-        cfg = DiagnosticsConfig(norms=norms, functional_orders=(1.5, 2.0, 3.0, 4.0))
-        state = make_random_state(grid32, seed=3, amplitude=0.2)
-        records = []
-        for spectra in (CountingSpectra, AfreshSpectra):
-            monkeypatch.setattr(diagnostics_mod, "Spectra", spectra)
-            records.append(compute_record(state, Plan(grid32, params), cfg, 0.01, 0.0, evaluate(state, params)))
-        assert (len(calls), len(set(calls)), len(sums)) == (104, 23, 23)
-        assert records[0] == records[1]
+        orders = (1.5, 2.0, 3.0, 4.0)
+        cfg = DiagnosticsConfig(norms=norms, functional_orders=orders)
+        records, states = [], []
 
-    def test_each_cross_term_and_l2_sum_is_taken_once(self, grid32, monkeypatch):
-        # The same dense record asks for 14 cross terms over 5 orders and 17
-        # nonhomogeneous norms over 2 fields.  Each cross-term order and each
-        # field's L^2 sum is summed once, and the record equals one whose every
-        # sum is taken afresh.
-        import tcm2d.diagnostics as diagnostics_mod
+        def sink(state, plan, dt, diss_int, evaluation):
+            records.append(compute_record(state, plan, cfg, dt, diss_int, evaluation))
+            states.append(state)
 
-        asks, sums = Counter(), Counter()
+        run(make_random_state(grid32, seed=3, amplitude=0.2), params,
+            StepperConfig(t_end=0.05, dt=0.01, sample_every=0.01), sink)
+        assert len(records) == 6
+        gammas = cfg.gammas(params)
+        assert builds == [gammas] and on_demand == []
+        assert contractions == [len(gammas)] * len(records)
+        assert len(gammas) == 10
 
-        class CountingSpectra(Spectra):
-            def cross_term(self, order):
-                asks["cross", order] += 1
-                return super().cross_term(order)
+        del builds[:], contractions[:]
+        for rec, state in zip(records, states):
+            assert rec.norms == {(f, g): Spectra(state).field_norm(f, g) for f, g in norms}
+            for m in orders:
+                values = (functional_A(state, params, m), functional_B(state, params, m),
+                          functional_X(state, params, m), functional_Y(state, params, m))
+                recorded = (rec.A_m, rec.B_m, rec.X_m, rec.Y_m) if m == orders[0] else rec.extra_orders[m]
+                assert recorded == values, m
+            assert (rec.cross_s, rec.cross_1) == (Spectra(state).cross_term(1.5), Spectra(state).cross_term(1.0))
+            assert rec.smallness == smallness_norm(state, params)
+        assert builds == [] and set(contractions) == {1}
 
-            def hs_sq(self, fieldname, s):
-                asks["l2", fieldname] += 1
-                return super().hs_sq(fieldname, s)
-
-            def _once(self, cache, key, compute):
-                kind = {id(self._cross): "cross", id(self._l2_sq): "l2"}.get(id(cache))
-
-                def counted():
-                    if kind:
-                        sums[kind, key] += 1
-                    return compute()
-
-                return super()._once(cache, key, counted)
-
-        class AfreshSpectra(Spectra):
-            def _once(self, cache, key, compute):
-                return compute()
-
-        params = ModelParams(alpha=0.5, beta=1.0, s=1.5, viscosity="constant")
-        norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0))
-        cfg = DiagnosticsConfig(norms=norms, functional_orders=(1.5, 2.0, 3.0, 4.0))
-        state = make_random_state(grid32, seed=3, amplitude=0.2)
-        records = []
-        for spectra in (CountingSpectra, AfreshSpectra):
-            monkeypatch.setattr(diagnostics_mod, "Spectra", spectra)
-            records.append(compute_record(state, Plan(grid32, params), cfg, 0.01, 0.0, evaluate(state, params)))
-        assert Counter(kind for kind, _ in asks.elements()) == {"cross": 14, "l2": 17}
-        assert Counter(kind for kind, _ in asks) == {"cross": 5, "l2": 2}
-        assert sums == Counter(dict.fromkeys(asks, 1))
-        assert records[0] == records[1]
+    @pytest.mark.parametrize("viscosity", ["constant", "quadratic"])
+    def test_a_record_and_the_step_bound_allocate_no_band_or_grid_array(self, viscosity):
+        # After a warm-up record, a record works in the plan's buffers: what it
+        # allocates is its Python values, far below the smallest array of the
+        # band's size (n band doubles, 44 KiB at n = 128).  So does the step
+        # bound, beyond what a variable law allocates to evaluate mu(theta).
+        grid = SpectralGrid(128, 16 * np.pi)
+        params = ModelParams(alpha=0.5, viscosity=viscosity)
+        plan = Plan(grid, params)
+        cfg = DiagnosticsConfig(
+            norms=tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0)),
+            functional_orders=(1.5, 2.0, 3.0, 4.0),
+        )
+        coeffs = make_random_state(grid, seed=2, amplitude=0.01).coeffs[..., : grid.band].copy()
+        state = TcmState(grid, coeffs, 0.0)
+        tendency = np.empty_like(coeffs)
+        warm = nonlinear_tendency(coeffs, plan, out=tendency)
+        compute_record(state, plan, cfg, 0.01, 0.0, warm)
+        stable_dt(state, plan, warm)
+        evaluation = nonlinear_tendency(coeffs, plan, out=tendency)
+        small = grid.n * grid.band * 8
+        tracemalloc.start()
+        try:
+            compute_record(state, plan, cfg, 0.01, 0.0, evaluation)
+            record_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            stable_dt(state, plan, evaluation)
+            bound_peak = tracemalloc.get_traced_memory()[1]
+            mu_peak = 0
+            if viscosity != "constant":
+                tracemalloc.reset_peak()
+                params.mu(evaluation[2][ITH])
+                mu_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record_peak < small / 4
+        assert bound_peak < mu_peak + small / 4

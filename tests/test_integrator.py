@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tcm2d.integrator import DT_FLOOR, StepperConfig, run, stable_dt, step
+from tcm2d.integrator import DT_FLOOR, DtFloorError, StepperConfig, run, stable_dt, step
 from tcm2d.model import NCOMP, BlowUpError, ModelParams, Plan, TcmState, energy, nonlinear_tendency
 from tcm2d.spectral import SpectralField, SpectralGrid
 
@@ -44,6 +44,16 @@ class TestStableDt:
         st = make_random_state(grid64, seed=4, amplitude=1e12)
         p = ModelParams()
         assert stable_dt(st, Plan(grid64, p), evaluate(st, p), 0.5) == DT_FLOOR
+
+    def test_run_stops_at_the_floor(self, grid64):
+        # Stepping on at the floor would take about 1e8 steps per time unit:
+        # the run stops instead, after the sink has seen the initial state.
+        st = make_random_state(grid64, seed=4, amplitude=1e12)
+        seen = []
+        with pytest.raises(DtFloorError) as err:
+            run(st, ModelParams(), StepperConfig(t_end=1.0), lambda s, plan, dt, w, ev: seen.append((s.time, dt)))
+        assert err.value.time == 0.0
+        assert seen == [(0.0, DT_FLOOR)]
 
 
 class TestStep:
