@@ -763,7 +763,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return execute_sweep(base, cells, out, threads, quiet=args.quiet)
         if args.command == "validate":
             resolutions = _read("--resolutions", args.resolutions, _grid_sizes)
-            code, reports = execute_validate(args.trials, resolutions, args.seed, quiet=args.quiet)
+            seed = _read("--seed", args.seed, SETTINGS["seed"].read)
+            code, reports = execute_validate(args.trials, resolutions, seed, quiet=args.quiet)
             if args.out:
                 _write_json(Path(args.out), {"reports": [r.to_dict() for r in reports]})
             return code

@@ -15,8 +15,9 @@ The B functional exists in two variants that differ in the theta slot
 labeled, never conflated.
 
 Every quadratic quantity here is one Parseval sum.  :class:`Spectra` fills
-four power rows per state (the per-mode power of u, v and theta and the
-v . grad theta pairing); every norm, cross term and L^2 sum is the sum of
+four power rows per state (the per-mode power of u, v and theta, from
+:func:`tcm2d.spectral.mode_products`, and the v . grad theta pairing); every
+norm, cross term and L^2 sum is the sum of
 one power row against one weight row, |k|^{2 gamma} times the Parseval
 weight (:func:`tcm2d.spectral.sobolev_rows`).  :func:`compute_record` builds
 one Spectra per sample on the dealiased band columns and sums its power rows
@@ -54,10 +55,9 @@ from .model import (
     Plan,
     TcmState,
     budget_residual,
-    carve,
     sup_norms,
 )
-from .spectral import SpectralField, sobolev_rows
+from .spectral import SpectralField, carve, mode_products, sobolev_rows
 
 
 class DiagnosticsError(RuntimeError):
@@ -110,23 +110,22 @@ class Spectra:
         g, c = state.grid, state.coeffs
         n, width = g.n, c.shape[-1]
         self.grid, self.width = g, width
-        shapes = ((4, n * width), (2, n, width), (2, n, width))
+        size = n * width
         if work is None:
-            power, re, im = (np.empty(shape) for shape in shapes)
+            power, rest = np.empty((4, size)), np.empty(4 * size)
         else:
-            power, re, im = carve(work, *shapes)
+            power, rest = work[: 4 * size].reshape(4, size), work[4 * size :]
         fields = power.reshape(4, n, width)
-        # Each component's power re^2 + im^2, then each field's sum over its components.
+        # Each field's power, the sum of its components' powers; one field at
+        # a time, so that the scratch is that of two components.
         for row, comps in ((fields[0], c[0:2]), (fields[1], c[2:4])):
-            np.square(comps.real, out=re)
-            re += np.square(comps.imag, out=im)
-            np.add(re[0], re[1], out=row)
-        np.square(c[4].real, out=fields[2])
-        fields[2] += np.square(c[4].imag, out=im[0])
+            power_c = mode_products(comps, comps, rest)
+            np.add(power_c[0], power_c[1], out=row)
+        theta = c[4]
+        np.copyto(fields[2], mode_products(theta, theta, rest))
         # pairing = Re(v . conj(i k theta)) = kx Im(v1 conj theta) + ky Im(v2 conj theta);
         # einsum scales by kx and ky without numpy's broadcasting buffer.
-        theta = c[4]
-        (im1, im2), t = re, im[0]
+        im1, im2, t = carve(rest, (n, width), (n, width), (n, width))
         for part, v in ((im1, c[2]), (im2, c[3])):
             np.multiply(v.imag, theta.real, out=part)
             part -= np.multiply(v.real, theta.imag, out=t)

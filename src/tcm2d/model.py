@@ -19,14 +19,16 @@ The L^2 energy budget
         + int mu(theta)|grad u|^2 + alpha ||u||^2 + beta ||v||^2  =  0
 
 holds exactly for the continuous system; the discrete residual reported by
-:func:`energy_budget_residual` measures only floating-point defect because the
+:func:`budget_residual` measures only floating-point defect because the
 transport terms are skew-symmetric in dealiased spectral arithmetic, the
 <grad theta, v> and <div v, theta> pairings cancel, and the v-tensor terms
 cancel against the (v.grad)u pairing.  The dissipation is split as the stiff
 part mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 = -<z, Lz>, one
 Parseval sum (:func:`parseval_dissipation`) that <z, Lz> in the residual
 shares, plus the grid sum int (mu(theta) - mu(0)) |grad u|^2 of the
-variable-viscosity remainder, which the constant law does not take.
+variable-viscosity remainder, which the constant law does not take.  Both
+Parseval sums of the budget, and Re <z, N> in the residual, sum the per-mode
+products of :func:`~tcm2d.spectral.mode_products` against the plan's weights.
 
 Since u is divergence-free, the transport by u is taken in divergence form,
 (u.grad)u = div(u (x) u) and u.grad theta = div(u theta), and d_y u_2 is read
@@ -57,7 +59,9 @@ the integrator's hot loop works on the band columns alone, as contiguous
 inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency is one, and so are
 the stiff symbol, the propagators and the if-rk4 stage vectors.  Every state
 the integrator makes has that band layout; the full ``(n, n/2 + 1)``
-half-spectrum layout of a :class:`TcmState` is an accepted input only.
+half-spectrum layout of a :class:`TcmState` is an accepted input only, and
+the layout the state's component fields (``TcmState.u``, ``.v``, ``.theta``)
+always have.
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
@@ -68,8 +72,7 @@ order of the plain expressions, so the numbers are bitwise those of freshly
 allocated arrays.
 What an evaluation returns is a new array unless the caller hands it the
 array to write the tendency into; the propagators are read-only views of the
-plan's rows.  The bare-state helpers (:func:`rhs`, :func:`dissipation`,
-:func:`energy_budget_residual`) build a plan per call.
+plan's rows.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     from_phys,
-    parseval_density,
+    mode_products,
     parseval_weights,
     sobolev_rows,
     to_phys,
@@ -233,8 +236,12 @@ class TcmState:
     coeffs stacks the components [u_x, u_y, v_x, v_y, theta].  Every state
     the integrator makes has shape (5, n, grid.band), the band columns that
     are all a dealiased state has; the full (5, n, n//2 + 1) layout is an
-    accepted input only.  u is kept divergence-free and all fields dealiased;
-    helper properties expose the components as SpectralField views (shared memory).
+    accepted input only.  u is kept divergence-free and all fields dealiased.
+
+    The properties u, v and theta give the components as full half-spectrum
+    SpectralFields, whatever the state's width: new arrays, zero-padded from
+    its columns, so every spectral helper takes them.  They are not views of
+    the state: writing to one leaves the state as it is.
     """
 
     grid: SpectralGrid
@@ -257,17 +264,22 @@ class TcmState:
         c = np.stack([u[0].coeffs, u[1].coeffs, v[0].coeffs, v[1].coeffs, theta.coeffs])
         return cls(grid, c.astype(np.complex128), time)
 
+    def _field(self, row: int) -> SpectralField:
+        full = np.zeros(self.grid.shape_spec, dtype=np.complex128)
+        full[:, : self.coeffs.shape[-1]] = self.coeffs[row]
+        return SpectralField(self.grid, full)
+
     @property
     def u(self) -> tuple[SpectralField, SpectralField]:
-        return (SpectralField(self.grid, self.coeffs[0]), SpectralField(self.grid, self.coeffs[1]))
+        return (self._field(0), self._field(1))
 
     @property
     def v(self) -> tuple[SpectralField, SpectralField]:
-        return (SpectralField(self.grid, self.coeffs[2]), SpectralField(self.grid, self.coeffs[3]))
+        return (self._field(2), self._field(3))
 
     @property
     def theta(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[ITH])
+        return self._field(ITH)
 
 
 class Plan:
@@ -400,28 +412,16 @@ class Evaluation(tuple):
     linf: dict[str, float] | None = None
 
 
-def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Consecutive views of the flat buffer work, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(work[start : start + size].reshape(shape))
-        start += size
-    return views
-
-
 def parseval_dissipation(z: np.ndarray, plan: Plan) -> float:
     """-<z, Lz> = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2, by Parseval, of the band columns z.
 
-    One weighted sum of |z_hat|^2 over the u and v rows against the plan's
-    stiff weights, in the plan's work buffer.  The dissipation of every
-    evaluation and <z, Lz> in :func:`budget_residual` are this one sum.
+    One weighted sum of |z_hat|^2 (:func:`~tcm2d.spectral.mode_products`)
+    over the u and v rows against the plan's stiff weights, in the plan's
+    work buffer.  The dissipation of every evaluation and <z, Lz> in
+    :func:`budget_residual` are this one sum.
     """
-    _, n, w = z.shape
-    sq, power = carve(plan.work, (4, n, w, 2), (4, n, w))
-    # |z_hat|^2 per component and mode: the squares of the real and imaginary parts, summed.
-    np.square(z[:4].view(np.float64).reshape(sq.shape), out=sq)
-    np.add(sq[..., 0], sq[..., 1], out=power)
+    uv = z[:4]
+    power = mode_products(uv, uv, plan.work)
     power[0] += power[1]
     power[2] += power[3]
     return float(np.einsum("rjk,rjk->", power[0::2], plan.stiff_weights))
@@ -574,46 +574,19 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     return Evaluation((tend, diss, phys[:NCOMP]))
 
 
-def rhs(state: TcmState, params: ModelParams) -> np.ndarray:
-    """Full semi-discrete tendency (d/dt of the stacked coefficients), in the layout of state.coeffs."""
-    plan = Plan(state.grid, params)
-    z = state.coeffs[..., : state.grid.band]
-    out = np.zeros_like(state.coeffs)
-    out[..., : state.grid.band] = nonlinear_tendency(state.coeffs, plan)[0] + plan.linear * z
-    return out
-
-
-def dissipation(state: TcmState, params: ModelParams) -> float:
-    """int mu(theta)|grad u|^2 + alpha ||u||^2_{L^2} + beta ||v||^2_{L^2}."""
-    return nonlinear_tendency(state.coeffs, Plan(state.grid, params))[1]
-
-
-def energy(state: TcmState) -> float:
-    """Half the summed L^2 norms of u, v, theta."""
-    return 0.5 * float(np.sum(parseval_density(state.coeffs, state.coeffs, state.grid)))
-
-
-def energy_budget_residual(state: TcmState, params: ModelParams) -> float:
-    """<z, dz/dt> + dissipation; zero for the continuum, rounding-level discretely."""
-    plan = Plan(state.grid, params)
-    return budget_residual(state, plan, nonlinear_tendency(state.coeffs, plan))
-
-
 def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
     """<z, N(z) + Lz> + D, read off the evaluation of this state, on the band columns.
 
-    Re <z, N> is the sum of Re(z_hat conj N_hat) against the plan's Parseval
+    Re <z, N> is the sum of Re(z_hat conj N_hat)
+    (:func:`~tcm2d.spectral.mode_products`) against the plan's Parseval
     weights and <z, Lz> is minus :func:`parseval_dissipation`, the sum the
     dissipation D takes its Parseval part from, so the residual is
     Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.  Both sums
-    run in the plan's work buffer.
+    run in the plan's work buffer.  state may have either width.
     """
     nl, diss, _ = evaluation
     z = state.coeffs[..., : plan.grid.band]
-    rows, n, w = z.shape
-    prod, terms = carve(plan.work, (rows, n, w, 2), (rows, n, w))
-    np.multiply(z.view(np.float64).reshape(prod.shape), nl.view(np.float64).reshape(prod.shape), out=prod)
-    re_zn = float(np.einsum("cjk,jk->", np.add(prod[..., 0], prod[..., 1], out=terms), plan.parseval_weights))
+    re_zn = float(np.einsum("cjk,jk->", mode_products(z, nl, plan.work), plan.parseval_weights))
     return re_zn - parseval_dissipation(z, plan) + diss
 
 

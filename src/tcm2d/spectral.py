@@ -21,12 +21,17 @@ columns ``[..., :band]`` alone: the inverse then runs its kx pass over those
 columns only and zero-pads the rest before the ky pass (a pruned transform),
 with the same numbers as the full-width one.
 
+Every quadratic form here and in the model and diagnostics is the per-mode
+Re(a conj b) of :func:`mode_products` summed against a weight row: the
+Parseval weights of :func:`parseval_weights`, or a row of :func:`sobolev_rows`.
+
 The transforms are numpy's (``numpy.fft``, pocketfft), looked up on the module
 at each call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +66,6 @@ class SpectralGrid:
     kmag: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    parseval_weight: np.ndarray = field(init=False, repr=False, compare=False)
     inv_k2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,11 +88,6 @@ class SpectralGrid:
         cut = _dealias_cut(n)
         mask = (np.abs(jx)[:, None] <= cut) & (np.abs(jy)[None, :] <= cut)
         object.__setattr__(self, "dealias_mask", mask)
-        # Half-spectrum Parseval weights: interior ky columns stand for +-ky.
-        w = np.full(n // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[n // 2] = 1.0
-        object.__setattr__(self, "parseval_weight", w[None, :])
 
     @property
     def band(self) -> int:
@@ -255,22 +254,48 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
-def parseval_density(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Per-mode Parseval terms L^2 w(k) Re(a conj b), summed over the leading component axes.
+def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive views of the flat buffer work, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[start : start + size].reshape(shape))
+        start += size
+    return views
 
-    The one quadratic-form kernel: its plain sum is the L^2 pairing int a . b,
-    its sum against :func:`sobolev_symbol` the pairing int Lambda^s a . Lambda^s b.
-    a and b may hold the first ky columns only; the result then has their width.
+
+def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Re(a conj b) = re(a) re(b) + im(a) im(b), mode by mode, of equal-shaped spectra (of any width).
+
+    Summed against :func:`parseval_weights` it is the L^2 pairing int a . b,
+    against a row of :func:`sobolev_rows` the pairing int Lambda^s a . Lambda^s b.
+    The result and one scratch array fill the first 2 a.size entries of the
+    flat float buffer work, the result first, or new arrays without it.
     """
-    terms = (a * np.conj(b)).real
-    terms = terms.sum(axis=tuple(range(terms.ndim - 2)))
-    return grid.box_length**2 * grid.parseval_weight[:, : terms.shape[-1]] * terms
+    if work is None:
+        work = np.empty(2 * a.size)
+    out, t = carve(work, a.shape, a.shape)
+    if b is a:
+        # The same numbers as the products; numpy squares about twice as fast.
+        np.square(a.real, out=out)
+        out += np.square(a.imag, out=t)
+    else:
+        np.multiply(a.real, b.real, out=out)
+        out += np.multiply(a.imag, b.imag, out=t)
+    return out
 
 
 def parseval_weights(grid: SpectralGrid, width: int) -> np.ndarray:
-    """L^2 w(k_y) over the first width ky columns, shape (n, width): the per-mode weight of an L^2 pairing."""
-    weights = np.empty((grid.n, width))
-    weights[...] = grid.box_length**2 * grid.parseval_weight[:, :width]
+    """L^2 w(k_y) over the first width ky columns, shape (n, width): the per-mode weight of an L^2 pairing.
+
+    w is 2 on the interior ky columns, which stand for +-ky, and 1 on the
+    self-conjugate columns 0 and n/2.
+    """
+    area = grid.box_length**2
+    weights = np.full((grid.n, width), 2.0 * area)
+    weights[:, 0] = area
+    if width > grid.n // 2:
+        weights[:, grid.n // 2] = area
     return weights
 
 
@@ -302,24 +327,25 @@ def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """Parseval-exact L^2 pairing of two real fields."""
+    """Parseval-exact L^2 pairing of two real fields, of either width."""
     _check_same_grid(f, g)
-    return float(np.sum(parseval_density(f.coeffs, g.coeffs, f.grid)))
+    # Columns past the narrower field's width are zero in it and add nothing.
+    width = min(f.coeffs.shape[-1], g.coeffs.shape[-1])
+    products = mode_products(f.coeffs[:, :width], g.coeffs[:, :width])
+    return float(np.einsum("jk,jk->", products, parseval_weights(f.grid, width)))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """Sobolev norm of order s >= 0.
+    """Sobolev norm of order s >= 0, of a field of either width.
 
     homogeneous=True gives ||Lambda^s f||_{L^2} summed over k != 0 only;
     otherwise the nonhomogeneous sqrt(||f||^2 + ||Lambda^s f||^2).
     """
     if s < 0:
         raise SpectralError(f"Sobolev index must be >= 0, got {s}")
-    power = parseval_density(f.coeffs, f.coeffs, f.grid)
-    sq = float(np.sum(sobolev_symbol(f.grid, s) * power))
-    if not homogeneous:
-        sq += float(np.sum(power))
-    return float(np.sqrt(sq))
+    power = mode_products(f.coeffs, f.coeffs).reshape(-1)
+    l2, hom = np.einsum("gk,k->g", sobolev_rows(f.grid, (None, s), f.coeffs.shape[-1]), power).tolist()
+    return math.sqrt(hom if homogeneous else l2 + hom)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -154,6 +154,7 @@ class TestConfigParsing:
             (["validate", "--resolutions", "63"], "--resolutions"),
             (["validate", "--resolutions", ""], "--resolutions"),
             (["validate", "--resolutions", "64,x"], "--resolutions"),
+            (["validate", "--seed", "-1"], "--seed"),
         ],
     )
     def test_malformed_flag_exit_2(self, tmp_path, capsys, argv, flag):

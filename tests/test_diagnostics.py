@@ -34,9 +34,8 @@ from tcm2d.model import (
     ModelParams,
     Plan,
     TcmState,
+    budget_residual,
     derive_lambda,
-    dissipation,
-    energy_budget_residual,
     nonlinear_tendency,
 )
 from tcm2d.spectral import (
@@ -321,12 +320,13 @@ class TestRecordSerialization:
     @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
     def test_evaluation_values_are_the_models(self, grid32, viscosity):
         # The record reads its residual, dissipation and sup norms off the
-        # evaluation; each equals the bare-state function bit for bit.
+        # evaluation; each equals the model's value on a fresh plan and
+        # evaluation bit for bit.
         params = ModelParams(alpha=0.5, viscosity=viscosity)
         state = make_random_state(grid32, seed=5, amplitude=0.3)
         rec = compute_record(state, Plan(state.grid, params), DiagnosticsConfig(), 0.01, 0.0, evaluate(state, params))
-        assert rec.budget_residual == energy_budget_residual(state, params)
-        assert rec.dissipation == dissipation(state, params)
+        assert rec.budget_residual == budget_residual(state, Plan(state.grid, params), evaluate(state, params))
+        assert rec.dissipation == evaluate(state, params)[1]
         vals = to_phys(state.coeffs, grid32)
         assert rec.linf == {
             "u": float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2))),

@@ -6,9 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tcm2d.diagnostics import Spectra
 from tcm2d.integrator import DT_FLOOR, DtFloorError, StepperConfig, run, stable_dt, step
-from tcm2d.model import NCOMP, BlowUpError, ModelParams, Plan, TcmState, energy, nonlinear_tendency
-from tcm2d.spectral import SpectralField, SpectralGrid
+from tcm2d.model import NCOMP, BlowUpError, ModelParams, Plan, TcmState, nonlinear_tendency
+from tcm2d.spectral import (
+    SpectralField,
+    SpectralGrid,
+    dealias,
+    derivative,
+    divergence,
+    gradient,
+    inner_product,
+    lambda_pow,
+    leray_project,
+    lp_norm,
+    sobolev_norm,
+)
 
 from conftest import evaluate, make_random_state
 
@@ -120,7 +133,7 @@ class TestStep:
         mismatch = {}
         for dt in (2e-3, 1e-3):
             s1, w = step(st, Plan(grid32, p), dt, evaluate(st, p)[:2])
-            mismatch[dt] = abs((energy(s1) - energy(st)) + w)
+            mismatch[dt] = abs((Spectra(s1).energy() - Spectra(st).energy()) + w)
         ratio = mismatch[2e-3] / mismatch[1e-3]
         assert ratio > 20.0
 
@@ -313,6 +326,34 @@ class TestRun:
 
         with pytest.raises(ValueError, match="read-only"):
             run(st, params_undamped, stepper, writer)
+
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            lambda th, v1: sobolev_norm(th, 1.0),
+            lambda th, v1: lp_norm(th, 4.0),
+            lambda th, v1: inner_product(th, v1),
+            lambda th, v1: th.values(),
+            lambda th, v1: lambda_pow(th, 1.5).coeffs,
+            lambda th, v1: derivative(th, "y").coeffs,
+            lambda th, v1: [d.coeffs for d in gradient(th)],
+            lambda th, v1: divergence((v1, th)).coeffs,
+            lambda th, v1: [w.coeffs for w in leray_project((v1, th))],
+            lambda th, v1: dealias(th).coeffs,
+        ],
+        ids=["sobolev_norm", "lp_norm", "inner_product", "values", "lambda_pow", "derivative",
+             "gradient", "divergence", "leray_project", "dealias"],
+    )
+    def test_spectral_helpers_take_the_fields_of_a_band_state(self, grid32, params_undamped, helper):
+        # run returns a band state; its component fields are full-width, so
+        # each helper gives what it gives on the full-layout copy of that state.
+        out = run(make_random_state(grid32, seed=3, amplitude=0.3), params_undamped, StepperConfig(t_end=0.05, dt=0.01))
+        assert out.coeffs.shape[-1] == grid32.band
+        full = TcmState.zero(grid32, out.time)
+        full.coeffs[..., : grid32.band] = out.coeffs
+        for state in (out, full):
+            assert state.theta.coeffs.shape == grid32.shape_spec
+        np.testing.assert_array_equal(helper(out.theta, out.v[0]), helper(full.theta, full.v[0]))
 
     def test_entry_rejects_a_gradient_part_in_u(self, grid32, params_undamped):
         st = TcmState.zero(grid32)

@@ -22,6 +22,7 @@ from tcm2d.spectral import (
     inner_product,
     lambda_pow,
     leray_project,
+    mode_products,
     oversampled_values,
     random_coeffs,
     sobolev_norm,
@@ -244,6 +245,39 @@ class TestNormsAndInnerProduct:
     def test_negative_order_rejected(self, grid64):
         with pytest.raises(SpectralError):
             sobolev_norm(band_limited_field(grid64, 0), -1.0)
+
+
+class TestModeProducts:
+    @pytest.mark.parametrize("with_work", [False, True])
+    @pytest.mark.parametrize("width", ["band", "full"])
+    @pytest.mark.parametrize("same", [False, True], ids=["a-b", "a-a"])
+    def test_each_row_is_re_a_conj_b(self, grid32, same, width, with_work):
+        # The band stacks are column slices of full-width ones, as a record reads them.
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal((5,) + grid32.shape_spec) + 1j * rng.standard_normal((5,) + grid32.shape_spec)
+                for _ in range(2))
+        if width == "band":
+            a, b = a[..., : grid32.band], b[..., : grid32.band]
+        if same:
+            b = a
+        work = np.full(2 * a.size + 1, np.nan) if with_work else None
+        products = mode_products(a, b, work)
+        assert products.shape == a.shape
+        if with_work:
+            assert np.shares_memory(products, work)
+        for row in range(5):
+            np.testing.assert_allclose(products[row], (a[row] * np.conj(b[row])).real, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_norms_of_the_band_columns_are_the_full_width_ones(self, n):
+        grid = SpectralGrid(n, 2 * np.pi)
+        f, g = band_limited_field(grid, n), band_limited_field(grid, n + 1)
+        band_f, band_g = (SpectralField(grid, h.coeffs[:, : grid.band]) for h in (f, g))
+        for s, hom in ((0.0, True), (1.5, True), (1.5, False)):
+            assert sobolev_norm(band_f, s, hom) == pytest.approx(sobolev_norm(f, s, hom), rel=1e-14)
+        ip = inner_product(f, g)
+        for pair in ((band_f, band_g), (band_f, g), (f, band_g)):
+            assert inner_product(*pair) == pytest.approx(ip, rel=1e-13, abs=1e-15)
 
 
 class TestRandomFields:
