@@ -67,6 +67,7 @@ from .model import (
     ViscosityFloorError,
 )
 from .spectral import (
+    SpectralField,
     SpectralGrid,
     leray_project_coeffs,
     power_law_amplitude,
@@ -297,10 +298,11 @@ def make_initial_data(config: RunConfig, grid: SpectralGrid | None = None) -> Tc
     k_peak = config.spectrum_peak * 2.0 * math.pi / grid.box_length
     amp = power_law_amplitude(config.spectrum_slope, k_peak)
     rng = np.random.default_rng(config.seed)
-    c = np.stack([random_coeffs(grid, rng, amp) for _ in range(5)])
+    c = [random_coeffs(grid, rng, amp) for _ in range(5)]
     c[0], c[1] = leray_project_coeffs(c[0], c[1], grid)
-    c *= grid.dealias_mask
-    state = TcmState(grid, c, 0.0)
+    u1, u2, v1, v2, theta = (SpectralField(grid, row) for row in c)
+    state = TcmState.from_fields((u1, u2), (v1, v2), theta)
+    state.coeffs *= grid.dealias_mask[:, : grid.band]
     norm = smallness_norm(state, config.params)
     if norm == 0:  # a zero draw of five Gaussian fields: probability 0
         raise RuntimeError(f"random initial data of seed {config.seed} is zero")

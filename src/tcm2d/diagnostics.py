@@ -19,15 +19,14 @@ four power rows per state (the per-mode power of u, v and theta, from
 :func:`tcm2d.spectral.mode_products`, and the v . grad theta pairing); every
 norm, cross term and L^2 sum is the sum of
 one power row against one weight row, |k|^{2 gamma} times the Parseval
-weight (:func:`tcm2d.spectral.sobolev_rows`).  :func:`compute_record` builds
-one Spectra per sample on the dealiased band columns and sums its power rows
-against the run's stacked weight rows, built once on its
+weight (:func:`tcm2d.spectral.sobolev_rows`), all over the band columns of
+the state.  :func:`compute_record` builds one Spectra per sample and sums its
+power rows against the run's stacked weight rows, built once on its
 :class:`~tcm2d.model.Plan` for every gamma the :class:`DiagnosticsConfig`
 reads, in one matrix product; the energy is half its L^2 sums.  The exported
 ``functional_*``, ``cross_term`` and ``smallness_norm`` build a Spectra for
-one call, on the full width of the state they are given, and take each
-weight row they read through the same product, so on the band columns they
-return the record's values exactly.  The budget residual, the dissipation
+one call and take each weight row they read through the same product, so
+they return the record's values exactly.  The budget residual, the dissipation
 and the L^inf norms are read off the state's evaluation
 (:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
 
@@ -80,22 +79,21 @@ L2 = None
 class Spectra:
     """The per-mode power of one state, from which every quadratic quantity is one weighted sum.
 
-    ``power`` holds four rows over the modes of the state's width: the power
-    of u, v and theta (components summed) and the v . grad theta pairing
+    ``power`` holds four rows over the n band modes of the state (its one
+    layout, see :class:`~tcm2d.model.TcmState`): the power of u, v and theta
+    (components summed) and the v . grad theta pairing
     Im((k . v) conj theta).  Every norm, cross term and L^2 sum is the sum of
     one power row against one weight row of
     :func:`~tcm2d.spectral.sobolev_rows`, so one matrix product of the power
     rows with a stack of weight rows gives all of them at once.  A, B, X, Y
     and smallness are the functionals at an explicit order m.
 
-    Every row has the width of state.coeffs: the full half-spectrum, or its
-    first ``grid.band`` columns for a dealiased state.  The weight rows of
-    ``gammas`` are contracted at construction: ``rows`` if given (of that
-    width, :meth:`tcm2d.model.Plan.sobolev_rows` for a record), else built
+    The weight rows of ``gammas`` are contracted at construction: ``rows`` if
+    given (:meth:`tcm2d.model.Plan.sobolev_rows` for a record), else built
     here.  The row of any other gamma is built and contracted on its first
     ask, by the same product, so a value does not depend on which others
     were asked for.  ``work``, if given, is a flat float buffer of at least
-    8 n width entries that holds the power rows and their scratch (the plan's
+    8 n band entries that holds the power rows and their scratch (the plan's
     work buffer for a record, where they last until the plan's next use of
     it); without it they are arrays of their own.
     """
@@ -108,14 +106,14 @@ class Spectra:
         work: np.ndarray | None = None,
     ):
         g, c = state.grid, state.coeffs
-        n, width = g.n, c.shape[-1]
-        self.grid, self.width = g, width
-        size = n * width
+        n, band = g.n, g.band
+        self.grid = g
+        size = n * band
         if work is None:
             power, rest = np.empty((4, size)), np.empty(4 * size)
         else:
             power, rest = work[: 4 * size].reshape(4, size), work[4 * size :]
-        fields = power.reshape(4, n, width)
+        fields = power.reshape(4, n, band)
         # Each field's power, the sum of its components' powers; one field at
         # a time, so that the scratch is that of two components.
         for row, comps in ((fields[0], c[0:2]), (fields[1], c[2:4])):
@@ -125,17 +123,17 @@ class Spectra:
         np.copyto(fields[2], mode_products(theta, theta, rest))
         # pairing = Re(v . conj(i k theta)) = kx Im(v1 conj theta) + ky Im(v2 conj theta);
         # einsum scales by kx and ky without numpy's broadcasting buffer.
-        im1, im2, t = carve(rest, (n, width), (n, width), (n, width))
+        im1, im2, t = carve(rest, (n, band), (n, band), (n, band))
         for part, v in ((im1, c[2]), (im2, c[3])):
             np.multiply(v.imag, theta.real, out=part)
             part -= np.multiply(v.real, theta.imag, out=t)
         pairing = fields[3]
         np.einsum("j,jk->jk", g.kx[:, 0], im1, out=pairing)
-        pairing += np.einsum("k,jk->jk", g.ky[0, :width], im2, out=t)
+        pairing += np.einsum("k,jk->jk", g.ky[0, :band], im2, out=t)
         self.power = power
         self._sums: dict[float | None, list[float]] = {}
         if gammas:
-            rows = sobolev_rows(g, gammas, width) if rows is None else rows
+            rows = sobolev_rows(g, gammas, band) if rows is None else rows
             self._sums.update(zip(gammas, self._contract(rows).tolist()))
 
     def _contract(self, rows: np.ndarray) -> np.ndarray:
@@ -149,7 +147,7 @@ class Spectra:
     def _sums_at(self, gamma: float | None) -> list[float]:
         sums = self._sums.get(gamma)
         if sums is None:
-            sums = self._sums[gamma] = self._contract(sobolev_rows(self.grid, (gamma,), self.width))[0].tolist()
+            sums = self._sums[gamma] = self._contract(sobolev_rows(self.grid, (gamma,), self.grid.band))[0].tolist()
         return sums
 
     def energy(self) -> float:
@@ -432,17 +430,16 @@ def compute_record(
     diss_integral: float,
     evaluation: Evaluation,
 ) -> DiagnosticsRecord:
-    """Every value of one sample, from the spectra of the state's band columns and its evaluation on plan.
+    """Every value of one sample, from the spectra of the state and its evaluation on plan.
 
     The power rows are summed against the plan's weight rows for
     ``config.gammas(params)`` in one product, in the plan's work buffer, so
     a record allocates no array of the band's or the grid's size.
     """
     params = plan.params
-    band = TcmState(state.grid, state.coeffs[..., : state.grid.band], state.time)
-    residual = budget_residual(band, plan, evaluation)
+    residual = budget_residual(state, plan, evaluation)
     gammas = config.gammas(params)
-    spectra = Spectra(band, gammas, plan.sobolev_rows(gammas), plan.work)
+    spectra = Spectra(state, gammas, plan.sobolev_rows(gammas), plan.work)
     m0 = config.orders(params)[0]
     a = spectra.A(params, m0)
     x = spectra.X(params, m0)

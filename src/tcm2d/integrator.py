@@ -22,14 +22,13 @@ tendency buffer that the run owns: :func:`stable_dt` and the sink read that
 evaluation, and its tendency and dissipation are stage 1 of the next
 :func:`step`, so an if-rk4 step costs four tendency evaluations.  Every state,
 stage vector and tendency is zero outside the dealiased band of ky columns
-(:attr:`~tcm2d.spectral.SpectralGrid.band`), so the loop holds them as
-contiguous ``(5, n, band)`` arrays.  An if-rk4 step forms each stage state in
-the plan's state rows, where the tendency evaluates it without a copy, writes
-stages 2-4 into the plan's stage vectors and applies the plan's propagators,
-which a fixed dt reuses on every step; neither stage 1 nor the state stepped
-from is written to, and the new state is a new band array.  Every state the
-integrator makes has this band layout; the full half-spectrum layout is an
-accepted input only.
+(:attr:`~tcm2d.spectral.SpectralGrid.band`), so each is a contiguous
+``(5, n, band)`` array, the one layout of a :class:`~tcm2d.model.TcmState`.
+An if-rk4 step forms each stage state in the plan's state rows, where the
+tendency evaluates it without a copy, writes stages 2-4 into the plan's stage
+vectors and applies the plan's propagators, which a fixed dt reuses on every
+step; neither stage 1 nor the state stepped from is written to, and the new
+state is a new band array.
 
 A stepped state is exactly zero outside the dealias mask and its u is
 divergence-free to rounding, by construction and with no per-step repair: the
@@ -133,11 +132,11 @@ def stable_dt(state: TcmState, plan: Plan, evaluation: Evaluation, cfl: float = 
 def step(state: TcmState, plan: Plan, dt: float, stage1: tuple, scheme: str = "if-rk4") -> tuple[TcmState, float]:
     """Advance one step from stage1, the state's (tendency, dissipation); returns (new state, dissipation integral).
 
-    Only the band columns of state.coeffs are read, and the new state's coefficients are a new
-    ``(5, n, band)`` array of the band columns; neither stage1 nor state.coeffs is written to.
-    A dealiased state with divergence-free u steps to one: dealiased exactly, divergence-free to rounding.
+    The new state's coefficients are a new ``(5, n, band)`` array; neither stage1 nor state.coeffs
+    is written to.  A dealiased state with divergence-free u steps to one: dealiased exactly,
+    divergence-free to rounding.
     """
-    z0 = state.coeffs[..., : plan.grid.band]
+    z0 = state.coeffs
     if scheme == "if-rk4":
         z1, diss_int = _ifrk4(z0, plan, dt, stage1)
     elif scheme == "imex-euler":
@@ -209,17 +208,17 @@ def run(
     is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
     values are the next step's stage 1; its tendency is the run's band buffer,
     which the next evaluation overwrites, so a sink that keeps it keeps a
-    copy.  The run copies the band columns of the initial state once, zeroes
-    that copy outside the dealias mask (a no-op on a dealiased state) and
-    raises ValueError for a u with max |k . u_hat| > 1e-12 max |k| |u_hat|.
-    Every state the sink sees, and the one returned, is then the run's own
-    ``(5, n, band)`` state, with read-only coefficients: the next step reads
-    it, so a sink cannot change the trajectory.  Deterministic for fixed inputs.
+    copy.  The run copies the initial state once, zeroes that copy outside
+    the dealias mask (a no-op on a dealiased state) and raises ValueError for
+    a u with max |k . u_hat| > 1e-12 max |k| |u_hat|.  Every state the sink
+    sees, and the one returned, is then the run's own state, with read-only
+    coefficients: the next step reads it, so a sink cannot change the
+    trajectory.  Deterministic for fixed inputs.
     """
     grid = initial.grid
     plan = Plan(grid, params)
     cols = slice(0, grid.band)
-    state = TcmState(grid, initial.coeffs[..., cols].copy(), initial.time)
+    state = TcmState(grid, initial.coeffs.copy(), initial.time)
     state.coeffs[:, ~grid.dealias_mask[:, cols]] = 0.0
     state.coeffs.flags.writeable = False
     u = state.coeffs[:2]

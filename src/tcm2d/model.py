@@ -54,14 +54,14 @@ step, to the step bound and to the sampled record (:func:`budget_residual`,
 :func:`sup_norms`).
 
 Every state and tendency is zero in the ky columns from ``grid.band`` on, so
-the integrator's hot loop works on the band columns alone, as contiguous
-``(5, n, band)`` arrays: the inverse batch is built from them (a pruned
-inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency is one, and so are
-the stiff symbol, the propagators and the if-rk4 stage vectors.  Every state
-the integrator makes has that band layout; the full ``(n, n/2 + 1)``
-half-spectrum layout of a :class:`TcmState` is an accepted input only, and
-the layout the state's component fields (``TcmState.u``, ``.v``, ``.theta``)
-always have.
+a :class:`TcmState` holds the band columns alone, as one contiguous
+``(5, n, band)`` array, and that is the one layout of a state: a full
+``(n, n/2 + 1)`` half-spectrum input is reduced to it once, when the state is
+made.  The inverse batch is built from the band (a pruned inverse, see
+:func:`~tcm2d.spectral.to_phys`), the tendency has that layout, and so have
+the stiff symbol, the propagators and the if-rk4 stage vectors.  Only a
+state's component fields (``TcmState.u``, ``.v``, ``.theta``) are full
+half-spectrum, the one layout of a :class:`~tcm2d.spectral.SpectralField`.
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
@@ -233,24 +233,37 @@ NCOMP = 5
 class TcmState:
     """The (u, v, theta) triple at one instant, stored as stacked spectra.
 
-    coeffs stacks the components [u_x, u_y, v_x, v_y, theta].  Every state
-    the integrator makes has shape (5, n, grid.band), the band columns that
-    are all a dealiased state has; the full (5, n, n//2 + 1) layout is an
-    accepted input only.  u is kept divergence-free and all fields dealiased.
+    coeffs stacks the components [u_x, u_y, v_x, v_y, theta] over the band
+    columns, all a dealiased state has: a contiguous complex array of shape
+    (5, n, grid.band), the one layout of a state.  A full half-spectrum
+    input, shape (5, n, n//2 + 1), is reduced to it when the state is made,
+    to a contiguous complex copy of its band columns; the columns past the
+    band are dropped.  A band-width input is kept as it is when it is
+    contiguous and complex, and is made so otherwise; any other shape raises
+    ValueError.  u is kept divergence-free and all fields dealiased.
 
     The properties u, v and theta give the components as full half-spectrum
-    SpectralFields, whatever the state's width: new arrays, zero-padded from
-    its columns, so every spectral helper takes them.  They are not views of
-    the state: writing to one leaves the state as it is.
+    SpectralFields: new arrays, zero-padded from the band columns, so every
+    spectral helper takes them.  They are not views of the state: writing to
+    one leaves the state as it is.
     """
 
     grid: SpectralGrid
     coeffs: np.ndarray
     time: float = 0.0
 
+    def __post_init__(self) -> None:
+        n, band = self.grid.n, self.grid.band
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.shape not in ((NCOMP, n, band), (NCOMP, n, n // 2 + 1)):
+            raise ValueError(
+                f"state coefficients must have shape (5, {n}, {band}) or (5, {n}, {n // 2 + 1}), got {coeffs.shape}"
+            )
+        self.coeffs = np.ascontiguousarray(coeffs[..., :band], dtype=np.complex128)
+
     @classmethod
     def zero(cls, grid: SpectralGrid, time: float = 0.0) -> "TcmState":
-        return cls(grid, np.zeros((NCOMP,) + grid.shape_spec, dtype=np.complex128), time)
+        return cls(grid, np.zeros((NCOMP, grid.n, grid.band), dtype=np.complex128), time)
 
     @classmethod
     def from_fields(
@@ -260,13 +273,13 @@ class TcmState:
         theta: SpectralField,
         time: float = 0.0,
     ) -> "TcmState":
-        grid = theta.grid
-        c = np.stack([u[0].coeffs, u[1].coeffs, v[0].coeffs, v[1].coeffs, theta.coeffs])
-        return cls(grid, c.astype(np.complex128), time)
+        """The state of five half-spectrum fields, stacked from their band columns."""
+        band = theta.grid.band
+        return cls(theta.grid, np.stack([f.coeffs[:, :band] for f in (*u, *v, theta)]), time)
 
     def _field(self, row: int) -> SpectralField:
         full = np.zeros(self.grid.shape_spec, dtype=np.complex128)
-        full[:, : self.coeffs.shape[-1]] = self.coeffs[row]
+        full[:, : self.grid.band] = self.coeffs[row]
         return SpectralField(self.grid, full)
 
     @property
@@ -462,25 +475,24 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     They come as an :class:`Evaluation`, which also keeps the state's sup
     norms once :func:`sup_norms` has taken them.
 
-    Only the band columns ``coeffs[..., :grid.band]`` are read, so coeffs may
-    have either width: the state must be dealiased, as the integrator keeps
-    it.  A state formed in ``plan.state_rows`` is evaluated in place, with no
-    copy.  The tendency is exactly zero outside the dealias mask, so a step
-    keeps a dealiased state dealiased exactly.  Every entry of the tendency is
-    written by an ``out=`` ufunc in the order of the plain expressions in the
-    comments, so the result is bitwise that of those.
+    coeffs is a state's ``(5, n, band)`` coefficients, dealiased, as the
+    integrator keeps them.  A state formed in ``plan.state_rows`` is
+    evaluated in place, with no copy.  The tendency is exactly zero outside
+    the dealias mask, so a step keeps a dealiased state dealiased exactly.
+    Every entry of the tendency is written by an ``out=`` ufunc in the order
+    of the plain expressions in the comments, so the result is bitwise that
+    of those.
     """
     grid, params = plan.grid, plan.params
     ikx, iky = plan.ikx, plan.iky
     constant_mu = plan.constant_mu
-    cols = slice(0, grid.band)
     # The inverse batch, on the band columns: the state, then the 3 gradient
     # components of u the products need (u is divergence-free, so d_y u2 =
     # -d_x u1 is not transformed), or w_u alone with the constant law, then w_v.
     spec, t = plan.spec[:-1], plan.spec[-1]
     state = plan.state_rows
     if coeffs is not state:
-        state[...] = coeffs[..., cols]
+        state[...] = coeffs
     if constant_mu:
         # spec[5] = ikx * coeffs[1] - iky * coeffs[0]
         np.multiply(ikx, state[1], out=spec[5])
@@ -541,7 +553,7 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
         prods[6] -= w
         diff -= np.multiply(2.0, np.multiply(mu_rem, a, out=s), out=s)
     # The dealiased band of the forward batch, in a contiguous buffer:
-    # p = mask * fwd[..., cols].
+    # p = mask * fwd[..., :band].
     p = plan.gather_band(from_phys(prods, grid, out=fwd), plan.band_prods)
 
     # The inverse batch has been taken: the rows of spec after the state are
@@ -575,17 +587,17 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
 
 
 def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
-    """<z, N(z) + Lz> + D, read off the evaluation of this state, on the band columns.
+    """<z, N(z) + Lz> + D, read off the evaluation of this state.
 
     Re <z, N> is the sum of Re(z_hat conj N_hat)
     (:func:`~tcm2d.spectral.mode_products`) against the plan's Parseval
     weights and <z, Lz> is minus :func:`parseval_dissipation`, the sum the
     dissipation D takes its Parseval part from, so the residual is
     Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.  Both sums
-    run in the plan's work buffer.  state may have either width.
+    run in the plan's work buffer.
     """
     nl, diss, _ = evaluation
-    z = state.coeffs[..., : plan.grid.band]
+    z = state.coeffs
     re_zn = float(np.einsum("cjk,jk->", mode_products(z, nl, plan.work), plan.parseval_weights))
     return re_zn - parseval_dissipation(z, plan) + diss
 

@@ -265,7 +265,7 @@ def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Re(a conj b) = re(a) re(b) + im(a) im(b), mode by mode, of equal-shaped spectra (of any width).
+    """Re(a conj b) = re(a) re(b) + im(a) im(b), mode by mode, of equal-shaped spectra (a state's band or a field's half spectrum).
 
     Summed against :func:`parseval_weights` it is the L^2 pairing int a . b,
     against a row of :func:`sobolev_rows` the pairing int Lambda^s a . Lambda^s b.
@@ -327,16 +327,14 @@ def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """Parseval-exact L^2 pairing of two real fields, of either width."""
+    """Parseval-exact L^2 pairing of two real fields, over the half spectrum."""
     _check_same_grid(f, g)
-    # Columns past the narrower field's width are zero in it and add nothing.
-    width = min(f.coeffs.shape[-1], g.coeffs.shape[-1])
-    products = mode_products(f.coeffs[:, :width], g.coeffs[:, :width])
-    return float(np.einsum("jk,jk->", products, parseval_weights(f.grid, width)))
+    products = mode_products(f.coeffs, g.coeffs)
+    return float(np.einsum("jk,jk->", products, parseval_weights(f.grid, f.grid.shape_spec[1])))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """Sobolev norm of order s >= 0, of a field of either width.
+    """Sobolev norm of order s >= 0, over the half spectrum.
 
     homogeneous=True gives ||Lambda^s f||_{L^2} summed over k != 0 only;
     otherwise the nonhomogeneous sqrt(||f||^2 + ||Lambda^s f||^2).
@@ -344,7 +342,7 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     if s < 0:
         raise SpectralError(f"Sobolev index must be >= 0, got {s}")
     power = mode_products(f.coeffs, f.coeffs).reshape(-1)
-    l2, hom = np.einsum("gk,k->g", sobolev_rows(f.grid, (None, s), f.coeffs.shape[-1]), power).tolist()
+    l2, hom = np.einsum("gk,k->g", sobolev_rows(f.grid, (None, s), f.grid.shape_spec[1]), power).tolist()
     return math.sqrt(hom if homogeneous else l2 + hom)
 
 

@@ -92,8 +92,9 @@ class TestCriterion1:
         with criterion(1, f"exact shear-mode decay, alpha={alpha}"):
             grid = SpectralGrid(64, 2 * math.pi)
             params = ModelParams(alpha=alpha, beta=1.0, mu_lower=1.0, viscosity="constant")
-            state = TcmState.zero(grid)
-            state.coeffs[0] = SpectralField.from_function(grid, lambda x, y: np.sin(y)).coeffs
+            zero = SpectralField.zero(grid)
+            shear = SpectralField.from_function(grid, lambda x, y: np.sin(y))
+            state = TcmState.from_fields((shear, zero), (zero, zero), zero)
             t0 = time.time()
             out = run(state, params, StepperConfig(t_end=1.0, dt=1e-3, sample_every=1.0))
             elapsed = time.time() - t0

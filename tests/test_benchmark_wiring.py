@@ -5,8 +5,8 @@ perfbench/tracer.py wraps the package's layer entry points by name
 moved the tendency, the step, the step bound or the transforms off those names
 would only show there.  This test installs the tracer's wrap points as they are
 (imported, not copied) in a fresh interpreter, runs a small configuration
-through parse_run_config and execute_run, and checks the coverage and the
-counts per step.
+through parse_run_config and execute_run, once per viscosity branch of the
+tendency, and checks the coverage and the counts per step.
 """
 
 import json
@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +32,7 @@ import tcm2d.cli as cli
 
 doc = {
     "grid": {"n": 16, "box_length": 2.0 * math.pi},
+    "params": {"viscosity": sys.argv[3]},
     "stepper": {"t_end": 0.3, "sample_every": 0.1, "dt": "auto"},
     "seed": 3,
     "spectrum_peak": 2,
@@ -46,11 +49,15 @@ print(json.dumps({
 """
 
 
-def test_tracer_wraps_every_layer(tmp_path):
+# Fields transformed per tendency call: 10 inverse and 9 forward with a
+# variable law, 7 and 7 with the constant law (the branch the
+# diagnostics-dense-n128 workload runs).
+@pytest.mark.parametrize("viscosity, fields_per_call", [("quadratic", 19), ("constant", 14)], ids=["quadratic", "constant"])
+def test_tracer_wraps_every_layer(tmp_path, viscosity, fields_per_call):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(tmp_path / "run")],
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(tmp_path / "run"), viscosity],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -63,6 +70,5 @@ def test_tracer_wraps_every_layer(tmp_path):
     # one bound per state stepped from, each through a wrapped name.
     assert calls["model.tendency"] == 4 * steps + 1
     assert calls["integrator.stable_dt"] == steps
-    # Every transform of the tendency goes through a wrapped numpy.fft name:
-    # 10 fields inverse and 9 forward per call with the quadratic law.
-    assert result["fields_in_tendency"] == 19 * calls["model.tendency"]
+    # Every transform of the tendency goes through a wrapped numpy.fft name.
+    assert result["fields_in_tendency"] == fields_per_call * calls["model.tendency"]

@@ -195,7 +195,7 @@ class TestMakeInitialData:
         cfg = parse_run_config(SMALL_DOC)
         state = make_initial_data(cfg)
         g = state.grid
-        div = 1j * (g.kx * state.coeffs[0] + g.ky * state.coeffs[1])
+        div = 1j * (g.kx * state.coeffs[0] + g.ky[:, : g.band] * state.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(state.coeffs[0:2]) ** 2))
         assert np.max(np.abs(div)) <= 1e-13 * scale
 

@@ -115,8 +115,9 @@ class TestFunctionalB:
         # so pin s via a params object with s = 1.5 and evaluate at m = 1.5.
         params = ModelParams(alpha=0.0, beta=2.0, mu_lower=1.0, s=1.5)
         lam = derive_lambda(0.0, 2.0, 1.0)
-        state = TcmState.zero(grid64)
-        state.coeffs[0] = SpectralField.from_function(grid64, lambda x, y: np.sin(y)).coeffs
+        zero = SpectralField.zero(grid64)
+        shear = SpectralField.from_function(grid64, lambda x, y: np.sin(y))
+        state = TcmState.from_fields((shear, zero), (zero, zero), zero)
         m = 1.5
         # |k| = 1 mode: every Lambda power of u has norm sqrt(2 pi^2)
         unit = math.sqrt(TWO_PI_SQ)
@@ -380,12 +381,10 @@ class TestRecordSerialization:
             assert jsonl_value(col) == value, col
         # Every JSONL value was matched by one CSV column.
         assert obj == {"norms": {}, "linf": {}, "extra_orders": {"3": {}, "2": {}}}
-        # The record sums over the band columns, which is all a dealiased state has.
-        band = TcmState(state.grid, state.coeffs[..., : state.grid.band])
-        assert csv["A_m_3"] == functional_A(band, params, 3.0)
-        assert csv["B_m_3"] == functional_B(band, params, 3.0)
-        assert csv["X_m_2"] == functional_X(band, params, 2.0)
-        assert csv["Y_m_2"] == functional_Y(band, params, 2.0)
+        assert csv["A_m_3"] == functional_A(state, params, 3.0)
+        assert csv["B_m_3"] == functional_B(state, params, 3.0)
+        assert csv["X_m_2"] == functional_X(state, params, 2.0)
+        assert csv["Y_m_2"] == functional_Y(state, params, 2.0)
 
 
 def _hom_sq(fields, gamma):
@@ -533,8 +532,8 @@ class TestRecordAgainstFieldSums:
             norms=tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0)),
             functional_orders=(1.5, 2.0, 3.0, 4.0),
         )
-        coeffs = make_random_state(grid, seed=2, amplitude=0.01).coeffs[..., : grid.band].copy()
-        state = TcmState(grid, coeffs, 0.0)
+        state = make_random_state(grid, seed=2, amplitude=0.01)
+        coeffs = state.coeffs
         tendency = np.empty_like(coeffs)
         warm = nonlinear_tendency(coeffs, plan, out=tendency)
         compute_record(state, plan, cfg, 0.01, 0.0, warm)

@@ -27,9 +27,9 @@ from conftest import evaluate, make_random_state
 
 
 def shear_state(grid):
-    st = TcmState.zero(grid)
-    st.coeffs[0] = SpectralField.from_function(grid, lambda x, y: np.sin(y)).coeffs
-    return st
+    zero = SpectralField.zero(grid)
+    shear = SpectralField.from_function(grid, lambda x, y: np.sin(y))
+    return TcmState.from_fields((shear, zero), (zero, zero), zero)
 
 
 class TestStableDt:
@@ -121,7 +121,7 @@ class TestStep:
         for _ in range(5):
             s, _ = step(s, plan, dt, nonlinear_tendency(s.coeffs, plan)[:2])
         g = grid64
-        div = 1j * (g.kx * s.coeffs[0] + g.ky[:, : s.coeffs.shape[-1]] * s.coeffs[1])
+        div = 1j * (g.kx * s.coeffs[0] + g.ky[:, : g.band] * s.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(s.coeffs[0]) ** 2 + np.abs(s.coeffs[1]) ** 2))
         assert np.max(np.abs(div)) <= 1e-12 * scale
 
@@ -163,9 +163,10 @@ class TestStep:
 
 
 def _reference_step(z0, plan, dt, stage1, scheme):
-    """One step as the plain full-layout expressions, with E = exp(dt L) and
-    each stage tendency embedded into the full layout: Lawson RK4 for if-rk4,
-    (z0 + dt N) / (1 - dt L) for imex-euler."""
+    """One step as the plain expressions on the full (n, n/2 + 1) half
+    spectrum, with E = exp(dt L) of its own symbol and each stage tendency,
+    of the band columns of its stage state, zero-padded to that width:
+    Lawson RK4 for if-rk4, (z0 + dt N) / (1 - dt L) for imex-euler."""
     g, params = plan.grid, plan.params
     linear = np.zeros((NCOMP,) + g.shape_spec)
     linear[0] = linear[1] = -(params.mu0 * g.k2 + params.alpha)
@@ -173,11 +174,11 @@ def _reference_step(z0, plan, dt, stage1, scheme):
 
     def full(tendency):
         out = np.zeros_like(z0)
-        out[..., : tendency.shape[-1]] = tendency
+        out[..., : g.band] = tendency
         return out
 
     def N(z):
-        tendency, diss, _ = nonlinear_tendency(z, plan)
+        tendency, diss, _ = nonlinear_tendency(np.ascontiguousarray(z[..., : g.band]), plan)
         return full(tendency), diss
 
     k1, d1 = full(stage1[0]), stage1[1]
@@ -197,15 +198,16 @@ class TestStepReference:
     @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
     def test_step_is_the_plain_expressions_bit_for_bit(self, grid32, viscosity, dt, scheme):
         # The band layout, the plan's buffers and the in-place ufuncs keep the
-        # operation order of the plain expressions: three steps, the first
-        # from a full-layout state and the next two from the band states a
-        # step returns, equal the reference bit for bit, and the reference is
-        # exactly zero past the band.
+        # operation order of the plain expressions: three steps from a band
+        # state, each from the state the last one returned, equal the
+        # full-spectrum reference bit for bit, and the reference is exactly
+        # zero past the band.
         params = ModelParams(alpha=0.5, beta=1.0, mu_lower=0.5, viscosity=viscosity)
         plan = Plan(grid32, params)
         band = grid32.band
         st = make_random_state(grid32, seed=12, amplitude=0.3)
-        z_ref = st.coeffs.copy()
+        z_ref = np.zeros((NCOMP,) + grid32.shape_spec, dtype=complex)
+        z_ref[..., :band] = st.coeffs
         for _ in range(3):
             evaluation = nonlinear_tendency(st.coeffs, plan)
             h = stable_dt(st, plan, evaluation) if dt == "auto" else dt
@@ -291,20 +293,21 @@ class TestRun:
         seen = []
         out = run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.time))
         assert seen == [0.0]
-        np.testing.assert_array_equal(out.coeffs, st.coeffs[..., : out.coeffs.shape[-1]])
+        assert out.coeffs is not st.coeffs
+        np.testing.assert_array_equal(out.coeffs, st.coeffs)
 
     def test_entry_zeroes_the_modes_outside_the_mask(self, grid32, params_undamped):
-        # from_function leaves rounding noise outside the dealias mask; run
-        # zeroes it on its own copy, so the t = 0 sample is dealiased exactly.
-        st = shear_state(grid32)
-        outside = ~grid32.dealias_mask
-        noisy = st.coeffs.copy()
-        assert np.any(noisy[:, outside] != 0)
+        # Of the band columns, the mask drops the rows |jx| > (n-1)//3.  Noise
+        # there (in every component, u's not divergence-free) is zeroed by
+        # run on its own copy, so the t = 0 sample is dealiased exactly.
+        outside = ~grid32.dealias_mask[:, : grid32.band]
+        noisy = make_random_state(grid32, seed=3, amplitude=0.3).coeffs
+        noisy[:, outside] = 1e-17 * (1 + 1j)
+        st = TcmState(grid32, noisy.copy())
         seen = []
         run(st, params_undamped, StepperConfig(t_end=0.0), lambda s, plan, dt, w, ev: seen.append(s.coeffs.copy()))
-        w = seen[0].shape[-1]
-        assert np.all(seen[0][:, outside[:, :w]] == 0)
-        np.testing.assert_array_equal(seen[0][:, ~outside[:, :w]], noisy[:, ~outside])
+        assert np.all(seen[0][:, outside] == 0)
+        np.testing.assert_array_equal(seen[0][:, ~outside], noisy[:, ~outside])
         np.testing.assert_array_equal(st.coeffs, noisy)
 
     def test_sink_gets_the_runs_own_read_only_band_states(self, grid32, params_undamped):
@@ -345,19 +348,20 @@ class TestRun:
              "gradient", "divergence", "leray_project", "dealias"],
     )
     def test_spectral_helpers_take_the_fields_of_a_band_state(self, grid32, params_undamped, helper):
-        # run returns a band state; its component fields are full-width, so
-        # each helper gives what it gives on the full-layout copy of that state.
+        # run returns a band state; its component fields are full half-spectrum
+        # fields, so each helper gives what it gives on the fields of the
+        # state's columns zero-padded to that width.
         out = run(make_random_state(grid32, seed=3, amplitude=0.3), params_undamped, StepperConfig(t_end=0.05, dt=0.01))
-        assert out.coeffs.shape[-1] == grid32.band
-        full = TcmState.zero(grid32, out.time)
-        full.coeffs[..., : grid32.band] = out.coeffs
-        for state in (out, full):
-            assert state.theta.coeffs.shape == grid32.shape_spec
-        np.testing.assert_array_equal(helper(out.theta, out.v[0]), helper(full.theta, full.v[0]))
+        padded = np.zeros((NCOMP,) + grid32.shape_spec, dtype=complex)
+        padded[..., : grid32.band] = out.coeffs
+        theta, v1 = SpectralField(grid32, padded[4]), SpectralField(grid32, padded[2])
+        assert out.theta.coeffs.shape == out.v[0].coeffs.shape == grid32.shape_spec
+        np.testing.assert_array_equal(helper(out.theta, out.v[0]), helper(theta, v1))
 
     def test_entry_rejects_a_gradient_part_in_u(self, grid32, params_undamped):
-        st = TcmState.zero(grid32)
-        st.coeffs[0] = SpectralField.from_function(grid32, lambda x, y: np.cos(x)).coeffs
+        zero = SpectralField.zero(grid32)
+        gradient_part = SpectralField.from_function(grid32, lambda x, y: np.cos(x))
+        st = TcmState.from_fields((gradient_part, zero), (zero, zero), zero)
         with pytest.raises(ValueError, match="divergence-free"):
             run(st, params_undamped, StepperConfig(t_end=0.1, dt=1e-2))
 
@@ -369,9 +373,9 @@ class TestRun:
         ratios = []
 
         def sink(s, plan, dt, w, ev):
-            u, w = s.coeffs[:2], s.coeffs.shape[-1]
-            k_dot_u = np.max(np.abs(g.kx * u[0] + g.ky[:, :w] * u[1]))
-            ratios.append(k_dot_u / np.max(g.kmag[:, :w] * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
+            u, band = s.coeffs[:2], g.band
+            k_dot_u = np.max(np.abs(g.kx * u[0] + g.ky[:, :band] * u[1]))
+            ratios.append(k_dot_u / np.max(g.kmag[:, :band] * np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
 
         run(make_random_state(g, seed=10, amplitude=0.5), p, StepperConfig(t_end=5.0, dt="auto", sample_every=1e-3), sink)
         assert len(ratios) - 1 >= 200
@@ -410,7 +414,7 @@ class TestRun:
         ratios = []
 
         def checked(coeffs, plan, out=None):
-            k_dot_u = plan.grid.kx * coeffs[0] + plan.grid.ky[:, : coeffs.shape[-1]] * coeffs[1]
+            k_dot_u = plan.grid.kx * coeffs[0] + plan.grid.ky[:, : plan.grid.band] * coeffs[1]
             ratios.append(np.max(np.abs(k_dot_u)) / np.max(np.abs(coeffs[:2])))
             return tendency(coeffs, plan, out)
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcm2d import spectral
+from tcm2d.cli import make_initial_data, parse_run_config
 from tcm2d.integrator import StepperConfig, run, step
 from tcm2d.model import (
     ModelParams,
@@ -45,11 +46,8 @@ from conftest import evaluate, make_random_state
 
 
 def rhs(state, params):
-    """The whole semi-discrete tendency N(z) + Lz, zero-padded to the layout of state.coeffs."""
-    band = state.grid.band
-    out = np.zeros_like(state.coeffs)
-    out[..., :band] = evaluate(state, params)[0] + Plan(state.grid, params).linear * state.coeffs[..., :band]
-    return out
+    """The whole semi-discrete tendency N(z) + Lz, in the state's band layout."""
+    return evaluate(state, params)[0] + Plan(state.grid, params).linear * state.coeffs
 
 
 def residual(state, params):
@@ -143,16 +141,65 @@ class TestParamBounds:
             ModelParams(s=1.0)
 
 
+class TestStateLayout:
+    def test_every_state_is_the_contiguous_band(self, grid32, params_undamped):
+        # One layout: whatever makes a state, its coefficients are a
+        # contiguous complex (5, n, band) array.
+        g = grid32
+        band = g.band
+        base = make_random_state(g, seed=1, amplitude=0.3)
+        padded = np.zeros((NCOMP,) + g.shape_spec, dtype=complex)
+        padded[..., :band] = base.coeffs
+        padded[..., band:] = 1.0  # columns past the band are dropped
+        fields = [SpectralField(g, row) for row in padded]
+        config = parse_run_config({
+            "schema_version": 1,
+            "grid": {"n": g.n, "box_length": g.box_length},
+            "params": {"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5},
+            "stepper": {"t_end": 0.1},
+            "epsilon": 0.01,
+            "seed": 3,
+        })
+        plan = Plan(g, params_undamped)
+        states = {
+            "full input": TcmState(g, padded),
+            "band input": TcmState(g, padded[..., :band].real),
+            "zero": TcmState.zero(g),
+            "from_fields": TcmState.from_fields(fields[0:2], fields[2:4], fields[4]),
+            "make_initial_data": make_initial_data(config, g),
+            "step": step(base, plan, 1e-3, nonlinear_tendency(base.coeffs, plan)[:2])[0],
+            "run": run(base, params_undamped, StepperConfig(t_end=2e-3, dt=1e-3)),
+        }
+        for name, state in states.items():
+            c = state.coeffs
+            assert c.shape == (NCOMP, g.n, band), name
+            assert c.dtype == np.complex128 and c.flags.c_contiguous, name
+        np.testing.assert_array_equal(states["full input"].coeffs, base.coeffs)
+        np.testing.assert_array_equal(states["from_fields"].coeffs, base.coeffs)
+        assert not np.shares_memory(states["full input"].coeffs, padded)
+        # A contiguous complex band array is taken as it is, with no copy.
+        kept = TcmState(g, base.coeffs).coeffs
+        assert np.shares_memory(kept, base.coeffs) and kept.shape == base.coeffs.shape
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(NCOMP, 32, 10), (NCOMP, 32, 12), (NCOMP, 32, 16), (NCOMP, 32, 18), (4, 32, 11), (NCOMP, 16, 11), (32, 11)],
+    )
+    def test_any_other_shape_raises(self, grid32, shape):
+        assert grid32.band == 11
+        with pytest.raises(ValueError, match="state coefficients must have shape"):
+            TcmState(grid32, np.zeros(shape, dtype=complex))
+
+
 class TestRhs:
     def test_zero_state(self, grid64, params_undamped):
         z = TcmState.zero(grid64)
         assert np.max(np.abs(rhs(z, params_undamped))) == 0.0
 
     def test_pure_theta_forces_v_only(self, grid64, params_undamped):
-        st_ = TcmState.zero(grid64)
+        zero = SpectralField.zero(grid64)
         theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x) + 0.3 * np.cos(2 * y))
-        st_.coeffs[ITH] = theta.coeffs
-        t = rhs(st_, params_undamped)
+        t = rhs(TcmState.from_fields((zero, zero), (zero, zero), theta), params_undamped)
         xx, yy = grid64.coords()
         assert np.max(np.abs(t[0:2])) == 0.0
         assert np.max(np.abs(t[ITH])) == 0.0
@@ -163,9 +210,9 @@ class TestRhs:
 
     def test_shear_mode_hand_value(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0, viscosity="constant")
-        st_ = TcmState.zero(grid64)
-        st_.coeffs[0] = SpectralField.from_function(grid64, lambda x, y: np.sin(y)).coeffs
-        t = rhs(st_, p)
+        zero = SpectralField.zero(grid64)
+        shear = SpectralField.from_function(grid64, lambda x, y: np.sin(y))
+        t = rhs(TcmState.from_fields((shear, zero), (zero, zero), zero), p)
         yy = grid64.coords()[1]
         assert np.max(np.abs(to_phys(t[0], grid64) + np.sin(yy))) < 1e-12
         assert np.max(np.abs(t[1])) < 1e-14
@@ -175,7 +222,7 @@ class TestRhs:
         st_ = make_random_state(grid64, seed=12, amplitude=0.5)
         t = rhs(st_, params_damped)
         g = grid64
-        div = 1j * (g.kx * t[0] + g.ky * t[1])
+        div = 1j * (g.kx * t[0] + g.ky[:, : g.band] * t[1])
         scale = np.sqrt(np.sum(np.abs(t[0]) ** 2 + np.abs(t[1]) ** 2))
         assert np.max(np.abs(div)) <= 1e-12 * max(scale, 1e-30)
 
@@ -292,20 +339,20 @@ class TestGroupedTendency:
         # only, with exact zeros, with no per-step repair, in every mode
         # outside the dealias mask.  A run hands its sink and returns states
         # of that band layout.
-        band, outside = grid64.band, ~grid64.dealias_mask
+        band = grid64.band
+        outside = ~grid64.dealias_mask[:, :band]
         plan = Plan(grid64, params)
         for scheme in ("if-rk4", "imex-euler"):
             st_ = make_random_state(grid64, seed=6, amplitude=0.5)
             for _ in range(2):
                 tendency, diss, _ = nonlinear_tendency(st_.coeffs, plan)
                 assert tendency.shape == (NCOMP, grid64.n, band)
-                assert np.any(tendency[..., :band] != 0)
-                assert np.all(tendency[..., band:] == 0)
-                assert np.all(tendency[:, outside[:, : tendency.shape[-1]]] == 0)
+                assert np.any(tendency != 0)
+                assert np.all(tendency[:, outside] == 0)
                 st_ = step(st_, plan, 1e-3, (tendency, diss), scheme)[0]
-                assert np.any(st_.coeffs[..., :band] != 0)
-                assert np.all(st_.coeffs[..., band:] == 0)
-                assert np.all(st_.coeffs[:, outside[:, : st_.coeffs.shape[-1]]] == 0)
+                assert st_.coeffs.shape == (NCOMP, grid64.n, band)
+                assert np.any(st_.coeffs != 0)
+                assert np.all(st_.coeffs[:, outside] == 0)
         seen = []
         final = run(make_random_state(grid64, seed=6, amplitude=0.5), params,
                     StepperConfig(t_end=3e-3, dt=1e-3, sample_every=1e-3),
@@ -314,7 +361,7 @@ class TestGroupedTendency:
         for coeffs in (*seen, final.coeffs):
             assert coeffs.shape == (NCOMP, grid64.n, band)
             assert np.any(coeffs != 0)
-            assert np.all(coeffs[:, outside[:, :band]] == 0)
+            assert np.all(coeffs[:, outside] == 0)
 
 
 class TestPlan:
@@ -448,9 +495,8 @@ class TestFiniteDifferenceOracle:
         params = ModelParams(alpha=0.2, beta=1.0, mu_lower=1.0)
         grid = SpectralGrid(64, L)
         xx, yy = grid.coords()
-        state = TcmState.zero(grid)
-        for i, f in enumerate(fields):
-            state.coeffs[i] = SpectralField.from_phys(grid, f(xx, yy)).coeffs
+        u1, u2, v1, v2, th = (SpectralField.from_phys(grid, f(xx, yy)) for f in fields)
+        state = TcmState.from_fields((u1, u2), (v1, v2), th)
         truth = to_phys(rhs(state, params), grid)
 
         errs = {}
@@ -470,9 +516,9 @@ class TestEnergyBudget:
         assert residual(TcmState.zero(grid64), params_undamped) == 0.0
 
     def test_pure_theta(self, grid64, params_undamped):
-        st_ = TcmState.zero(grid64)
-        st_.coeffs[ITH] = SpectralField.from_function(grid64, lambda x, y: np.sin(x)).coeffs
-        res = residual(st_, params_undamped)
+        zero = SpectralField.zero(grid64)
+        theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
+        res = residual(TcmState.from_fields((zero, zero), (zero, zero), theta), params_undamped)
         assert abs(res) < 1e-15
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcm2d.diagnostics import Spectra
 from tcm2d.spectral import (
     SpectralError,
     SpectralField,
@@ -28,6 +29,8 @@ from tcm2d.spectral import (
     sobolev_norm,
     to_phys,
 )
+
+from conftest import make_random_state
 
 TWO_PI_SQ = 2 * np.pi**2  # int_{[0,2pi)^2} sin^2(x) dx dy
 
@@ -270,14 +273,24 @@ class TestModeProducts:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_norms_of_the_band_columns_are_the_full_width_ones(self, n):
+        # A state holds its band columns and its component fields the half
+        # spectrum: the state's Parseval sums over the band (Spectra) are the
+        # norms of its fields over the half spectrum, to rounding.
         grid = SpectralGrid(n, 2 * np.pi)
-        f, g = band_limited_field(grid, n), band_limited_field(grid, n + 1)
-        band_f, band_g = (SpectralField(grid, h.coeffs[:, : grid.band]) for h in (f, g))
-        for s, hom in ((0.0, True), (1.5, True), (1.5, False)):
-            assert sobolev_norm(band_f, s, hom) == pytest.approx(sobolev_norm(f, s, hom), rel=1e-14)
-        ip = inner_product(f, g)
-        for pair in ((band_f, band_g), (band_f, g), (f, band_g)):
-            assert inner_product(*pair) == pytest.approx(ip, rel=1e-13, abs=1e-15)
+        state = make_random_state(grid, seed=n, amplitude=0.5)
+        spectra = Spectra(state)
+        theta = state.theta
+        for s in (0.0, 1.5):
+            assert sobolev_norm(theta, s, homogeneous=True) ** 2 == pytest.approx(spectra.hom_sq("theta", s), rel=1e-14)
+            assert sobolev_norm(theta, s) ** 2 == pytest.approx(spectra.hs_sq("theta", s), rel=1e-14)
+        fields = (*state.u, *state.v, theta)
+        assert sum(inner_product(f, f) for f in fields) == pytest.approx(2.0 * spectra.energy(), rel=1e-14)
+        # A field has one layout, the half spectrum: band-width coefficients are refused.
+        band = SpectralField(grid, theta.coeffs[:, : grid.band])
+        with pytest.raises(ValueError):
+            sobolev_norm(band, 1.0)
+        with pytest.raises(ValueError):
+            inner_product(band, theta)
 
 
 class TestRandomFields:
