@@ -28,7 +28,8 @@ reads, in one matrix product; the energy is half its L^2 sums.  The exported
 one call and take each weight row they read through the same product, so
 they return the record's values exactly.  The budget residual, the dissipation
 and the L^inf norms are read off the state's evaluation
-(:func:`tcm2d.model.nonlinear_tendency`), so a record transforms nothing.
+(:class:`tcm2d.model.Evaluation`), so a record transforms nothing and takes
+no stiff Parseval sum of its own.
 
 A record is laid out once: :func:`record_schema` reads the ordered columns off
 the :class:`DiagnosticsRecord` fields, and the CSV header, the CSV row and the
@@ -48,14 +49,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (
-    Evaluation,
-    ModelParams,
-    Plan,
-    TcmState,
-    budget_residual,
-    sup_norms,
-)
+from .model import Evaluation, ModelParams, Plan, TcmState, budget_residual
 from .spectral import SpectralField, carve, mode_products, sobolev_rows
 
 
@@ -456,12 +450,12 @@ def compute_record(
         B_m_gradtheta=spectra.B(params, m0, theta_slot="grad_hm1"),
         smallness=spectra.smallness(params),
         energy=spectra.energy(),
-        dissipation=evaluation[1],
+        dissipation=evaluation.dissipation,
         diss_integral=diss_integral,
         band_A=spectra.cross_free_sum_A(params, m0) / a**2 if a > 0 else 1.0,
         band_X=spectra.cross_free_sum_X(m0) / x**2 if x > 0 else 1.0,
         dt=dt,
-        linf=sup_norms(evaluation, plan),
+        linf=evaluation.linf,
         extra_orders={
             m: (spectra.A(params, m), spectra.B(params, m), spectra.X(params, m), spectra.Y(params, m))
             for m in config.functional_orders[1:]

@@ -18,10 +18,11 @@ can be checked at the integrator's own order of accuracy.
 
 :func:`run` builds one :class:`~tcm2d.model.Plan` for the run and evaluates
 each state it visits once, right after the step that made it, into one
-tendency buffer that the run owns: :func:`stable_dt` and the sink read that
-evaluation, and its tendency and dissipation are stage 1 of the next
-:func:`step`, so an if-rk4 step costs four tendency evaluations.  Every state,
-stage vector and tendency is zero outside the dealiased band of ky columns
+tendency buffer that the run owns: its tendency and dissipation are stage 1
+of the next :func:`step`, so an if-rk4 step costs four tendency evaluations,
+and :func:`stable_dt` and the sink read the rest of it, so neither evaluates
+mu(theta) or transforms anything.  Every state, stage vector and tendency is
+zero outside the dealiased band of ky columns
 (:attr:`~tcm2d.spectral.SpectralGrid.band`), so each is a contiguous
 ``(5, n, band)`` array, the one layout of a :class:`~tcm2d.model.TcmState`.
 An if-rk4 step forms each stage state in the plan's state rows, where the
@@ -44,16 +45,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .model import (
-    BlowUpError,
-    Evaluation,
-    ITH,
-    ModelParams,
-    Plan,
-    TcmState,
-    nonlinear_tendency,
-    sup_norms,
-)
+from .model import BlowUpError, Evaluation, ModelParams, Plan, TcmState, nonlinear_tendency
 
 DT_FLOOR = 1e-8
 
@@ -105,27 +97,22 @@ class StepperConfig:
             raise ValueError(f"sample_every must be > 0, got {self.sample_every}")
 
 
-def stable_dt(state: TcmState, plan: Plan, evaluation: Evaluation, cfl: float = 0.5) -> float:
-    """Explicit-part step bound, from the physical fields of the state's evaluation.
+def stable_dt(plan: Plan, evaluation: Evaluation, cfl: float = 0.5) -> float:
+    """Explicit-part step bound of an evaluated state.
 
     dt = cfl / ( kmax (|u|_inf + |v|_inf) + kmax^2 max|mu(theta) - mu(0)|
                  + beta + alpha + kmax ),
 
     the trailing kmax covering the grad-theta / div-v coupling.  kmax is the
-    largest dealiased |k|.  The sup norms are the evaluation's (see
-    :func:`~tcm2d.model.sup_norms`), and the viscosity deviation is 0 with
-    the constant law, whose mu(theta) is not evaluated.  The result is
-    floored at DT_FLOOR; :func:`run` stops with :class:`DtFloorError` there.
+    largest dealiased |k|.  The sup norms and the viscosity deviation are the
+    evaluation's ``linf`` and ``mu_dev`` (see :class:`~tcm2d.model.Evaluation`).
+    The result is floored at DT_FLOOR; :func:`run` stops with
+    :class:`DtFloorError` there.
     """
     params = plan.params
-    kmax = state.grid.kmax_dealiased
-    sup = sup_norms(evaluation, plan)
-    mu_dev = 0.0
-    if not plan.constant_mu:
-        dev = plan.scratch[0]
-        np.subtract(params.mu(evaluation[2][ITH]), params.mu0, out=dev)
-        mu_dev = float(np.max(np.abs(dev, out=dev)))
-    denom = kmax * (sup["u"] + sup["v"]) + kmax**2 * mu_dev + params.beta + params.alpha + kmax
+    kmax = plan.grid.kmax_dealiased
+    sup = evaluation.linf
+    denom = kmax * (sup["u"] + sup["v"]) + kmax**2 * evaluation.mu_dev + params.beta + params.alpha + kmax
     return max(cfl / denom, DT_FLOOR)
 
 
@@ -163,15 +150,15 @@ def _ifrk4(z0: np.ndarray, plan: Plan, dt: float, stage1: tuple) -> tuple[np.nda
     k1, d1 = stage1
     # za = E2 * (z0 + (0.5 * dt) * k1)
     np.multiply(E2, np.add(z0, np.multiply(0.5 * dt, k1, out=z), out=z), out=z)
-    d2 = nonlinear_tendency(z, plan, out=k2)[1]
+    d2 = nonlinear_tendency(z, plan, out=k2).dissipation
     # zb = E2 * z0 + (0.5 * dt) * k2
     np.add(np.multiply(E2, z0, out=ez0), np.multiply(0.5 * dt, k2, out=z), out=z)
-    d3 = nonlinear_tendency(z, plan, out=k3)[1]
+    d3 = nonlinear_tendency(z, plan, out=k3).dissipation
     # zc = E * z0 + dt * (E2 * k3)
     np.add(np.multiply(E, z0, out=ez0), np.multiply(dt, np.multiply(E2, k3, out=z), out=z), out=z)
     k2 += k3
     k4 = k3
-    d4 = nonlinear_tendency(z, plan, out=k4)[1]
+    d4 = nonlinear_tendency(z, plan, out=k4).dissipation
 
     # z1 = E * z0 + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
     acc = np.multiply(E, k1, out=z)
@@ -205,15 +192,15 @@ def run(
     plan is the run's :class:`~tcm2d.model.Plan`, built here once;
     diss_integral is the running integral of the dissipation since the start
     of the run, accumulated with the stepper's own stage weights; evaluation
-    is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose first two
-    values are the next step's stage 1; its tendency is the run's band buffer,
-    which the next evaluation overwrites, so a sink that keeps it keeps a
-    copy.  The run copies the initial state once, zeroes that copy outside
-    the dealias mask (a no-op on a dealiased state) and raises ValueError for
-    a u with max |k . u_hat| > 1e-12 max |k| |u_hat|.  Every state the sink
-    sees, and the one returned, is then the run's own state, with read-only
-    coefficients: the next step reads it, so a sink cannot change the
-    trajectory.  Deterministic for fixed inputs.
+    is the state's :func:`~tcm2d.model.nonlinear_tendency`, whose tendency and
+    dissipation are the next step's stage 1; its tendency is the run's band
+    buffer, which the next evaluation overwrites, so a sink that keeps it
+    keeps a copy.  The run copies the initial state once, zeroes that copy
+    outside the dealias mask (a no-op on a dealiased state) and raises
+    ValueError for a u with max |k . u_hat| > 1e-12 max |k| |u_hat|.  Every
+    state the sink sees, and the one returned, is then the run's own state,
+    with read-only coefficients: the next step reads it, so a sink cannot
+    change the trajectory.  Deterministic for fixed inputs.
     """
     grid = initial.grid
     plan = Plan(grid, params)
@@ -231,7 +218,7 @@ def run(
     # Every evaluation of the run writes its tendency here; a step reads it as stage 1.
     tendency = np.empty(plan.linear.shape, dtype=np.complex128)
     evaluation = nonlinear_tendency(state.coeffs, plan, out=tendency)
-    dt = stable_dt(state, plan, evaluation, stepper.cfl) if auto else float(stepper.dt)
+    dt = stable_dt(plan, evaluation, stepper.cfl) if auto else float(stepper.dt)
     if sink is not None:
         sink(state, plan, dt, diss_int, evaluation)
     t0, every = initial.time, stepper.sample_every
@@ -242,7 +229,7 @@ def run(
             raise DtFloorError(state.time)
         dt_step = min(dt, t_end - state.time)
         # The physical fields have had their last reader: free them before the step.
-        stage1 = evaluation[:2]
+        stage1 = (evaluation.tendency, evaluation.dissipation)
         del evaluation
         state, w = step(state, plan, dt_step, stage1, stepper.scheme)
         state.coeffs.flags.writeable = False
@@ -256,5 +243,5 @@ def run(
             next_sample = t0 + (math.floor((state.time + eps - t0) / every) + 1) * every
         # The bound of a state is taken once, and only for a state that is stepped from.
         if auto and not done:
-            dt = stable_dt(state, plan, evaluation, stepper.cfl)
+            dt = stable_dt(plan, evaluation, stepper.cfl)
     return state

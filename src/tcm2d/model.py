@@ -49,9 +49,11 @@ components of u, the curl of v and the viscosity remainder) and 9 forward (8
 products plus the remainder), or 7 inverse (the state and the curls of u and
 v) and 7 forward with the constant law, whose sigma = -v(x)v - u(x)u is
 symmetric and whose mu(0) ||grad u||^2 is a Parseval sum.  That call is the
-one evaluation of a state: the integrator hands it to stage 1 of the next
-step, to the step bound and to the sampled record (:func:`budget_residual`,
-:func:`sup_norms`).
+one evaluation of a state, an :class:`Evaluation`: the integrator hands its
+tendency and dissipation to stage 1 of the next step, and the step bound and
+the sampled record read its viscosity deviation, its sup norms and its stiff
+Parseval sum (:func:`budget_residual`), so neither evaluates mu(theta) or
+sums the stiff part again.
 
 Every state and tendency is zero in the ky columns from ``grid.band`` on, so
 a :class:`TcmState` holds the band columns alone, as one contiguous
@@ -79,6 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -414,15 +417,34 @@ class Plan:
         return self._propagators
 
 
-class Evaluation(tuple):
-    """One evaluation of a state: the tuple (nonlinear tendency, dissipation, physical fields).
+@dataclass(eq=False)
+class Evaluation:
+    """One evaluation of a state, the record :func:`nonlinear_tendency` returns.
 
-    ``linf`` holds the L^inf norms of its physical fields once
-    :func:`sup_norms` has taken them, so the step bound and the record of one
+    :attr:`linf` takes the sup norms in the plan's physical scratch rows
+    ``scratch`` on the first ask, so the step bound and the record of one
     state share one pass over the grid.
     """
 
-    linf: dict[str, float] | None = None
+    tendency: np.ndarray
+    dissipation: float
+    stiff: float
+    mu_dev: float
+    phys: np.ndarray
+    scratch: np.ndarray = field(repr=False)
+
+    @cached_property
+    def linf(self) -> dict[str, float]:
+        """The L^inf norms of |u|, |v| and |theta|; max(u1^2 + u2^2) is rooted, bitwise the max of the roots."""
+        u1, u2, v1, v2, th = self.phys
+        s, w = self.scratch
+        sup = {}
+        for name, (x, y) in (("u", (u1, u2)), ("v", (v1, v2))):
+            np.multiply(x, x, out=s)
+            s += np.multiply(y, y, out=w)
+            sup[name] = math.sqrt(float(np.max(s)))
+        sup["theta"] = float(np.max(np.abs(th, out=s)))
+        return sup
 
 
 def parseval_dissipation(z: np.ndarray, plan: Plan) -> float:
@@ -456,24 +478,25 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     divergence-free, dealiased trigonometric polynomials each of these forms is
     the same Galerkin term as the advective one, so the tendency, and with it
     the discrete energy budget, agrees with the advective one to rounding.
-    Returns three things:
+    Returns an :class:`Evaluation` of:
 
-    * the transport terms, the baroclinic tensor term, the variable-viscosity
-      remainder div((mu(theta)-mu(0)) grad u) and the v<->theta coupling, all
-      dealiased, with the u-tendency divergence-free and zero at k = 0, on the
-      band columns: a ``(5, n, band)`` array, ``out`` if given (it must not
-      overlap coeffs or a plan buffer) and a new array otherwise;
-    * the instantaneous dissipation int mu |grad u|^2 + alpha ||u||^2 +
-      beta ||v||^2: its stiff part mu(0) ||grad u||^2 + alpha ||u||^2 +
-      beta ||v||^2 is the Parseval sum :func:`parseval_dissipation`, and the
-      remainder int (mu(theta) - mu(0)) |grad u|^2 is evaluated with the
-      collocation quadrature the products use, so the discrete energy budget
-      closes to rounding;
-    * the physical values of [u_x, u_y, v_x, v_y, theta], shape (5, n, n), a
-      view of the new array the inverse transform returned.
-
-    They come as an :class:`Evaluation`, which also keeps the state's sup
-    norms once :func:`sup_norms` has taken them.
+    * ``tendency``: the transport terms, the baroclinic tensor term, the
+      variable-viscosity remainder div((mu(theta)-mu(0)) grad u) and the
+      v<->theta coupling, all dealiased, with the u-tendency divergence-free
+      and zero at k = 0, on the band columns: a ``(5, n, band)`` array,
+      ``out`` if given (it must not overlap coeffs or a plan buffer) and a new
+      array otherwise;
+    * ``dissipation``: int mu |grad u|^2 + alpha ||u||^2 + beta ||v||^2, the
+      sum of ``stiff`` = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2,
+      the Parseval sum :func:`parseval_dissipation`, and the remainder
+      int (mu(theta) - mu(0)) |grad u|^2, evaluated with the collocation
+      quadrature the products use, so the discrete energy budget closes to
+      rounding;
+    * ``mu_dev``: max |mu(theta) - mu(0)| over the grid, read off the
+      remainder before it is transformed (0.0 with the constant law, whose
+      mu(theta) is not evaluated);
+    * ``phys``: the physical values of [u_x, u_y, v_x, v_y, theta], shape
+      (5, n, n), a view of the new array the inverse transform returned.
 
     coeffs is a state's ``(5, n, band)`` coefficients, dealiased, as the
     integrator keeps them.  A state formed in ``plan.state_rows`` is
@@ -512,11 +535,13 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
     mu0 = params.mu0
     if constant_mu:
         w_u = phys[5]
+        mu_dev = 0.0
     else:
         a, c, b = phys[5:8]       # d_x u1, d_x u2, d_y u1; d_y u2 = -a
         # Dealias the remainder before the product so the cubic term is formed
         # from two alias-free quadratic stages.
         rem = from_phys(np.subtract(params.mu(th), mu0, out=s), grid, out=fwd[0])
+        mu_dev = float(np.max(np.abs(s, out=s)))
         mu_rem = to_phys(plan.gather_band(rem, plan.rem_band), grid)
         w_u = np.subtract(c, b, out=w)
 
@@ -576,14 +601,14 @@ def nonlinear_tendency(coeffs: np.ndarray, plan: Plan, out: np.ndarray | None = 
 
     # mu0 ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 is a Parseval sum; only
     # the remainder's int (mu(theta) - mu0) |grad u|^2 is a grid sum.
-    diss = parseval_dissipation(state, plan)
+    stiff = diss = parseval_dissipation(state, plan)
     if not constant_mu:
         # |grad u|^2 = 2 a^2 + b^2 + c^2, into w.
         grad_u_sq = np.multiply(2.0, np.square(a, out=w), out=w)
         grad_u_sq += np.square(b, out=s)
         grad_u_sq += np.square(c, out=s)
         diss += float(np.einsum("ij,ij->", mu_rem, grad_u_sq)) * grid.cell_area
-    return Evaluation((tend, diss, phys[:NCOMP]))
+    return Evaluation(tend, diss, stiff, mu_dev, phys[:NCOMP], plan.scratch)
 
 
 def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> float:
@@ -591,32 +616,11 @@ def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> floa
 
     Re <z, N> is the sum of Re(z_hat conj N_hat)
     (:func:`~tcm2d.spectral.mode_products`) against the plan's Parseval
-    weights and <z, Lz> is minus :func:`parseval_dissipation`, the sum the
-    dissipation D takes its Parseval part from, so the residual is
-    Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.  Both sums
-    run in the plan's work buffer.
+    weights, in the plan's work buffer, and <z, Lz> is minus the
+    evaluation's ``stiff``, the Parseval part of the dissipation D, so the
+    residual is Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.
     """
-    nl, diss, _ = evaluation
     z = state.coeffs
-    re_zn = float(np.einsum("cjk,jk->", mode_products(z, nl, plan.work), plan.parseval_weights))
-    return re_zn - parseval_dissipation(z, plan) + diss
+    re_zn = float(np.einsum("cjk,jk->", mode_products(z, evaluation.tendency, plan.work), plan.parseval_weights))
+    return re_zn - evaluation.stiff + evaluation.dissipation
 
-
-def sup_norms(evaluation: Evaluation, plan: Plan) -> dict[str, float]:
-    """The L^inf norms of |u|, |v| and |theta| of an evaluated state, taken once per evaluation.
-
-    The maximum of u1^2 + u2^2 is rooted after it is taken, which is bitwise
-    the maximum of the roots, since the root is monotone.  The squares go
-    into the plan's physical scratch rows.
-    """
-    if evaluation.linf is None:
-        u1, u2, v1, v2, th = evaluation[2]
-        s, w = plan.scratch
-        sup = {}
-        for name, (x, y) in (("u", (u1, u2)), ("v", (v1, v2))):
-            np.multiply(x, x, out=s)
-            s += np.multiply(y, y, out=w)
-            sup[name] = math.sqrt(float(np.max(s)))
-        sup["theta"] = float(np.max(np.abs(th, out=s)))
-        evaluation.linf = sup
-    return evaluation.linf

@@ -123,10 +123,14 @@ class SpectralGrid:
 
 @dataclass
 class SpectralField:
-    """One real scalar field stored as half-spectrum Fourier coefficients."""
+    """One real scalar field stored as half-spectrum Fourier coefficients, shape (n, n//2 + 1)."""
 
     grid: SpectralGrid
     coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.shape(self.coeffs) != self.grid.shape_spec:
+            raise SpectralError(f"field coefficients must have shape {self.grid.shape_spec}, got {np.shape(self.coeffs)}")
 
     @classmethod
     def zero(cls, grid: SpectralGrid) -> "SpectralField":

@@ -33,8 +33,13 @@ def make_random_state(grid, seed=0, amplitude=1.0, slope=1.0, peak_index=8):
 
 
 def evaluate(state, params):
-    """The state's evaluation on a fresh plan, as the integrator hands it to step, stable_dt and compute_record."""
+    """The state's evaluation on a fresh plan, as the integrator hands it to stable_dt and compute_record."""
     return nonlinear_tendency(state.coeffs, Plan(state.grid, params))
+
+
+def stage1(evaluation):
+    """Stage 1 of a step from the evaluated state: its (tendency, dissipation), as run passes it."""
+    return evaluation.tendency, evaluation.dissipation
 
 
 @pytest.fixture

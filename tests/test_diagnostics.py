@@ -319,15 +319,22 @@ class TestRecordSerialization:
             DiagnosticsConfig(**kwargs)
 
     @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
-    def test_evaluation_values_are_the_models(self, grid32, viscosity):
+    def test_evaluation_values_are_the_models(self, grid32, viscosity, monkeypatch):
         # The record reads its residual, dissipation and sup norms off the
         # evaluation; each equals the model's value on a fresh plan and
-        # evaluation bit for bit.
+        # evaluation bit for bit.  The residual's <z, Lz> is the evaluation's
+        # stiff sum, so the record takes no Parseval dissipation sum of its own.
+        import tcm2d.model as model_mod
+
         params = ModelParams(alpha=0.5, viscosity=viscosity)
         state = make_random_state(grid32, seed=5, amplitude=0.3)
-        rec = compute_record(state, Plan(state.grid, params), DiagnosticsConfig(), 0.01, 0.0, evaluate(state, params))
+        evaluation = evaluate(state, params)
+        sums, real_sum = [], model_mod.parseval_dissipation
+        monkeypatch.setattr(model_mod, "parseval_dissipation", lambda *a: sums.append(a) or real_sum(*a))
+        rec = compute_record(state, Plan(state.grid, params), DiagnosticsConfig(), 0.01, 0.0, evaluation)
+        assert sums == []
         assert rec.budget_residual == budget_residual(state, Plan(state.grid, params), evaluate(state, params))
-        assert rec.dissipation == evaluate(state, params)[1]
+        assert rec.dissipation == evaluate(state, params).dissipation
         vals = to_phys(state.coeffs, grid32)
         assert rec.linf == {
             "u": float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2))),
@@ -524,7 +531,8 @@ class TestRecordAgainstFieldSums:
         # After a warm-up record, a record works in the plan's buffers: what it
         # allocates is its Python values, far below the smallest array of the
         # band's size (n band doubles, 44 KiB at n = 128).  So does the step
-        # bound, beyond what a variable law allocates to evaluate mu(theta).
+        # bound with either law: it reads the evaluation's viscosity deviation
+        # and does not evaluate mu(theta).
         grid = SpectralGrid(128, 16 * np.pi)
         params = ModelParams(alpha=0.5, viscosity=viscosity)
         plan = Plan(grid, params)
@@ -537,22 +545,23 @@ class TestRecordAgainstFieldSums:
         tendency = np.empty_like(coeffs)
         warm = nonlinear_tendency(coeffs, plan, out=tendency)
         compute_record(state, plan, cfg, 0.01, 0.0, warm)
-        stable_dt(state, plan, warm)
-        evaluation = nonlinear_tendency(coeffs, plan, out=tendency)
+        stable_dt(plan, warm)
         small = grid.n * grid.band * 8
-        tracemalloc.start()
-        try:
-            compute_record(state, plan, cfg, 0.01, 0.0, evaluation)
-            record_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            stable_dt(state, plan, evaluation)
-            bound_peak = tracemalloc.get_traced_memory()[1]
-            mu_peak = 0
-            if viscosity != "constant":
-                tracemalloc.reset_peak()
-                params.mu(evaluation[2][ITH])
-                mu_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert record_peak < small / 4
-        assert bound_peak < mu_peak + small / 4
+        calls = {
+            "record": lambda evaluation: compute_record(state, plan, cfg, 0.01, 0.0, evaluation),
+            "bound": lambda evaluation: stable_dt(plan, evaluation),
+        }
+        # Whichever comes first takes the sup norms, in the plan's scratch rows.
+        for order in (("record", "bound"), ("bound", "record")):
+            evaluation = nonlinear_tendency(coeffs, plan, out=tendency)
+            peaks = {}
+            tracemalloc.start()
+            try:
+                for name in order:
+                    tracemalloc.reset_peak()
+                    calls[name](evaluation)
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks["record"] < small / 4, order
+            assert peaks["bound"] < small / 4, order

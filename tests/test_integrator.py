@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from tcm2d.spectral import (
     leray_project,
     lp_norm,
     sobolev_norm,
+    to_phys,
 )
 
-from conftest import evaluate, make_random_state
+from conftest import evaluate, make_random_state, stage1
 
 
 def shear_state(grid):
@@ -36,27 +38,41 @@ class TestStableDt:
     def test_zero_state_formula(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0)
         zero = TcmState.zero(grid64)
-        dt = stable_dt(zero, Plan(grid64, p), evaluate(zero, p), cfl=0.5)
+        dt = stable_dt(Plan(grid64, p), evaluate(zero, p), cfl=0.5)
         assert dt == pytest.approx(0.5 / (1.0 + grid64.kmax_dealiased), rel=1e-12)
 
     def test_linear_in_cfl(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
         plan = Plan(grid64, params_undamped)
         ev = nonlinear_tendency(st.coeffs, plan)
-        assert stable_dt(st, plan, ev, 1.0) == pytest.approx(2.0 * stable_dt(st, plan, ev, 0.5), rel=1e-12)
+        assert stable_dt(plan, ev, 1.0) == pytest.approx(2.0 * stable_dt(plan, ev, 0.5), rel=1e-12)
 
     def test_decreases_with_velocity(self, grid64, params_undamped):
         st = make_random_state(grid64, seed=4, amplitude=0.3)
         faster = TcmState(grid64, st.coeffs * 3.0, 0.0)
         plan = Plan(grid64, params_undamped)
-        assert stable_dt(faster, plan, nonlinear_tendency(faster.coeffs, plan), 0.5) < stable_dt(
-            st, plan, nonlinear_tendency(st.coeffs, plan), 0.5
+        assert stable_dt(plan, nonlinear_tendency(faster.coeffs, plan), 0.5) < stable_dt(
+            plan, nonlinear_tendency(st.coeffs, plan), 0.5
         )
 
     def test_floor(self, grid64):
         st = make_random_state(grid64, seed=4, amplitude=1e12)
         p = ModelParams()
-        assert stable_dt(st, Plan(grid64, p), evaluate(st, p), 0.5) == DT_FLOOR
+        assert stable_dt(Plan(grid64, p), evaluate(st, p), 0.5) == DT_FLOOR
+
+    @pytest.mark.parametrize("viscosity", ["quadratic", "constant", "gauss-bump"])
+    def test_the_bound_is_the_formula_of_the_states_fields(self, grid64, viscosity):
+        # Bitwise the formula of the docstring, of the sup norms and viscosity
+        # deviation taken from the state's own physical fields.
+        params = ModelParams(alpha=0.3, viscosity=viscosity)
+        st = make_random_state(grid64, seed=4, amplitude=0.3)
+        vals = to_phys(st.coeffs, grid64)
+        sup_u = float(np.max(np.sqrt(vals[0] ** 2 + vals[1] ** 2)))
+        sup_v = float(np.max(np.sqrt(vals[2] ** 2 + vals[3] ** 2)))
+        mu_dev = 0.0 if viscosity == "constant" else float(np.max(np.abs(params.mu(vals[4]) - params.mu0)))
+        kmax = grid64.kmax_dealiased
+        expected = 0.5 / (kmax * (sup_u + sup_v) + kmax**2 * mu_dev + params.beta + params.alpha + kmax)
+        assert stable_dt(Plan(grid64, params), evaluate(st, params), 0.5) == expected
 
     def test_run_stops_at_the_floor(self, grid64):
         # Stepping on at the floor would take about 1e8 steps per time unit:
@@ -76,7 +92,7 @@ class TestStep:
         s = shear_state(grid64)
         plan = Plan(grid64, p)
         for _ in range(100):
-            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2])
+            s, _ = step(s, plan, 1e-2, stage1(nonlinear_tendency(s.coeffs, plan)))
         yy = grid64.coords()[1]
         expected = np.exp(-1.3) * np.sin(yy)
         assert np.max(np.abs(s.u[0].values() - expected)) < 1e-12
@@ -88,19 +104,19 @@ class TestStep:
         plan = Plan(grid64, p)
         s = st
         for _ in range(50):
-            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2])
+            s, _ = step(s, plan, 1e-2, stage1(nonlinear_tendency(s.coeffs, plan)))
         exact = 0.7 * np.exp(-2.0 * 0.5)
         assert s.coeffs[2][0, 0].real == pytest.approx(exact, rel=1e-13)
         # imex-euler is first order: error ~ dt
         s = st
         for _ in range(50):
-            s, _ = step(s, plan, 1e-2, nonlinear_tendency(s.coeffs, plan)[:2], scheme="imex-euler")
+            s, _ = step(s, plan, 1e-2, stage1(nonlinear_tendency(s.coeffs, plan)), scheme="imex-euler")
         err = abs(s.coeffs[2][0, 0].real - exact)
         assert 0 < err < 0.05 * exact
 
     def test_zero_fixed_point(self, grid64, params_undamped):
         zero = TcmState.zero(grid64)
-        z, w = step(zero, Plan(grid64, params_undamped), 0.1, evaluate(zero, params_undamped)[:2])
+        z, w = step(zero, Plan(grid64, params_undamped), 0.1, stage1(evaluate(zero, params_undamped)))
         assert np.max(np.abs(z.coeffs)) == 0.0
         assert w == 0.0
 
@@ -111,15 +127,15 @@ class TestStep:
         with pytest.raises(BlowUpError) as exc:
             s = st
             for _ in range(200):
-                s, _ = step(s, plan, 0.5, nonlinear_tendency(s.coeffs, plan)[:2])  # far above the stable dt
+                s, _ = step(s, plan, 0.5, stage1(nonlinear_tendency(s.coeffs, plan)))  # far above the stable dt
         assert exc.value.time > 0
 
     def test_divergence_stays_clean(self, grid64, params_damped):
         s = make_random_state(grid64, seed=8, amplitude=0.05)
         plan = Plan(grid64, params_damped)
-        dt = stable_dt(s, plan, nonlinear_tendency(s.coeffs, plan), 0.5)
+        dt = stable_dt(plan, nonlinear_tendency(s.coeffs, plan), 0.5)
         for _ in range(5):
-            s, _ = step(s, plan, dt, nonlinear_tendency(s.coeffs, plan)[:2])
+            s, _ = step(s, plan, dt, stage1(nonlinear_tendency(s.coeffs, plan)))
         g = grid64
         div = 1j * (g.kx * s.coeffs[0] + g.ky[:, : g.band] * s.coeffs[1])
         scale = np.sqrt(np.sum(np.abs(s.coeffs[0]) ** 2 + np.abs(s.coeffs[1]) ** 2))
@@ -132,7 +148,7 @@ class TestStep:
         st = make_random_state(grid32, seed=9, amplitude=1.0)
         mismatch = {}
         for dt in (2e-3, 1e-3):
-            s1, w = step(st, Plan(grid32, p), dt, evaluate(st, p)[:2])
+            s1, w = step(st, Plan(grid32, p), dt, stage1(evaluate(st, p)))
             mismatch[dt] = abs((Spectra(s1).energy() - Spectra(st).energy()) + w)
         ratio = mismatch[2e-3] / mismatch[1e-3]
         assert ratio > 20.0
@@ -147,19 +163,19 @@ class TestStep:
         plan = Plan(grid32, params_damped)
         st = make_random_state(grid32, seed=11, amplitude=0.3)
         coeffs = st.coeffs.copy()
-        stage1 = nonlinear_tendency(st.coeffs, plan)[:2]
-        k1 = stage1[0].copy()
-        first, w_first = step(st, plan, 1e-3, stage1, scheme)
+        k1_d1 = stage1(nonlinear_tendency(st.coeffs, plan))
+        k1 = k1_d1[0].copy()
+        first, w_first = step(st, plan, 1e-3, k1_d1, scheme)
         z_first = first.coeffs.copy()
-        other = step(st, plan, 2e-3, stage1, scheme)[0]
+        other = step(st, plan, 2e-3, k1_d1, scheme)[0]
         np.testing.assert_array_equal(first.coeffs, z_first)
-        fresh = step(st, Plan(grid32, params_damped), 2e-3, evaluate(st, params_damped)[:2], scheme)[0]
+        fresh = step(st, Plan(grid32, params_damped), 2e-3, stage1(evaluate(st, params_damped)), scheme)[0]
         np.testing.assert_array_equal(other.coeffs, fresh.coeffs)
-        second, w_second = step(st, plan, 1e-3, stage1, scheme)
+        second, w_second = step(st, plan, 1e-3, k1_d1, scheme)
         np.testing.assert_array_equal(second.coeffs, z_first)
         assert w_second == w_first
         np.testing.assert_array_equal(st.coeffs, coeffs)
-        np.testing.assert_array_equal(stage1[0], k1)
+        np.testing.assert_array_equal(k1_d1[0], k1)
 
 
 def _reference_step(z0, plan, dt, stage1, scheme):
@@ -178,8 +194,8 @@ def _reference_step(z0, plan, dt, stage1, scheme):
         return out
 
     def N(z):
-        tendency, diss, _ = nonlinear_tendency(np.ascontiguousarray(z[..., : g.band]), plan)
-        return full(tendency), diss
+        evaluation = nonlinear_tendency(np.ascontiguousarray(z[..., : g.band]), plan)
+        return full(evaluation.tendency), evaluation.dissipation
 
     k1, d1 = full(stage1[0]), stage1[1]
     if scheme == "imex-euler":
@@ -210,9 +226,9 @@ class TestStepReference:
         z_ref[..., :band] = st.coeffs
         for _ in range(3):
             evaluation = nonlinear_tendency(st.coeffs, plan)
-            h = stable_dt(st, plan, evaluation) if dt == "auto" else dt
-            st, w = step(st, plan, h, evaluation[:2], scheme)
-            z_ref, w_ref = _reference_step(z_ref, plan, h, evaluation[:2], scheme)
+            h = stable_dt(plan, evaluation) if dt == "auto" else dt
+            st, w = step(st, plan, h, stage1(evaluation), scheme)
+            z_ref, w_ref = _reference_step(z_ref, plan, h, stage1(evaluation), scheme)
             assert st.coeffs.shape == (NCOMP, grid32.n, band)
             np.testing.assert_array_equal(st.coeffs, z_ref[..., :band])
             assert np.all(z_ref[..., band:] == 0)
@@ -238,21 +254,21 @@ class TestStepAllocation:
             current, peak = tracemalloc.get_traced_memory()
             held.append(current)
             peaks.append(peak)
-            result = tendency(coeffs, plan, out)[:2]  # the physical fields are freed here
+            dissipation = tendency(coeffs, plan, out).dissipation  # the physical fields are freed here
             tracemalloc.reset_peak()
-            return result + (None,)
+            return SimpleNamespace(dissipation=dissipation)
 
         params = ModelParams(alpha=0.3, viscosity="quadratic")
         plan = Plan(grid64, params)
         st = make_random_state(grid64, seed=4, amplitude=0.5)
-        st = step(st, plan, 1e-3, nonlinear_tendency(st.coeffs, plan)[:2])[0]
-        stage1 = nonlinear_tendency(st.coeffs, plan)[:2]
-        step(st, plan, 2e-3, stage1)  # warm-up
+        st = step(st, plan, 1e-3, stage1(nonlinear_tendency(st.coeffs, plan)))[0]
+        k1_d1 = stage1(nonlinear_tendency(st.coeffs, plan))
+        step(st, plan, 2e-3, k1_d1)  # warm-up
         monkeypatch.setattr(integrator, "nonlinear_tendency", tendency_outside_peaks)
         B = grid64.n * grid64.band * 16
         tracemalloc.start()
         try:
-            new, _ = step(st, plan, 1e-3, stage1)
+            new, _ = step(st, plan, 1e-3, k1_d1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -261,8 +277,68 @@ class TestStepAllocation:
         assert max(held) <= 4096
         assert max(peaks) <= 5 * B + 5 * B // 16 + 4096
 
+    @pytest.mark.parametrize("viscosity", ["quadratic", "constant"])
+    def test_a_run_holds_one_inverse_output_at_a_time(self, grid64, viscosity):
+        # Beyond its plan, a run at n = 64 holds three band arrays (its state,
+        # the state a step makes and the tendency buffer), 15 B, and one
+        # evaluation's inverse output, 9 F (7 F with the constant law) with
+        # the pruned inverse's kx-pass transient of as many B; 2 B of slack
+        # covers the rest (measured: 1.7 B and 1.8 B under the bound).  A run
+        # that kept an evaluation's physical fields across a step would hold
+        # two inverse outputs and break the bound.
+        params = ModelParams(alpha=0.3, viscosity=viscosity)
+        state = make_random_state(grid64, seed=3, amplitude=0.3)
+        stepper = StepperConfig(t_end=0.02, sample_every=0.01)
+        run(state, params, stepper)  # warm-up: transform plans, lazy imports
+        F = grid64.n**2 * 8
+        B = grid64.n * grid64.band * 16
+        tracemalloc.start()
+        try:
+            plan = Plan(grid64, params)
+            plan_bytes = tracemalloc.get_traced_memory()[0]
+            rows = len(plan.spec) - 1
+            del plan
+            tracemalloc.reset_peak()
+            run(state, params, stepper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan_bytes + rows * (F + B) + 17 * B
+
 
 class TestRun:
+    def test_the_law_is_evaluated_once_per_tendency_call(self, grid32, monkeypatch):
+        # With a variable law and auto dt, mu(theta) is evaluated in the
+        # tendency alone, once per call: four times per if-rk4 step plus the
+        # initial evaluation.  The step bound reads the evaluation's mu_dev.
+        from tcm2d import integrator
+
+        params = ModelParams(alpha=0.3, viscosity="quadratic")
+        counts = {"mu": 0, "mu in bound": 0, "step": 0}
+        real_mu, real_bound, real_step = ModelParams.mu, integrator.stable_dt, integrator.step
+
+        def mu(self, theta):
+            counts["mu"] += 1
+            return real_mu(self, theta)
+
+        def bound(*args):
+            before = counts["mu"]
+            dt = real_bound(*args)
+            counts["mu in bound"] += counts["mu"] - before
+            return dt
+
+        def counted_step(*args):
+            counts["step"] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(ModelParams, "mu", mu)
+        monkeypatch.setattr(integrator, "stable_dt", bound)
+        monkeypatch.setattr(integrator, "step", counted_step)
+        run(make_random_state(grid32, seed=3, amplitude=0.2), params, StepperConfig(t_end=0.05, sample_every=0.01))
+        assert counts["step"] >= 2
+        assert counts["mu in bound"] == 0
+        assert counts["mu"] == 4 * counts["step"] + 1
+
     def test_a_tiny_sample_interval_costs_nothing_per_step(self, params_undamped, monkeypatch):
         # The next sample time is counted in whole intervals from the start,
         # not reached by adding sample_every once per interval: with steps of

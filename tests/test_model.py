@@ -27,6 +27,7 @@ from tcm2d.model import (
     derive_delta1,
     derive_lambda,
     nonlinear_tendency,
+    parseval_dissipation,
     ITH,
     NCOMP,
 )
@@ -42,12 +43,12 @@ from tcm2d.spectral import (
     to_phys,
 )
 
-from conftest import evaluate, make_random_state
+from conftest import evaluate, make_random_state, stage1
 
 
 def rhs(state, params):
     """The whole semi-discrete tendency N(z) + Lz, in the state's band layout."""
-    return evaluate(state, params)[0] + Plan(state.grid, params).linear * state.coeffs
+    return evaluate(state, params).tendency + Plan(state.grid, params).linear * state.coeffs
 
 
 def residual(state, params):
@@ -167,7 +168,7 @@ class TestStateLayout:
             "zero": TcmState.zero(g),
             "from_fields": TcmState.from_fields(fields[0:2], fields[2:4], fields[4]),
             "make_initial_data": make_initial_data(config, g),
-            "step": step(base, plan, 1e-3, nonlinear_tendency(base.coeffs, plan)[:2])[0],
+            "step": step(base, plan, 1e-3, stage1(nonlinear_tendency(base.coeffs, plan)))[0],
             "run": run(base, params_undamped, StepperConfig(t_end=2e-3, dt=1e-3)),
         }
         for name, state in states.items():
@@ -278,20 +279,42 @@ class TestGroupedTendency:
     def test_matches_term_by_term_reference(self, grid64, params, seed):
         st_ = make_random_state(grid64, seed=seed, amplitude=0.5)
         ref, ref_diss = _reference_tendency(st_, params)
-        out, diss, _ = nonlinear_tendency(st_.coeffs, Plan(grid64, params))
+        evaluation = nonlinear_tendency(st_.coeffs, Plan(grid64, params))
+        out, diss = evaluation.tendency, evaluation.dissipation
         assert np.all(ref[..., out.shape[-1]:] == 0)
         assert np.max(np.abs(out - ref[..., : out.shape[-1]])) <= 1e-13 * np.max(np.abs(ref))
         assert abs(diss - ref_diss) <= 1e-13 * ref_diss
 
     @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
     def test_physical_fields_are_the_state(self, grid64, params):
-        # The third value is the state itself in physical space, taken from
+        # The physical fields are the state itself in physical space, taken from
         # the batched inverse transform (a view), bitwise equal to its own transform.
         st_ = make_random_state(grid64, seed=4, amplitude=0.5)
-        phys = nonlinear_tendency(st_.coeffs, Plan(grid64, params))[2]
+        phys = nonlinear_tendency(st_.coeffs, Plan(grid64, params)).phys
         assert phys.shape == (5,) + grid64.shape_phys
         assert phys.base is not None
         np.testing.assert_array_equal(phys, to_phys(st_.coeffs, grid64))
+
+    @pytest.mark.parametrize(
+        "params",
+        [*LAWS, ModelParams(alpha=0.3, mu_lower=0.5, viscosity=lambda th: 1.0 + 0.5 * np.sin(th))],
+        ids=[*(p.viscosity for p in LAWS), "callable"],
+    )
+    def test_viscosity_deviation_and_stiff_sum_are_the_states(self, grid64, params):
+        # mu_dev is max |mu(theta) - mu(0)| over the grid, bitwise, 0.0 with
+        # the constant law; the gauss-bump law lies below mu(0), so the
+        # absolute value matters.  stiff is the state's Parseval sum.
+        st_ = make_random_state(grid64, seed=4, amplitude=0.5)
+        plan = Plan(grid64, params)
+        evaluation = nonlinear_tendency(st_.coeffs, plan)
+        if params.viscosity == "constant":
+            assert evaluation.mu_dev == 0.0
+        else:
+            dev = params.mu(to_phys(st_.coeffs, grid64)[ITH]) - params.mu0
+            assert evaluation.mu_dev == float(np.max(np.abs(dev)))
+            if params.viscosity == "gauss-bump":
+                assert np.max(dev) <= 0.0 < evaluation.mu_dev
+        assert evaluation.stiff == parseval_dissipation(st_.coeffs, plan)
 
     @pytest.mark.parametrize(
         "params, forward, inverse",
@@ -325,7 +348,7 @@ class TestGroupedTendency:
         # The Biot-Savart velocity of curl div sigma: k . u_hat vanishes to
         # rounding, and the mean mode is exactly zero.
         st_ = make_random_state(grid64, seed=4, amplitude=0.5)
-        out = nonlinear_tendency(st_.coeffs, Plan(grid64, params))[0]
+        out = nonlinear_tendency(st_.coeffs, Plan(grid64, params)).tendency
         g, w = grid64, out.shape[-1]
         k_dot_u = np.abs(g.kx * out[0] + g.ky[:, :w] * out[1])
         scale = np.max(g.kmag[:, :w] * np.sqrt(np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2))
@@ -345,11 +368,12 @@ class TestGroupedTendency:
         for scheme in ("if-rk4", "imex-euler"):
             st_ = make_random_state(grid64, seed=6, amplitude=0.5)
             for _ in range(2):
-                tendency, diss, _ = nonlinear_tendency(st_.coeffs, plan)
+                evaluation = nonlinear_tendency(st_.coeffs, plan)
+                tendency = evaluation.tendency
                 assert tendency.shape == (NCOMP, grid64.n, band)
                 assert np.any(tendency != 0)
                 assert np.all(tendency[:, outside] == 0)
-                st_ = step(st_, plan, 1e-3, (tendency, diss), scheme)[0]
+                st_ = step(st_, plan, 1e-3, stage1(evaluation), scheme)[0]
                 assert st_.coeffs.shape == (NCOMP, grid64.n, band)
                 assert np.any(st_.coeffs != 0)
                 assert np.all(st_.coeffs[:, outside] == 0)
@@ -364,28 +388,38 @@ class TestGroupedTendency:
             assert np.all(coeffs[:, outside] == 0)
 
 
+def _values(evaluation):
+    """Copies of every value of an evaluation, its sup norms included."""
+    return (evaluation.tendency.copy(), evaluation.dissipation, evaluation.stiff, evaluation.mu_dev,
+            evaluation.phys.copy(), dict(evaluation.linf))
+
+
+def _assert_values_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b
+
+
 class TestPlan:
     @pytest.mark.parametrize("params", LAWS, ids=lambda p: p.viscosity)
     def test_evaluations_on_one_plan_do_not_alias(self, grid64, params):
         # The plan's buffers are scratch: a second call on the same plan leaves
-        # the first call's tendency, dissipation and physical fields as they
-        # were, and each call equals the evaluation on a fresh plan bit for bit.
+        # the first call's fields as they were, and each call equals the
+        # evaluation on a fresh plan bit for bit.
         plan = Plan(grid64, params)
         first_state = make_random_state(grid64, seed=4, amplitude=0.5)
         second_state = make_random_state(grid64, seed=31, amplitude=0.5)
         coeffs = first_state.coeffs.copy()
         first = nonlinear_tendency(first_state.coeffs, plan)
-        kept = (first[0].copy(), first[1], first[2].copy())
+        kept = _values(first)
         second = nonlinear_tendency(second_state.coeffs, plan)
         np.testing.assert_array_equal(first_state.coeffs, coeffs)
         for state, evaluation in ((first_state, first), (second_state, second)):
             fresh = nonlinear_tendency(state.coeffs, Plan(grid64, params))
-            np.testing.assert_array_equal(evaluation[0], fresh[0])
-            assert evaluation[1] == fresh[1]
-            np.testing.assert_array_equal(evaluation[2], fresh[2])
-        np.testing.assert_array_equal(first[0], kept[0])
-        assert first[1] == kept[1]
-        np.testing.assert_array_equal(first[2], kept[2])
+            _assert_values_equal(_values(evaluation), _values(fresh))
+        _assert_values_equal(_values(first), kept)
 
     def test_propagators_follow_the_last_dt(self, grid64, params_damped):
         plan = Plan(grid64, params_damped)
@@ -435,7 +469,7 @@ class TestPlan:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert evaluation[0] is out
+        assert evaluation.tendency is out
         assert peak <= 10 * F + 9 * B
         assert left <= 9 * F + B // 4
 
@@ -526,7 +560,7 @@ class TestEnergyBudget:
         params = ModelParams(alpha=alpha, beta=1.0, mu_lower=1.0, s=1.5)
         st_ = make_random_state(grid64, seed=17, amplitude=0.8)
         res = residual(st_, params)
-        scale = evaluate(st_, params)[1]
+        scale = evaluate(st_, params).dissipation
         assert scale > 0
         assert abs(res) <= 1e-10 * scale
 
@@ -534,4 +568,4 @@ class TestEnergyBudget:
         params = ModelParams(beta=2.0, mu_lower=0.5, viscosity="gauss-bump", viscosity_a=1.5)
         st_ = make_random_state(grid64, seed=23, amplitude=0.6)
         res = residual(st_, params)
-        assert abs(res) <= 1e-10 * evaluate(st_, params)[1]
+        assert abs(res) <= 1e-10 * evaluate(st_, params).dissipation

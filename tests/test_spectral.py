@@ -285,12 +285,10 @@ class TestModeProducts:
             assert sobolev_norm(theta, s) ** 2 == pytest.approx(spectra.hs_sq("theta", s), rel=1e-14)
         fields = (*state.u, *state.v, theta)
         assert sum(inner_product(f, f) for f in fields) == pytest.approx(2.0 * spectra.energy(), rel=1e-14)
-        # A field has one layout, the half spectrum: band-width coefficients are refused.
-        band = SpectralField(grid, theta.coeffs[:, : grid.band])
-        with pytest.raises(ValueError):
-            sobolev_norm(band, 1.0)
-        with pytest.raises(ValueError):
-            inner_product(band, theta)
+        # A field has one layout, the half spectrum: band-width coefficients are
+        # refused when the field is made.
+        with pytest.raises(SpectralError, match=rf"\({n}, {n // 2 + 1}\), got \({n}, {grid.band}\)"):
+            SpectralField(grid, state.coeffs[4])
 
 
 class TestRandomFields:
