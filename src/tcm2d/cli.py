@@ -5,7 +5,7 @@ Subcommands:
 * ``run``      -- integrate one configuration; writes manifest.json,
                   diagnostics.csv, diagnostics.jsonl, summary.json.
 * ``sweep``    -- Cartesian-product parameter sweep; one subdirectory per
-                  cell plus aggregate.csv of fitted decay exponents.
+                  cell plus aggregate.csv of fitted exponents and verdicts.
 * ``validate`` -- run the inequality lab at two resolutions.
 * ``fit``      -- fit a decay exponent to one column of a trajectory file.
 
@@ -593,6 +593,7 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
     header = ["cell", *SWEEP_AXES, "status"]
     for f, g in norm_keys:
         header += [f"exp_{norm_column(f, g)}", f"theory_{norm_column(f, g)}", f"r2_{norm_column(f, g)}"]
+    header += ["stability", "sup_over_eps", "x2_violations"]
     lines = [",".join(header)]
     for (config, cell_dir), (_, summary) in zip(jobs, results):
         fits = {(entry["field"], entry["gamma"]): entry for entry in summary.get("fits", [])}
@@ -603,6 +604,11 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
                 row += [repr(entry["exponent"]), repr(entry["theory_exponent"]), repr(entry["r_squared"])]
             else:
                 row += ["", "", ""]
+        stab = summary.get("stability")
+        if stab:
+            row += [stab["verdict"], repr(stab["sup_norm_sum"] / summary["epsilon"]), repr(summary["x2_monotonicity"]["violations"])]
+        else:  # an error or io-error summary has no verdicts
+            row += ["", "", ""]
         lines.append(",".join(row))
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
     worst = max((code for code, _ in results), default=EXIT_OK)

@@ -9,6 +9,7 @@ checks therefore use a calibrated intermediate-time window (documented in the
 configs below) and looser absolute tolerances, as declared.
 """
 
+import csv
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcm2d.cli import execute_run, execute_sweep, execute_validate, parse_run_config, parse_sweep
+from tcm2d.cli import RunResult, execute_run, execute_sweep, execute_validate, parse_run_config, parse_sweep
 from tcm2d.integrator import StepperConfig, run
 from tcm2d.model import ModelParams, TcmState
 from tcm2d.spectral import SpectralField, SpectralGrid
@@ -59,18 +60,21 @@ SEEDS = (1, 2, 3, 4, 5)
 
 @pytest.fixture(scope="session")
 def stability_runs(tmp_path_factory):
-    """Five seeds x {undamped, damped} at N = 128, auto dt (criteria 3-5)."""
+    """Five seeds x {undamped, damped} at N = 128, auto dt, as one sweep
+    (criteria 3-5): each cell's summary and directory, keyed (alpha, seed)."""
     root = tmp_path_factory.mktemp("stability")
+    doc = {"base": STABILITY_DOC, "axes": {"alpha": [0.0, 0.5], "seed": list(SEEDS)}, "threads": 2}
+    base, cells, threads = parse_sweep(doc)
+    assert execute_sweep(base, cells, root, threads=threads, quiet=True) == 0
+    with open(root / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * len(SEEDS)
     results = {}
-    for alpha in (0.0, 0.5):
-        for seed in SEEDS:
-            doc = json.loads(json.dumps(STABILITY_DOC))
-            doc["params"]["alpha"] = alpha
-            doc["seed"] = seed
-            out = root / f"alpha_{alpha:g}__seed_{seed}"
-            res = execute_run(parse_run_config(doc), out, quiet=True)
-            assert res.summary["status"] == "completed"
-            results[(alpha, seed)] = res
+    for row in rows:
+        assert row["status"] == "completed"
+        cell_dir = root / row["cell"]
+        summary = json.loads((cell_dir / "summary.json").read_text())
+        results[(float(row["alpha"]), int(row["seed"]))] = RunResult(0, cell_dir, summary)
     return results
 
 
@@ -199,7 +203,7 @@ class TestCriterion6:
         with criterion(6, "decay-rate ordering and damping gap at gamma = 1"):
             out = tmp_path_factory.mktemp("rates")
             base, cells, _ = parse_sweep(json.loads(json.dumps(RATE_DOC)))
-            assert execute_sweep(base, cells, out, threads=1, quiet=True) == 0
+            assert execute_sweep(base, cells, out, threads=2, quiet=True) == 0
             exps = {}
             for cell_dir in (p for p in out.iterdir() if p.is_dir()):
                 summary = json.loads((cell_dir / "summary.json").read_text())

@@ -1,5 +1,6 @@
 """CLI and experiment-runner tests: config validation, artifacts, exit codes."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -109,9 +110,9 @@ class TestConfigParsing:
         configs = [parse_run_config(SMALL_DOC)]
         for kind, seed, build in workloads.WORKLOADS.values():
             configs += sweep_configs(build(seed)) if kind == "sweep" else [parse_run_config(build(seed))]
-        configs += [parse_run_config(stability.run_doc(alpha, 1, 128, 0.01, 20.0)) for alpha in (0.0, 0.5)]
+        configs += sweep_configs(stability.sweep_doc(1, 128, 0.01, 20.0))
         configs += sweep_configs(rates.sweep_doc(2, 100.0, [0.0, 0.5]))
-        assert len(configs) == 1 + 2 + 3 + 2 + 3
+        assert len(configs) == 1 + 2 + 3 + 3 + 3
         for cfg in configs:
             again = parse_run_config(cfg.to_dict())
             assert again == cfg
@@ -469,7 +470,17 @@ class TestSweepCommand:
         assert len(cells) == 4
         agg = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(agg) == 5  # header + one row per cell
-        assert agg[0].startswith("cell,alpha,beta,epsilon,s,n,seed,status")
+        assert agg[0] == (
+            "cell,alpha,beta,epsilon,s,n,seed,status,"
+            + ",".join(f"{k}_{f}_gamma_1" for f in ("u", "v", "theta") for k in ("exp", "theory", "r2"))
+            + ",stability,sup_over_eps,x2_violations"
+        )
+        for row in csv.DictReader(agg):
+            summary = json.loads((out / row["cell"] / "summary.json").read_text())
+            assert row["status"] == summary["status"] == "completed"
+            assert row["stability"] == summary["stability"]["verdict"] == "pass"
+            assert row["sup_over_eps"] == repr(summary["stability"]["sup_norm_sum"] / summary["epsilon"])
+            assert row["x2_violations"] == repr(summary["x2_monotonicity"]["violations"])
 
     def test_raising_cell_recorded_and_aggregate_written(self, tmp_path, monkeypatch):
         def raising_when_damped(state, plan, *args, **kwargs):
@@ -485,6 +496,9 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
         status = rows[0].index("status")
         assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "error"}
+        verdicts = {row[1]: row[-3:] for row in rows[1:]}
+        assert verdicts["0.5"] == ["", "", ""]
+        assert verdicts["0.0"][0] == "pass"
         failed = next(p for p in out.iterdir() if "alpha_0.5" in p.name)
         assert json.loads((failed / "manifest.json").read_text())["status"] == "error"
 
@@ -501,6 +515,14 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
         status = rows[0].index("status")
         assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "dt-floor"}
+        floor_row = next(row for row in rows[1:] if row[1] == "0.5")
+        summary = json.loads((out / floor_row[0] / "summary.json").read_text())
+        assert floor_row[-3:] == [
+            summary["stability"]["verdict"],
+            repr(summary["stability"]["sup_norm_sum"] / summary["epsilon"]),
+            repr(summary["x2_monotonicity"]["violations"]),
+        ]
+        assert all(floor_row[-3:])
 
     def test_other_exceptions_stop_the_sweep(self, tmp_path, monkeypatch):
         # Only run failures are isolated per cell; an exception a hook raises

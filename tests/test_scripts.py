@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts: each runs end to end on tiny arguments."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -34,9 +35,12 @@ def test_stability_experiment(tmp_path):
     out = tmp_path / "stability"
     proc = run_script("stability_experiment.py", "--seeds", "1", "--n", "32", "--t-end", "0.2", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    digest = (out / "digest.txt").read_text().strip().splitlines()
-    assert len(digest) == 2
-    assert all("completed" in line for line in digest)
-    for cell in ("alpha_0__seed_1", "alpha_0.5__seed_1"):
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2  # alpha = 0 and 0.5, seed 1
+    assert all((row["status"], row["stability"]) == ("completed", "pass") for row in rows)
+    cells = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert cells == ["cell_0000__alpha_0__seed_1", "cell_0001__alpha_0.5__seed_1"]
+    for cell in cells:
         for name in ("manifest.json", "diagnostics.csv", "summary.json"):
             assert (out / cell / name).exists()
