@@ -11,17 +11,21 @@ Subcommands:
 
 Configurations are JSON with a schema_version field (documented in the
 README).  Exit codes: 0 success, 2 config/usage error, 3 blow-up, 4 I/O
-error, 5 inequality-lab instability, 6 nonpositive values in a fit window,
-7 unexpected error (the traceback goes to stderr; the run's manifest, or the
-sweep cell's row in aggregate.csv, records status ``error``), 8 the auto step
-fell to its floor (status ``dt-floor``: the run stopped rather than step at
-``integrator.DT_FLOOR``).
+error (an output directory or file could not be created or written; status
+``io-error``), 5 inequality-lab instability, 6 nonpositive values in a fit
+window, 7 unexpected error (the traceback goes to stderr; status ``error``),
+8 the auto step fell to its floor (status ``dt-floor``: the run stopped
+rather than step at ``integrator.DT_FLOOR``).  A sweep cell ends with the
+same status and code as the same run under ``run``, recorded in its row of
+aggregate.csv, and every failure is reported on stderr whatever ``--quiet``
+says.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -85,6 +89,22 @@ EXIT_UNSTABLE = 5
 EXIT_NONPOSITIVE = 6
 EXIT_ERROR = 7
 EXIT_DT_FLOOR = 8
+
+# The exit code of each status a run can end with.
+EXIT_CODES = {
+    "completed": EXIT_OK,
+    "blow-up": EXIT_BLOWUP,
+    "io-error": EXIT_IO,
+    "error": EXIT_ERROR,
+    "dt-floor": EXIT_DT_FLOOR,
+}
+
+# What a failing run can raise: every tcm2d error is a ValueError or a
+# RuntimeError, numpy's floating-point errors are ArithmeticError, and the file
+# system's are OSError.  Anything else (a programming error, KeyboardInterrupt,
+# or an exception a caller's hook raises to stop a run or a sweep, as perfbench's
+# set-up-only repetitions do from the integrator) propagates.
+RUN_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
 
 
 class ConfigError(ValueError):
@@ -276,16 +296,20 @@ def parse_run_config(doc: dict) -> RunConfig:
     return config
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def _load_json(path: str | Path) -> Any:
+    """The JSON document in the file at path; invalid JSON is a ConfigError naming the file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-    return parse_run_config(doc)
 
 
-def make_initial_data(config: RunConfig, grid: SpectralGrid | None = None) -> TcmState:
+def load_run_config(path: str | Path) -> RunConfig:
+    return parse_run_config(_load_json(path))
+
+
+def make_initial_data(config: RunConfig) -> TcmState:
     """Seeded random band-limited initial state, rescaled to the smallness norm.
 
     u is Leray-projected (divergence-free to rounding) and all fields are
@@ -293,8 +317,7 @@ def make_initial_data(config: RunConfig, grid: SpectralGrid | None = None) -> Tc
     norm sum equal epsilon to relative 1e-12.  Identical seeds give
     bitwise-identical states.
     """
-    if grid is None:
-        grid = SpectralGrid(config.n, config.box_length)
+    grid = SpectralGrid(config.n, config.box_length)
     k_peak = config.spectrum_peak * 2.0 * math.pi / grid.box_length
     amp = power_law_amplitude(config.spectrum_slope, k_peak)
     rng = np.random.default_rng(config.seed)
@@ -387,10 +410,15 @@ def _fit_block(records: list[DiagnosticsRecord], config: RunConfig) -> list[dict
 
 
 def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> RunResult:
-    """Integrate one configuration and persist all artifacts."""
+    """Integrate one configuration and persist all artifacts.
+
+    However the run ends, summary.json and manifest.json record its status and
+    the result carries that status's exit code.  From the output directory's
+    creation on, an OSError ends the run as "io-error" and any other exception
+    as "error"; a run failure (RUN_FAILURES) is reported on stderr and
+    returned, anything else (KeyboardInterrupt, a caller's hook) re-raised.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = SpectralGrid(config.n, config.box_length)
     params = config.params
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -406,31 +434,32 @@ def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> R
         "finished_at": None,
         "status": "running",
     }
-    _write_json(out / "manifest.json", manifest)
-    # Whatever raises past the statuses handled below, both files name it: an
-    # OSError ends the run as "io-error", anything else (a DiagnosticsError, a
-    # custom law's ViscosityFloorError, KeyboardInterrupt) as "error", re-raised.
     try:
-        return _integrate_and_report(config, grid, out, manifest, quiet)
-    except BaseException as exc:
-        if manifest["finished_at"] is not None:
-            raise
-        io_error = isinstance(exc, OSError)
-        summary = {"status": "io-error" if io_error else "error", "error": f"{type(exc).__name__}: {exc}"}
-        _finish_manifest(out, manifest, summary["status"], error=summary["error"])
-        _write_json(out / "summary.json", summary)
-        if not io_error:
-            raise
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "manifest.json", manifest)
+        summary = _integrate_and_report(config, out)
+        _write_status(out, manifest, summary)
         if not quiet:
+            print(f"run {out}: status={summary['status']} stability={summary['stability']['verdict']} "
+                  f"x2_monotone={summary['x2_monotonicity']['verdict']}")
+    except BaseException as exc:
+        summary = {"status": "io-error" if isinstance(exc, OSError) else "error", "error": f"{type(exc).__name__}: {exc}"}
+        with contextlib.suppress(OSError):  # an io-error may leave nowhere to write
+            _write_status(out, manifest, summary)
+        if not isinstance(exc, RUN_FAILURES):
+            raise
+        if isinstance(exc, OSError):
             print(f"io error: {exc}", file=sys.stderr)
-        return RunResult(EXIT_IO, out, summary)
+        else:
+            print(f"run {out} raised:", file=sys.stderr)
+            traceback.print_exc()
+    return RunResult(EXIT_CODES[summary["status"]], out, summary)
 
 
-def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, manifest: dict, quiet: bool) -> RunResult:
-    params = config.params
-    initial = make_initial_data(config, grid)
+def _integrate_and_report(config: RunConfig, out: Path) -> dict:
+    """Integrate, writing the diagnostics files, and return the run's summary."""
+    initial = make_initial_data(config)
     records: list[DiagnosticsRecord] = []
-
     status = "completed"
     extra: dict[str, Any] = {}
     with open(out / "diagnostics.csv", "w") as csv_fh, open(out / "diagnostics.jsonl", "w") as jsonl_fh:
@@ -445,7 +474,7 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
             jsonl_w.write(rec)
 
         try:
-            integrate(initial, params, config.stepper, sink)
+            integrate(initial, config.params, config.stepper, sink)
         except BlowUpError as exc:
             status = "blow-up"
             extra["blow_up_time"] = exc.time
@@ -454,7 +483,7 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
             extra["dt_floor_time"] = exc.time
 
     sup_small = max((r.smallness for r in records), default=0.0)
-    summary: dict[str, Any] = {
+    return {
         "status": status,
         "epsilon": config.epsilon,
         "stability": {
@@ -464,31 +493,21 @@ def _integrate_and_report(config: RunConfig, grid: SpectralGrid, out: Path, mani
         },
         "x2_monotonicity": _monotonicity_verdict(records),
         "bands": {
-            "A": {
-                "min_ratio": min((r.band_A for r in records), default=1.0),
-                "max_ratio": max((r.band_A for r in records), default=1.0),
-            },
-            "X": {
-                "min_ratio": min((r.band_X for r in records), default=1.0),
-                "max_ratio": max((r.band_X for r in records), default=1.0),
-            },
+            band: {"min_ratio": min(ratios, default=1.0), "max_ratio": max(ratios, default=1.0)}
+            for band, ratios in (("A", [r.band_A for r in records]), ("X", [r.band_X for r in records]))
         },
         "budget": _budget_block(records),
         "fits": _fit_block(records, config) if status == "completed" else [],
+        **extra,
     }
-    summary.update(extra)
+
+
+def _write_status(out: Path, manifest: dict, summary: dict) -> None:
+    """Write summary.json, then finish manifest.json with the summary's status and its stop time or error."""
     _write_json(out / "summary.json", summary)
-    _finish_manifest(out, manifest, status, **extra)
-
-    if not quiet:
-        print(f"run {out}: status={status} stability={summary['stability']['verdict']} "
-              f"x2_monotone={summary['x2_monotonicity']['verdict']}")
-    return RunResult({"blow-up": EXIT_BLOWUP, "dt-floor": EXIT_DT_FLOOR}.get(status, EXIT_OK), out, summary)
-
-
-def _finish_manifest(out: Path, manifest: dict, status: str, **extra: Any) -> None:
-    manifest.update(status=status, finished_at=_time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra)
-    _write_json(out / "manifest.json", manifest)
+    ending = {key: summary[key] for key in ("blow_up_time", "dt_floor_time", "error") if key in summary}
+    finished_at = _time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    _write_json(out / "manifest.json", dict(manifest, status=summary["status"], finished_at=finished_at, **ending))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -558,36 +577,17 @@ def _cell_dirname(index: int, cell: dict[str, Any]) -> str:
     return "__".join(parts)
 
 
-# What a failing cell can raise: every tcm2d error is a ValueError or a
-# RuntimeError, numpy's floating-point errors are ArithmeticError, and the file
-# system's are OSError.  Anything else (a programming error, KeyboardInterrupt,
-# or an exception a caller's hook raises to stop the sweep, as perfbench's
-# set-up-only repetitions do from the integrator) propagates.
-_CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
-
-
-def _run_cell(job: tuple[RunConfig, Path]) -> tuple[int, dict]:
-    """Run one sweep cell to (exit code, summary); a run failure fails this cell only, with EXIT_ERROR."""
-    config, out_dir = job
-    try:
-        result = execute_run(config, out_dir, quiet=True)
-    except _CELL_FAILURES as exc:
-        print(f"sweep cell {out_dir} raised:", file=sys.stderr)
-        traceback.print_exc()
-        return EXIT_ERROR, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-    return result.exit_code, result.summary
-
-
 def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]], out_dir: str | Path, threads: int = 1, quiet: bool = True) -> int:
     """Run the cells of :func:`parse_sweep` and write aggregate.csv from their summaries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config, out / _cell_dirname(i, cell)) for i, (cell, config) in enumerate(cells)]
+    configs = [config for _, config in cells]
+    dirs = [out / _cell_dirname(i, cell) for i, (cell, _) in enumerate(cells)]
     if threads == 1:
-        results = [_run_cell(job) for job in jobs]
+        results = [execute_run(config, cell_dir) for config, cell_dir in zip(configs, dirs)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell, jobs))
+            results = list(pool.map(execute_run, configs, dirs))
 
     norm_keys = list(base.diagnostics.norms)
     header = ["cell", *SWEEP_AXES, "status"]
@@ -595,9 +595,10 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
         header += [f"exp_{norm_column(f, g)}", f"theory_{norm_column(f, g)}", f"r2_{norm_column(f, g)}"]
     header += ["stability", "sup_over_eps", "x2_violations"]
     lines = [",".join(header)]
-    for (config, cell_dir), (_, summary) in zip(jobs, results):
+    for config, result in zip(configs, results):
+        summary = result.summary
         fits = {(entry["field"], entry["gamma"]): entry for entry in summary.get("fits", [])}
-        row = [cell_dir.name, *(repr(axis.value(config)) for axis in SWEEP_AXES.values()), summary["status"]]
+        row = [result.out_dir.name, *(repr(axis.value(config)) for axis in SWEEP_AXES.values()), summary["status"]]
         for key in norm_keys:
             entry = fits.get(key)
             if entry and entry["status"] == "ok":
@@ -611,7 +612,7 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
             row += ["", "", ""]
         lines.append(",".join(row))
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
-    worst = max((code for code, _ in results), default=EXIT_OK)
+    worst = max((result.exit_code for result in results), default=EXIT_OK)
     if not quiet:
         print(f"sweep {out}: {len(cells)} cells, worst exit {worst}")
     return worst
@@ -705,8 +706,7 @@ def execute_fit(
 def _damped_from_manifest(traj_path: Path) -> bool:
     manifest = traj_path.parent / "manifest.json"
     if manifest.exists():
-        doc = json.loads(manifest.read_text())
-        return doc.get("derived", {}).get("delta1", 0) == 1
+        return _load_json(manifest).get("derived", {}).get("delta1", 0) == 1
     return False
 
 
@@ -762,9 +762,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             out = _resolve_out_dir(args.out, config)
             return execute_run(config, out, quiet=args.quiet).exit_code
         if args.command == "sweep":
-            with open(args.config) as fh:
-                doc = json.load(fh)
-            base, cells, threads = parse_sweep(doc)
+            base, cells, threads = parse_sweep(_load_json(args.config))
             if args.threads is not None:
                 threads = _read("--threads", args.threads, _threads)
             out = _resolve_out_dir(args.out, base)
@@ -785,9 +783,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -69,7 +69,7 @@ def random_test_field(grid: SpectralGrid, rng: np.random.Generator) -> SpectralF
     return SpectralField(grid, coeffs)
 
 
-def _aggregate(name: str, per_res: dict[int, list[float]]) -> InequalityReport:
+def _aggregate(name: str, per_res: dict[int, Sequence[float]]) -> InequalityReport:
     worsts = {n: max(rs) for n, rs in per_res.items()}
     allr = [r for rs in per_res.values() for r in rs]
     stable = max(worsts.values()) <= STABILITY_FACTOR * min(worsts.values())
@@ -84,23 +84,26 @@ def _aggregate(name: str, per_res: dict[int, list[float]]) -> InequalityReport:
 
 
 def _run_trials(
-    name: str,
+    names: tuple[str, ...],
     trials: int,
     grids: Sequence[SpectralGrid],
     rng: np.random.Generator,
-    one_trial: Callable[[SpectralGrid, np.random.Generator], float | None],
-) -> InequalityReport:
+    one_trial: Callable[[SpectralGrid, np.random.Generator], tuple[float, ...] | None],
+) -> list[InequalityReport]:
+    """One report per name, from trials draws per grid; a draw gives one ratio
+    per name, or None to be skipped."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    per_res: dict[int, list[float]] = {}
+    per_res: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in names}
     for grid in grids:
-        ratios = []
-        while len(ratios) < trials:
-            r = one_trial(grid, rng)
-            if r is not None:
-                ratios.append(r)
-        per_res[grid.n] = ratios
-    return _aggregate(name, per_res)
+        draws = []
+        while len(draws) < trials:
+            ratios = one_trial(grid, rng)
+            if ratios is not None:
+                draws.append(ratios)
+        for name, column in zip(names, zip(*draws)):
+            per_res[name][grid.n] = column
+    return [_aggregate(name, per_res[name]) for name in names]
 
 
 def check_gn(trials: int, grids: Sequence[SpectralGrid], rng: np.random.Generator) -> InequalityReport:
@@ -108,7 +111,7 @@ def check_gn(trials: int, grids: Sequence[SpectralGrid], rng: np.random.Generato
     for a sampled s in (1, 2), the ||Lambda^{s-1} f||_{L^{2/(s-1)}} <= C ||grad f||
     and ||grad f||_{L^{2/(2-s)}} <= C ||Lambda^s f|| companions."""
 
-    def one(grid: SpectralGrid, rng: np.random.Generator) -> float | None:
+    def one(grid: SpectralGrid, rng: np.random.Generator) -> tuple[float] | None:
         f = random_test_field(grid, rng)
         denom = sobolev_norm(f, 0.5, homogeneous=True)
         if denom == 0:
@@ -124,9 +127,9 @@ def check_gn(trials: int, grids: Sequence[SpectralGrid], rng: np.random.Generato
         h2 = (grid.box_length / (2 * grid.n)) ** 2
         grad_lp = float((np.sum(grad_vals**p) * h2) ** (1.0 / p))
         ratios.append(grad_lp / sobolev_norm(f, s, homogeneous=True))
-        return max(ratios)
+        return (max(ratios),)
 
-    return _run_trials("gagliardo-nirenberg", trials, grids, rng, one)
+    return _run_trials(("gagliardo-nirenberg",), trials, grids, rng, one)[0]
 
 
 def _oversq(f: SpectralField) -> np.ndarray:
@@ -156,21 +159,19 @@ def check_interpolation(
     a_inf = (s2 - 1.0) / (s2 - s1)
     b_inf = (1.0 - s1) / (s2 - s1)
 
-    exact_res: dict[int, list[float]] = {}
-    linf_res: dict[int, list[float]] = {}
-    for grid in grids:
-        ex, li = [], []
-        while len(ex) < trials:
-            f = random_test_field(grid, rng)
-            n1 = sobolev_norm(f, s1, homogeneous=True)
-            n2 = sobolev_norm(f, s2, homogeneous=True)
-            if n1 == 0 or n2 == 0:
-                continue
-            ex.append(sobolev_norm(f, s, homogeneous=True) / (n1**a * n2**b))
-            li.append(lp_norm(f, np.inf) / (n1**a_inf * n2**b_inf))
-        exact_res[grid.n] = ex
-        linf_res[grid.n] = li
-    return _aggregate("interpolation-exact", exact_res), _aggregate("interpolation-linf", linf_res)
+
+    def one(grid: SpectralGrid, rng: np.random.Generator) -> tuple[float, float] | None:
+        f = random_test_field(grid, rng)
+        n1 = sobolev_norm(f, s1, homogeneous=True)
+        n2 = sobolev_norm(f, s2, homogeneous=True)
+        if n1 == 0 or n2 == 0:
+            return None
+        return (
+            sobolev_norm(f, s, homogeneous=True) / (n1**a * n2**b),
+            lp_norm(f, np.inf) / (n1**a_inf * n2**b_inf),
+        )
+
+    return tuple(_run_trials(("interpolation-exact", "interpolation-linf"), trials, grids, rng, one))
 
 
 def check_kato_ponce(
@@ -181,7 +182,7 @@ def check_kato_ponce(
     if not s > 0:
         raise ValueError(f"s must be > 0, got {s}")
 
-    def one(grid: SpectralGrid, rng: np.random.Generator) -> float | None:
+    def one(grid: SpectralGrid, rng: np.random.Generator) -> tuple[float] | None:
         f = random_test_field(grid, rng)
         g_ = random_test_field(grid, rng)
         lhs = commutator_norm(f, g_, s)
@@ -192,9 +193,9 @@ def check_kato_ponce(
         ) * sobolev_norm(f, s, homogeneous=True)
         if rhs == 0:
             return None
-        return lhs / rhs
+        return (lhs / rhs,)
 
-    return _run_trials("kato-ponce", trials, grids, rng, one)
+    return _run_trials(("kato-ponce",), trials, grids, rng, one)[0]
 
 
 def commutator_norm(f: SpectralField, g: SpectralField, s: float) -> float:
@@ -233,7 +234,7 @@ def check_composition(
     law0 = float(law_fn(np.zeros(1))[0])
     ceil_pow = math.ceil(s - 1.0)
 
-    def one(grid: SpectralGrid, rng: np.random.Generator) -> float | None:
+    def one(grid: SpectralGrid, rng: np.random.Generator) -> tuple[float] | None:
         th = random_test_field(grid, rng)
         sup = lp_norm(th, np.inf)
         if sup == 0:
@@ -247,6 +248,6 @@ def check_composition(
         denom = (1.0 + grad_l2**ceil_pow) * sobolev_norm(th, s, homogeneous=True)
         if denom == 0:
             return None
-        return lhs / denom
+        return (lhs / denom,)
 
-    return _run_trials(name, trials, grids, rng, one)
+    return _run_trials((name,), trials, grids, rng, one)[0]

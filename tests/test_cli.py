@@ -50,7 +50,7 @@ SMALL_DOC = {
 }
 
 
-def floor_state(config, grid=None):
+def floor_state(config):
     """test_integrator's floor state in place of the config's initial data: its auto step is DT_FLOOR."""
     return make_random_state(SpectralGrid(64, 2 * math.pi), seed=4, amplitude=1e12)
 
@@ -172,6 +172,12 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_invalid_json_sweep_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "bad_sweep.json"
+        path.write_text("{not json")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert f"config file {path}: invalid JSON" in capsys.readouterr().err
 
 
 class TestMakeInitialData:
@@ -295,8 +301,12 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli_mod, "compute_record", raising)
         out = tmp_path / "o"
-        with pytest.raises(type(exc)):
-            execute_run(parse_run_config(SMALL_DOC), out)
+        # A run failure is returned with its exit code; anything else is re-raised.
+        if isinstance(exc, Exception):
+            assert execute_run(parse_run_config(SMALL_DOC), out).exit_code == EXIT_ERROR
+        else:
+            with pytest.raises(type(exc)):
+                execute_run(parse_run_config(SMALL_DOC), out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["finished_at"] is not None
@@ -506,7 +516,7 @@ class TestSweepCommand:
         initial_data = cli_mod.make_initial_data
         monkeypatch.setattr(
             cli_mod, "make_initial_data",
-            lambda config, grid=None: floor_state(config) if config.params.alpha > 0 else initial_data(config, grid),
+            lambda config: floor_state(config) if config.params.alpha > 0 else initial_data(config),
         )
         base = dict(SMALL_DOC, grid={"n": 64, "box_length": 2 * math.pi}, stepper=dict(SMALL_DOC["stepper"], t_end=0.1))
         sweep_path = write_config(tmp_path, {"base": base, "axes": {"alpha": [0.0, 0.5]}}, "sweep.json")
@@ -603,6 +613,26 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
         status = rows[0].index("status")
         assert {row[1]: row[status] for row in rows[1:]} == {"0.0": "completed", "0.5": "io-error"}
+
+    def test_blocked_cell_is_an_io_error_as_in_run(self, tmp_path, capsys):
+        # A regular file where a cell's directory goes: the cell ends as the
+        # same run under `tcm2d run` does, io-error with exit 4.
+        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "cell_0000__alpha_0").write_text("")
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_IO
+        rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
+        status = rows[0].index("status")
+        by_cell = {row[0]: row for row in rows[1:]}
+        assert by_cell["cell_0000__alpha_0"][status] == "io-error"
+        assert by_cell["cell_0000__alpha_0"][-3:] == ["", "", ""]
+        assert by_cell["cell_0001__alpha_0.5"][status] == "completed"
+        assert capsys.readouterr().err.count("io error:") == 1
+        run_path = write_config(tmp_path, SMALL_DOC)
+        assert main(["run", "--config", str(run_path), "--out", str(out / "cell_0000__alpha_0"), "--quiet"]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("io error:")
 
     def test_process_pool_matches_serial(self, tmp_path):
         # The pool sends each cell's RunConfig to a worker and its summary back.

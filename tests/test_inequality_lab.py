@@ -137,5 +137,6 @@ class TestReport:
         assert doc["worst_ratio"] >= doc["median_ratio"]
 
     def test_trials_validated(self, grids, rng):
-        with pytest.raises(ValueError):
-            check_gn(0, grids, rng)
+        for check in (check_gn, check_interpolation, check_kato_ponce, check_composition):
+            with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+                check(0, grids, rng)

@@ -167,7 +167,7 @@ class TestStateLayout:
             "band input": TcmState(g, padded[..., :band].real),
             "zero": TcmState.zero(g),
             "from_fields": TcmState.from_fields(fields[0:2], fields[2:4], fields[4]),
-            "make_initial_data": make_initial_data(config, g),
+            "make_initial_data": make_initial_data(config),
             "step": step(base, plan, 1e-3, stage1(nonlinear_tendency(base.coeffs, plan)))[0],
             "run": run(base, params_undamped, StepperConfig(t_end=2e-3, dt=1e-3)),
         }
