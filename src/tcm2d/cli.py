@@ -71,7 +71,6 @@ from .model import (
     ViscosityFloorError,
 )
 from .spectral import (
-    SpectralField,
     SpectralGrid,
     leray_project_coeffs,
     power_law_amplitude,
@@ -312,20 +311,24 @@ def load_run_config(path: str | Path) -> RunConfig:
 def make_initial_data(config: RunConfig) -> TcmState:
     """Seeded random band-limited initial state, rescaled to the smallness norm.
 
-    u is Leray-projected (divergence-free to rounding) and all fields are
-    dealiased and mean-free.  The global rescale makes the undamped or damped
-    norm sum equal epsilon to relative 1e-12.  Identical seeds give
-    bitwise-identical states.
+    The five components [u_x, u_y, v_x, v_y, theta] are five draws of
+    :func:`~tcm2d.spectral.random_coeffs` from one generator, each drawn at
+    the state's band width straight into its row of the (5, n, band) state:
+    no full half-spectrum complex array is made.  The draws are mean-free and
+    band-limited to half the dealias cut, so every field is dealiased.  u is
+    Leray-projected (divergence-free to rounding) on the band columns.  The
+    global rescale makes the undamped or damped norm sum equal epsilon to
+    relative 1e-12.  Identical seeds give bitwise-identical states.
     """
     grid = SpectralGrid(config.n, config.box_length)
     k_peak = config.spectrum_peak * 2.0 * math.pi / grid.box_length
     amp = power_law_amplitude(config.spectrum_slope, k_peak)
     rng = np.random.default_rng(config.seed)
-    c = [random_coeffs(grid, rng, amp) for _ in range(5)]
+    state = TcmState.zero(grid)
+    c = state.coeffs
+    for row in c:
+        row[...] = random_coeffs(grid, rng, amp, width=grid.band)
     c[0], c[1] = leray_project_coeffs(c[0], c[1], grid)
-    u1, u2, v1, v2, theta = (SpectralField(grid, row) for row in c)
-    state = TcmState.from_fields((u1, u2), (v1, v2), theta)
-    state.coeffs *= grid.dealias_mask[:, : grid.band]
     norm = smallness_norm(state, config.params)
     if norm == 0:  # a zero draw of five Gaussian fields: probability 0
         raise RuntimeError(f"random initial data of seed {config.seed} is zero")

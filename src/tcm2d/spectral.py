@@ -82,9 +82,7 @@ class SpectralGrid:
         k2 = self.kx**2 + self.ky**2
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", np.sqrt(k2))
-        inv_k2 = np.zeros_like(k2)
-        inv_k2[k2 > 0] = 1.0 / k2[k2 > 0]
-        object.__setattr__(self, "inv_k2", inv_k2)
+        object.__setattr__(self, "inv_k2", np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
         cut = _dealias_cut(n)
         mask = (np.abs(jx)[:, None] <= cut) & (np.abs(jy)[None, :] <= cut)
         object.__setattr__(self, "dealias_mask", mask)
@@ -249,8 +247,15 @@ def leray_project(w: VectorField) -> VectorField:
 
 
 def leray_project_coeffs(cx: np.ndarray, cy: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    kdotw = (grid.kx * cx + grid.ky * cy) * grid.inv_k2
-    return cx - grid.kx * kdotw, cy - grid.ky * kdotw
+    """The coefficient form of :func:`leray_project`, over the first cx.shape[-1] ky columns.
+
+    cx and cy may hold any leading width of the half spectrum (a state's band
+    columns, say); each column's numbers are those of the full-width result.
+    """
+    width = cx.shape[-1]
+    ky = grid.ky[:, :width]
+    kdotw = (grid.kx * cx + ky * cy) * grid.inv_k2[:, :width]
+    return cx - grid.kx * kdotw, cy - ky * kdotw
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -376,43 +381,55 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
     return _fft.irfft2(big, s=(m, m), norm="forward")
 
 
-def hermitian_symmetrize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Project the self-conjugate columns (ky index 0 and n/2) onto real-field symmetry."""
-    out = coeffs.copy()
-    n = grid.n
-    for j in (0, n // 2):
-        col = out[:, j]
-        out[:, j] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
-    return out
-
-
 def random_coeffs(
     grid: SpectralGrid,
     rng: np.random.Generator,
     amplitude: Callable[[np.ndarray], np.ndarray],
     band_cut: int | None = None,
+    width: int | None = None,
 ) -> np.ndarray:
     """Mean-free random field: i.i.d. complex Gaussian modes shaped by `amplitude(|k|)`.
 
     The draw is band-limited to integer indices |j| <= band_cut on each axis
     (default: half the dealias cut) and conjugate-symmetrized so the field is
-    real-valued.
+    real-valued.  The result holds the first width ky columns of the half
+    spectrum, shape (n, width) (default: all n//2 + 1); width must reach past
+    band_cut, and band_cut must stay below the Nyquist index n/2.
+
+    The generator gives two (n, n//2 + 1) standard-normal draws, the real and
+    the imaginary parts, at every width.  So a draw is the first width
+    columns of the full-width draw from the same generator state, bit for
+    bit, and it leaves the generator where the full-width draw does.  Only
+    the |jx|, jy <= band_cut box of them is used: the amplitude, the zero
+    mean and the symmetry of the ky = 0 column are computed on the box
+    alone, and every mode outside it is zero.
     """
     n = grid.n
     if band_cut is None:
         band_cut = _dealias_cut(n) // 2
-    re = rng.standard_normal(grid.shape_spec)
-    im = rng.standard_normal(grid.shape_spec)
-    c = (re + 1j * im) / np.sqrt(2.0)
-    kmag_safe = grid.kmag.copy()
-    kmag_safe[0, 0] = 1.0
-    c *= amplitude(kmag_safe)
-    jx = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)[:, None]
-    jy = np.arange(n // 2 + 1, dtype=np.int64)[None, :]
-    band = (np.abs(jx) <= band_cut) & (np.abs(jy) <= band_cut)
-    c *= band
-    c[0, 0] = 0.0
-    return hermitian_symmetrize(c, grid)
+    if width is None:
+        width = n // 2 + 1
+    if not 0 <= band_cut < n // 2:
+        raise ValueError(f"band_cut must be in [0, {n // 2}), below the Nyquist index, got {band_cut}")
+    if not band_cut < width <= n // 2 + 1:
+        raise ValueError(f"width must be in ({band_cut}, {n // 2 + 1}] to hold the band_cut box, got {width}")
+    # The box's rows in fftfreq order, jx = 0..band_cut, -band_cut..-1: its
+    # column 0 reversed and rolled by one pairs each jx with -jx, as the full
+    # column does.
+    rows = np.r_[0 : band_cut + 1, n - band_cut : n]
+    cols = band_cut + 1
+    re = rng.standard_normal(grid.shape_spec)[rows, :cols]
+    im = rng.standard_normal(grid.shape_spec)[rows, :cols]
+    box = (re + 1j * im) / np.sqrt(2.0)
+    kmag = grid.kmag[rows, :cols]  # a copy: rows is an index array
+    kmag[0, 0] = 1.0
+    box *= amplitude(kmag)
+    box[0, 0] = 0.0
+    col = box[:, 0]
+    box[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    out = np.zeros((n, width), dtype=np.complex128)
+    out[rows, :cols] = box
+    return out
 
 
 def power_law_amplitude(slope: float, k_cutoff: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,9 +209,69 @@ class TestMakeInitialData:
 
     def test_a_zero_draw_raises(self, monkeypatch):
         # One draw per seed: a zero state is an error, not a retry with seed + 1.
-        monkeypatch.setattr(cli_mod, "random_coeffs", lambda grid, rng, amp: np.zeros(grid.shape_spec, complex))
+        monkeypatch.setattr(cli_mod, "random_coeffs", lambda grid, rng, amp, width: np.zeros((grid.n, width), complex))
         with pytest.raises(RuntimeError, match="zero"):
             make_initial_data(parse_run_config(SMALL_DOC))
+
+    def test_set_up_holds_no_full_width_complex_array(self, monkeypatch):
+        # The benchmark's stability-n128 run.  Set-up holds the grid's tables
+        # and the (5, n, band) state throughout; on top of them each stretch
+        # may hold only its own work, traced call by call:
+        #   random_coeffs         one draw's two (n, n/2+1) float standard normals
+        #                         (it holds one of them, or its (n, band) result,
+        #                         at a time, with its (2 cut + 1, cut + 1) box);
+        #   leray_project_coeffs  four (n, band) complex temporaries;
+        #   smallness_norm        Spectra's four power rows and their scratch,
+        #                         eight (n, band) float rows;
+        #   between the calls     the results of the last call, not yet copied
+        #                         into the state: at most the projection's two
+        #                         (n, band) complex arrays.
+        # slack, 48 KiB, is the box arrays (43 x 22 modes here, 15 KB complex
+        # each), ufunc and einsum buffers and Python objects.  It is below the
+        # 133 KB of one full-width complex array, so such an array, a full
+        # draw or a stack of full draws, held anywhere breaks a bound.
+        doc = {
+            "grid": {"n": 128, "box_length": 16.0 * math.pi},
+            "params": {"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5, "viscosity": "quadratic"},
+            "stepper": {"scheme": "if-rk4", "dt": "auto", "t_end": 3.0, "sample_every": 0.5},
+            "epsilon": 0.01, "seed": 1, "spectrum_peak": 8,
+        }
+        cfg = parse_run_config(doc)
+        grid = SpectralGrid(cfg.n, cfg.box_length)
+        n, band, half = grid.n, grid.band, grid.n // 2 + 1
+        tables = sum(a.nbytes for a in (grid.kx, grid.ky, grid.k2, grid.kmag, grid.inv_k2, grid.dealias_mask))
+        held = tables + 5 * n * band * 16
+        slack = 48 * 1024
+        own_work = {
+            "between calls": 2 * n * band * 16,
+            "random_coeffs": 2 * n * half * 8,
+            "leray_project_coeffs": 4 * n * band * 16,
+            "smallness_norm": 8 * n * band * 8,
+        }
+        peaks = dict.fromkeys(own_work, 0)
+
+        def traced(name, fn):
+            def call(*args, **kwargs):
+                peaks["between calls"] = max(peaks["between calls"], tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                result = fn(*args, **kwargs)
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                return result
+            return call
+
+        make_initial_data(cfg)  # imports and first-call caches outside the trace
+        for name in list(own_work)[1:]:
+            monkeypatch.setattr(cli_mod, name, traced(name, getattr(cli_mod, name)))
+        tracemalloc.start()
+        try:
+            make_initial_data(cfg)
+            peaks["between calls"] = max(peaks["between calls"], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        for name, work in own_work.items():
+            assert peaks[name] <= held + work + slack, (name, peaks[name] - held)
+        assert slack < n * half * 16
 
 
 class TestRunCommand:

@@ -23,6 +23,7 @@ from tcm2d.spectral import (
     inner_product,
     lambda_pow,
     leray_project,
+    leray_project_coeffs,
     mode_products,
     oversampled_values,
     random_coeffs,
@@ -52,6 +53,9 @@ class TestSpectralGrid:
         k_cut = (2.0 / 3.0) * (grid64.n / 2) * 2 * np.pi / grid64.box_length
         over = (np.abs(grid64.kx) > k_cut) | (np.abs(grid64.ky) > k_cut)
         assert not np.any(grid64.dealias_mask & over)
+        nonzero = grid64.k2 > 0
+        np.testing.assert_array_equal(grid64.inv_k2[nonzero], 1.0 / grid64.k2[nonzero])
+        assert grid64.inv_k2[0, 0] == 0.0
 
     def test_rejects_odd_or_nonpositive(self):
         with pytest.raises(SpectralError):
@@ -159,6 +163,17 @@ class TestLerayProjection:
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(a.coeffs))
         div = divergence(p)
         assert np.max(np.abs(div.coeffs)) <= 1e-13 * scale
+
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_band_columns_give_the_full_projection(self, n):
+        grid = SpectralGrid(n, 2 * np.pi)
+        rng = np.random.default_rng(n)
+        cx, cy = (random_coeffs(grid, rng, lambda k: k**-1.0, band_cut=(n - 1) // 3) for _ in range(2))
+        full = leray_project_coeffs(cx, cy, grid)
+        band = leray_project_coeffs(cx[:, : grid.band], cy[:, : grid.band], grid)
+        for b, f in zip(band, full):
+            np.testing.assert_array_equal(b, f[:, : grid.band])
 
 
 class TestDealias:
@@ -291,7 +306,49 @@ class TestModeProducts:
             SpectralField(grid, state.coeffs[4])
 
 
+def full_spectrum_draw(grid, rng, amplitude, band_cut):
+    """random_coeffs as the whole half spectrum computes it: every mode drawn, then masked to the box."""
+    n = grid.n
+    c = (rng.standard_normal(grid.shape_spec) + 1j * rng.standard_normal(grid.shape_spec)) / np.sqrt(2.0)
+    kmag = grid.kmag.copy()
+    kmag[0, 0] = 1.0
+    c *= amplitude(kmag)
+    jx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    jy = np.arange(n // 2 + 1)[None, :]
+    c *= (np.abs(jx) <= band_cut) & (jy <= band_cut)
+    c[0, 0] = 0.0
+    for j in (0, n // 2):
+        col = c[:, j].copy()
+        c[:, j] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    return c
+
+
 class TestRandomFields:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    @pytest.mark.parametrize("cut", ["default", "dealias"])
+    def test_a_narrow_draw_is_the_full_draws_first_columns(self, n, cut):
+        # The same two standard-normal draws at every width: the narrow draw is
+        # the full one's first columns and leaves the generator where the full
+        # one does.  Both equal the whole-spectrum computation.
+        grid = SpectralGrid(n, 2 * np.pi)
+        band_cut = (n - 1) // 6 if cut == "default" else (n - 1) // 3
+        kwargs = {} if cut == "default" else {"band_cut": band_cut}
+        amp = lambda k: k**-1.5 * np.exp(-((k / 3.0) ** 2))  # noqa: E731
+        full_rng, narrow_rng, ref_rng = (np.random.default_rng(n) for _ in range(3))
+        for width in (band_cut + 1, grid.band, n // 2 + 1):
+            full = random_coeffs(grid, full_rng, amp, **kwargs)
+            narrow = random_coeffs(grid, narrow_rng, amp, width=width, **kwargs)
+            assert full.shape == grid.shape_spec and narrow.shape == (n, width)
+            np.testing.assert_array_equal(narrow, full[:, :width])
+            np.testing.assert_array_equal(full, full_spectrum_draw(grid, ref_rng, amp, band_cut))
+
+    @pytest.mark.parametrize("kwargs", [{"width": 4}, {"band_cut": 16}, {"band_cut": -1}, {"width": 18}])
+    def test_rejects_a_box_past_the_width_or_the_nyquist_index(self, kwargs):
+        # n = 32: the default band_cut is 5, so width 4 cannot hold the box.
+        grid = SpectralGrid(32, 2 * np.pi)
+        with pytest.raises(ValueError):
+            random_coeffs(grid, np.random.default_rng(0), lambda k: k**-1.0, **kwargs)
+
     def test_real_and_mean_free(self, grid64):
         f = band_limited_field(grid64, 9)
         assert f.coeffs[0, 0] == 0.0
