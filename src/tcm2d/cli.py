@@ -676,14 +676,19 @@ def execute_fit(
         return EXIT_CONFIG, None
     header = lines[0].split(",")
     col = norm_column(fieldname, gamma)
-    if col not in header:
-        print(f"column {col} not present in {path}", file=sys.stderr)
-        return EXIT_CONFIG, None
+    for name in ("t", col):
+        if name not in header:
+            print(f"column {name} not present in {path}", file=sys.stderr)
+            return EXIT_CONFIG, None
     t_idx, c_idx = header.index("t"), header.index(col)
     series = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        series.append((float(cells[t_idx]), float(cells[c_idx])))
+        try:
+            series.append((float(cells[t_idx]), float(cells[c_idx])))
+        except (IndexError, ValueError):
+            print(f"malformed row in {path}, line {lineno}: {line!r}", file=sys.stderr)
+            return EXIT_CONFIG, None
     if damped is None:
         damped = _damped_from_manifest(path)
     theory = theory_exponent(fieldname, gamma, damped)
@@ -708,9 +713,10 @@ def execute_fit(
 
 def _damped_from_manifest(traj_path: Path) -> bool:
     manifest = traj_path.parent / "manifest.json"
-    if manifest.exists():
-        return _load_json(manifest).get("derived", {}).get("delta1", 0) == 1
-    return False
+    try:
+        return manifest.exists() and _load_json(manifest).get("derived", {}).get("delta1", 0) == 1
+    except AttributeError:  # the document, or its "derived", is not a JSON object
+        raise ConfigError(f"manifest {manifest}: expected a JSON object whose 'derived' is an object") from None
 
 
 # ---------------------------------------------------------------------------

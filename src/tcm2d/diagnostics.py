@@ -17,16 +17,18 @@ labeled, never conflated.
 Every quadratic quantity here is one Parseval sum.  :class:`Spectra` fills
 four power rows per state (the per-mode power of u, v and theta, from
 :func:`tcm2d.spectral.mode_products`, and the v . grad theta pairing); every
-norm, cross term and L^2 sum is the sum of
-one power row against one weight row, |k|^{2 gamma} times the Parseval
-weight (:func:`tcm2d.spectral.sobolev_rows`), all over the band columns of
-the state.  :func:`compute_record` builds one Spectra per sample and sums its
-power rows against the run's stacked weight rows, built once on its
-:class:`~tcm2d.model.Plan` for every gamma the :class:`DiagnosticsConfig`
-reads, in one matrix product; the energy is half its L^2 sums.  The exported
-``functional_*``, ``cross_term`` and ``smallness_norm`` build a Spectra for
-one call and take each weight row they read through the same product, so
-they return the record's values exactly.  The budget residual, the dissipation
+norm, cross term and L^2 sum is the sum of one power row against one weight
+row, |k|^{2 gamma} times the Parseval weight, all over the band columns of
+the state.  The weight rows are the grid's
+(:meth:`tcm2d.spectral.SpectralGrid.weight_row`), each built on the first
+ask of its order and kept, so set-up's smallness norm and every record of the
+run, which share one grid, build each order once.  A Spectra contracts the
+row of an order with its four power rows on the first ask of that order.
+:func:`compute_record` builds one Spectra per sample, in the plan's work
+buffer; the energy is half its L^2 sums.  The exported ``functional_*``,
+``cross_term`` and ``smallness_norm`` build a Spectra for one call and sum
+the same rows the same way, so they return the record's values exactly.  The
+budget residual, the dissipation
 and the L^inf norms are read off the state's evaluation
 (:class:`tcm2d.model.Evaluation`), so a record transforms nothing and takes
 no stiff Parseval sum of its own.
@@ -50,7 +52,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import Evaluation, ModelParams, Plan, TcmState, budget_residual
-from .spectral import SpectralField, carve, mode_products, sobolev_rows
+from .spectral import SpectralField, carve, mode_products
 
 
 class DiagnosticsError(RuntimeError):
@@ -66,7 +68,7 @@ FIELDS = ("u", "v", "theta")
 # The rows of Spectra.power: the per-mode power of each field, then the pairing.
 POWER_ROWS = {"u": 0, "v": 1, "theta": 2, "pairing": 3}
 
-# The key of the L^2 weight row (see tcm2d.spectral.sobolev_rows).
+# The key of the L^2 weight row (see tcm2d.spectral.SpectralGrid.weight_row).
 L2 = None
 
 
@@ -77,71 +79,58 @@ class Spectra:
     layout, see :class:`~tcm2d.model.TcmState`): the power of u, v and theta
     (components summed) and the v . grad theta pairing
     Im((k . v) conj theta).  Every norm, cross term and L^2 sum is the sum of
-    one power row against one weight row of
-    :func:`~tcm2d.spectral.sobolev_rows`, so one matrix product of the power
-    rows with a stack of weight rows gives all of them at once.  A, B, X, Y
-    and smallness are the functionals at an explicit order m.
+    one power row against one weight row of the state's grid
+    (:meth:`~tcm2d.spectral.SpectralGrid.weight_row`): the first ask of an
+    order contracts its row with the four power rows and keeps the four
+    sums, so a value does not depend on which others were asked for.  A, B,
+    X, Y and smallness are the functionals at an explicit order m.
 
-    The weight rows of ``gammas`` are contracted at construction: ``rows`` if
-    given (:meth:`tcm2d.model.Plan.sobolev_rows` for a record), else built
-    here.  The row of any other gamma is built and contracted on its first
-    ask, by the same product, so a value does not depend on which others
-    were asked for.  ``work``, if given, is a flat float buffer of at least
-    8 n band entries that holds the power rows and their scratch (the plan's
-    work buffer for a record, where they last until the plan's next use of
-    it); without it they are arrays of their own.
+    ``work``, if given, is a flat float buffer of at least 8 n band entries
+    that holds the power rows and their scratch (the plan's work buffer for a
+    record, where they last until the plan's next use of it); without it
+    they are arrays of their own, and the scratch is freed on return.
     """
 
-    def __init__(
-        self,
-        state: TcmState,
-        gammas: tuple[float | None, ...] = (),
-        rows: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ):
+    def __init__(self, state: TcmState, work: np.ndarray | None = None):
         g, c = state.grid, state.coeffs
         n, band = g.n, g.band
         self.grid = g
         size = n * band
         if work is None:
-            power, rest = np.empty((4, size)), np.empty(4 * size)
+            power, rest = np.empty((4, n, band)), np.empty(4 * size)
         else:
-            power, rest = work[: 4 * size].reshape(4, size), work[4 * size :]
-        fields = power.reshape(4, n, band)
+            power, rest = work[: 4 * size].reshape(4, n, band), work[4 * size :]
         # Each field's power, the sum of its components' powers; one field at
         # a time, so that the scratch is that of two components.
-        for row, comps in ((fields[0], c[0:2]), (fields[1], c[2:4])):
+        for row, comps in ((power[0], c[0:2]), (power[1], c[2:4])):
             power_c = mode_products(comps, comps, rest)
             np.add(power_c[0], power_c[1], out=row)
         theta = c[4]
-        np.copyto(fields[2], mode_products(theta, theta, rest))
+        np.copyto(power[2], mode_products(theta, theta, rest))
         # pairing = Re(v . conj(i k theta)) = kx Im(v1 conj theta) + ky Im(v2 conj theta);
         # einsum scales by kx and ky without numpy's broadcasting buffer.
         im1, im2, t = carve(rest, (n, band), (n, band), (n, band))
         for part, v in ((im1, c[2]), (im2, c[3])):
             np.multiply(v.imag, theta.real, out=part)
             part -= np.multiply(v.real, theta.imag, out=t)
-        pairing = fields[3]
+        pairing = power[3]
         np.einsum("j,jk->jk", g.kx[:, 0], im1, out=pairing)
         pairing += np.einsum("k,jk->jk", g.ky[0, :band], im2, out=t)
         self.power = power
         self._sums: dict[float | None, list[float]] = {}
-        if gammas:
-            rows = sobolev_rows(g, gammas, band) if rows is None else rows
-            self._sums.update(zip(gammas, self._contract(rows).tolist()))
 
-    def _contract(self, rows: np.ndarray) -> np.ndarray:
-        """The sums of every weight row against every power row, shape (len(rows), 4).
+    def _contract(self, row: np.ndarray) -> list[float]:
+        """The sums of one weight row against the four power rows.
 
         numpy's einsum, not BLAS: each sum runs over the modes in one order,
-        whatever the other rows and the number of BLAS threads.
+        whatever the number of BLAS threads.
         """
-        return np.einsum("gk,rk->gr", rows, self.power)
+        return np.einsum("jk,rjk->r", row, self.power).tolist()
 
     def _sums_at(self, gamma: float | None) -> list[float]:
         sums = self._sums.get(gamma)
         if sums is None:
-            sums = self._sums[gamma] = self._contract(sobolev_rows(self.grid, (gamma,), self.grid.band))[0].tolist()
+            sums = self._sums[gamma] = self._contract(self.grid.weight_row(gamma))
         return sums
 
     def energy(self) -> float:
@@ -373,16 +362,6 @@ class DiagnosticsConfig:
         if len(set(labels)) != len(labels):
             raise ValueError(f"functional_orders entries must be distinct, got {labels}")
 
-    def orders(self, params: ModelParams) -> tuple[float, ...]:
-        return self.functional_orders if self.functional_orders else (params.s,)
-
-    def gammas(self, params: ModelParams) -> tuple[float | None, ...]:
-        """The weight rows a record is summed against: L^2, then each gamma its norms, functionals and cross terms read."""
-        gammas = {g for _, g in self.norms} | {0.0, 1.0, params.s, float(params.delta1)}
-        for m in self.orders(params):
-            gammas |= {m - 1.0, m, m + 1.0}
-        return (L2, *sorted(g for g in gammas if g >= 0))
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -426,15 +405,15 @@ def compute_record(
 ) -> DiagnosticsRecord:
     """Every value of one sample, from the spectra of the state and its evaluation on plan.
 
-    The power rows are summed against the plan's weight rows for
-    ``config.gammas(params)`` in one product, in the plan's work buffer, so
-    a record allocates no array of the band's or the grid's size.
+    The power rows fill the plan's work buffer, and each order they are
+    summed against is one contraction with the grid's weight row of that
+    order, which the run's first record (or set-up) built.  So a record
+    after the first allocates no array of the band's or the grid's size.
     """
     params = plan.params
     residual = budget_residual(state, plan, evaluation)
-    gammas = config.gammas(params)
-    spectra = Spectra(state, gammas, plan.sobolev_rows(gammas), plan.work)
-    m0 = config.orders(params)[0]
+    spectra = Spectra(state, plan.work)
+    m0 = config.functional_orders[0] if config.functional_orders else params.s
     a = spectra.A(params, m0)
     x = spectra.X(params, m0)
     return DiagnosticsRecord(

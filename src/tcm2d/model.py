@@ -28,7 +28,8 @@ Parseval sum (:func:`parseval_dissipation`) that <z, Lz> in the residual
 shares, plus the grid sum int (mu(theta) - mu(0)) |grad u|^2 of the
 variable-viscosity remainder, which the constant law does not take.  Both
 Parseval sums of the budget, and Re <z, N> in the residual, sum the per-mode
-products of :func:`~tcm2d.spectral.mode_products` against the plan's weights.
+products of :func:`~tcm2d.spectral.mode_products` against the plan's stiff
+weights or the grid's Parseval weights.
 
 Since u is divergence-free, the transport by u is taken in divergence form,
 (u.grad)u = div(u (x) u) and u.grad theta = div(u theta), and d_y u_2 is read
@@ -91,8 +92,6 @@ from .spectral import (
     SpectralGrid,
     from_phys,
     mode_products,
-    parseval_weights,
-    sobolev_rows,
     to_phys,
 )
 
@@ -318,13 +317,13 @@ class Plan:
     here.
 
     Every quadratic form of a state is a weighted sum over the band: the
-    Parseval weights ``parseval_weights`` (L^2 w(k_y)), the stiff weights
-    ``stiff_weights`` (-L times them on the u and v rows, so that
-    -<z, Lz> = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 is their sum
-    against |z_hat|^2, see :func:`parseval_dissipation`) and the stacked
-    Sobolev weight rows of the per-sample diagnostics (:meth:`sobolev_rows`).
-    Outside the forward transform the forward batch's buffer is free: its
-    flat float view ``work`` is the scratch of those sums.
+    grid's weight rows (:meth:`~tcm2d.spectral.SpectralGrid.weight_row`; the
+    Parseval weights L^2 w(k_y) are its row of None) and the stiff weights
+    ``stiff_weights`` (-L times the Parseval weights on the u and v rows, so
+    that -<z, Lz> = mu(0) ||grad u||^2 + alpha ||u||^2 + beta ||v||^2 is their
+    sum against |z_hat|^2, see :func:`parseval_dissipation`).  Outside the
+    forward transform the forward batch's buffer is free: its flat float view
+    ``work`` is the scratch of those sums.
 
     The u-tendency P div sigma is taken as the curl of div sigma followed by
     the Biot-Savart law: ``curl_div`` maps the stress rows [sigma12, sigma21,
@@ -356,8 +355,7 @@ class Plan:
         linear[2] = linear[3] = -params.beta
         linear.setflags(write=False)
         self.linear = linear
-        self.parseval_weights = parseval_weights(grid, grid.band)
-        self.stiff_weights = -linear[0:4:2] * self.parseval_weights
+        self.stiff_weights = -linear[0:4:2] * grid.weight_row(None)
         self.constant_mu = params.viscosity == "constant"
         # curl div sigma = -kx^2 sigma21 + ky^2 sigma12 - kx ky (sigma22 - sigma11).
         kx2, ky2, kxky = kx**2, ky**2, kx * ky
@@ -379,19 +377,6 @@ class Plan:
         self.rem_band = None if self.constant_mu else np.zeros((grid.n, grid.band), dtype=np.complex128)
         self.scratch = np.empty((2,) + grid.shape_phys)
         self.stages = np.empty((3,) + shape_band, dtype=np.complex128)
-        self._rows_key: tuple | None = None
-        self._rows: np.ndarray | None = None
-
-    def sobolev_rows(self, gammas: tuple[float | None, ...]) -> np.ndarray:
-        """The stacked weight rows of the band for gammas (see :func:`~tcm2d.spectral.sobolev_rows`).
-
-        Built on the first ask and kept for the last tuple of gammas asked
-        for, so a run whose samples all ask for one tuple builds them once.
-        """
-        if gammas != self._rows_key:
-            self._rows = sobolev_rows(self.grid, gammas, self.grid.band)
-            self._rows_key = gammas
-        return self._rows
 
     def gather_band(self, spectra: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Copy the dealiased band of full-width spectra into the kept rows of dst, whose other rows stay zero."""
@@ -615,12 +600,12 @@ def budget_residual(state: TcmState, plan: Plan, evaluation: Evaluation) -> floa
     """<z, N(z) + Lz> + D, read off the evaluation of this state.
 
     Re <z, N> is the sum of Re(z_hat conj N_hat)
-    (:func:`~tcm2d.spectral.mode_products`) against the plan's Parseval
+    (:func:`~tcm2d.spectral.mode_products`) against the grid's Parseval
     weights, in the plan's work buffer, and <z, Lz> is minus the
     evaluation's ``stiff``, the Parseval part of the dissipation D, so the
     residual is Re <z, N> + int (mu(theta) - mu(0)) |grad u|^2 to rounding.
     """
     z = state.coeffs
-    re_zn = float(np.einsum("cjk,jk->", mode_products(z, evaluation.tendency, plan.work), plan.parseval_weights))
+    re_zn = float(np.einsum("cjk,jk->", mode_products(z, evaluation.tendency, plan.work), plan.grid.weight_row(None)))
     return re_zn - evaluation.stiff + evaluation.dissipation
 

@@ -23,7 +23,8 @@ with the same numbers as the full-width one.
 
 Every quadratic form here and in the model and diagnostics is the per-mode
 Re(a conj b) of :func:`mode_products` summed against a weight row: the
-Parseval weights of :func:`parseval_weights`, or a row of :func:`sobolev_rows`.
+Parseval weights of :func:`parseval_weights`, alone or times :func:`sobolev_symbol`.
+Over a state's band the grid keeps one row per order (:meth:`SpectralGrid.weight_row`).
 
 The transforms are numpy's (``numpy.fft``, pocketfft), looked up on the module
 at each call.
@@ -67,6 +68,7 @@ class SpectralGrid:
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     inv_k2: np.ndarray = field(init=False, repr=False, compare=False)
+    _weight_rows: dict[float | None, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.n % 2 != 0:
@@ -117,6 +119,29 @@ class SpectralGrid:
         """Physical mesh (x, y), indexed [ix, iy]."""
         x = np.arange(self.n) * self.spacing
         return np.meshgrid(x, x, indexing="ij")
+
+    def weight_row(self, gamma: float | None) -> np.ndarray:
+        """The read-only (n, band) weight of ||Lambda^gamma .||^2 in a Parseval sum over the band, kept once built.
+
+        It is the band of :func:`parseval_weights` times :func:`sobolev_symbol`,
+        or of the Parseval weights alone for None, the L^2 row (which, unlike
+        gamma = 0, keeps k = 0), computed on the band columns alone.
+        """
+        row = self._weight_rows.get(gamma)
+        if row is None:
+            if gamma is None:
+                row = np.ones((self.n, self.band))
+            else:
+                row = self.kmag[:, : self.band].copy()
+                row **= 2.0 * gamma
+                row[0, 0] = 0.0
+            # The Parseval weights, 1 on the self-conjugate column 0 (halving is exact), on the
+            # whole contiguous row: numpy gives a strided operand such as row[:, 1:] a buffer.
+            row *= 2.0 * self.box_length**2
+            row[:, 0] *= 0.5
+            row.setflags(write=False)
+            self._weight_rows[gamma] = row
+        return row
 
 
 @dataclass
@@ -277,7 +302,7 @@ def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) 
     """Re(a conj b) = re(a) re(b) + im(a) im(b), mode by mode, of equal-shaped spectra (a state's band or a field's half spectrum).
 
     Summed against :func:`parseval_weights` it is the L^2 pairing int a . b,
-    against a row of :func:`sobolev_rows` the pairing int Lambda^s a . Lambda^s b.
+    against the band's :meth:`SpectralGrid.weight_row` of s the pairing int Lambda^s a . Lambda^s b.
     The result and one scratch array fill the first 2 a.size entries of the
     flat float buffer work, the result first, or new arrays without it.
     """
@@ -294,38 +319,16 @@ def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) 
     return out
 
 
-def parseval_weights(grid: SpectralGrid, width: int) -> np.ndarray:
-    """L^2 w(k_y) over the first width ky columns, shape (n, width): the per-mode weight of an L^2 pairing.
+def parseval_weights(grid: SpectralGrid) -> np.ndarray:
+    """L^2 w(k_y) over the half spectrum: the per-mode weight of an L^2 pairing.
 
     w is 2 on the interior ky columns, which stand for +-ky, and 1 on the
     self-conjugate columns 0 and n/2.
     """
     area = grid.box_length**2
-    weights = np.full((grid.n, width), 2.0 * area)
-    weights[:, 0] = area
-    if width > grid.n // 2:
-        weights[:, grid.n // 2] = area
+    weights = np.full(grid.shape_spec, 2.0 * area)
+    weights[:, 0] = weights[:, grid.n // 2] = area
     return weights
-
-
-def sobolev_rows(grid: SpectralGrid, gammas: tuple[float | None, ...], width: int) -> np.ndarray:
-    """Stacked per-mode weights over the first width ky columns, one flattened row per entry of gammas.
-
-    The row of gamma is the weight of ||Lambda^gamma .||^2 in a Parseval
-    sum, :func:`parseval_weights` times :func:`sobolev_symbol`; the row of
-    None is the Parseval weight alone, the weight of the L^2 norm (which,
-    unlike gamma = 0, keeps k = 0).  A power row of the same width summed
-    against a row is that norm.
-    """
-    weights = parseval_weights(grid, width)
-    rows = np.empty((len(gammas), grid.n * width))
-    for row, gamma in zip(rows, gammas):
-        table = row.reshape(grid.n, width)
-        if gamma is None:
-            table[...] = weights
-        else:
-            np.multiply(weights, sobolev_symbol(grid, gamma)[:, :width], out=table)
-    return rows
 
 
 def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
@@ -339,7 +342,7 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     """Parseval-exact L^2 pairing of two real fields, over the half spectrum."""
     _check_same_grid(f, g)
     products = mode_products(f.coeffs, g.coeffs)
-    return float(np.einsum("jk,jk->", products, parseval_weights(f.grid, f.grid.shape_spec[1])))
+    return float(np.einsum("jk,jk->", products, parseval_weights(f.grid)))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -350,8 +353,9 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     """
     if s < 0:
         raise SpectralError(f"Sobolev index must be >= 0, got {s}")
-    power = mode_products(f.coeffs, f.coeffs).reshape(-1)
-    l2, hom = np.einsum("gk,k->g", sobolev_rows(f.grid, (None, s), f.grid.shape_spec[1]), power).tolist()
+    # Both rows in one einsum: one einsum per row sums in another order, a last-bit difference.
+    rows = parseval_weights(f.grid) * np.stack((np.ones(f.grid.shape_spec), sobolev_symbol(f.grid, s)))
+    l2, hom = np.einsum("gjk,jk->g", rows, mode_products(f.coeffs, f.coeffs)).tolist()
     return math.sqrt(hom if homogeneous else l2 + hom)
 
 

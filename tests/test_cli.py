@@ -222,7 +222,10 @@ class TestMakeInitialData:
         #                         at a time, with its (2 cut + 1, cut + 1) box);
         #   leray_project_coeffs  four (n, band) complex temporaries;
         #   smallness_norm        Spectra's four power rows and their scratch,
-        #                         eight (n, band) float rows;
+        #                         eight (n, band) float rows (the scratch is
+        #                         freed before the grid builds the two or three
+        #                         (n, band) float weight rows it reads, which
+        #                         the grid keeps for the run);
         #   between the calls     the results of the last call, not yet copied
         #                         into the state: at most the projection's two
         #                         (n, band) complex arrays.
@@ -775,6 +778,26 @@ class TestFitCommand:
         assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--undamped", "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no samples" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("time,v_gamma_1\n0.0,1.0\n1.0,0.5\n", "column t not present"),
+        ("t,v_gamma_1\n0.0,1.0\n1.0,0.5\n2.0,\n", "line 4"),
+        ("t,v_gamma_1\n0.0,1.0\n1.0\n2.0,0.3\n", "line 3"),
+    ], ids=["no-t-column", "truncated-last-row", "short-row"])
+    def test_malformed_trajectory_exit_2(self, tmp_path, capsys, text, where):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(text)
+        assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--undamped", "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and where in err, err
+
+    @pytest.mark.parametrize("manifest", ["[1, 2]", '"done"', '{"derived": [1]}'])
+    def test_manifest_not_an_object_exit_2(self, tmp_path, capsys, manifest):
+        path = self._write_power_law_csv(tmp_path)
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "manifest.json") in err, err
 
     def test_nonpositive_exit_6(self, tmp_path):
         ts = np.linspace(0.0, 40.0, 81)

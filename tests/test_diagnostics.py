@@ -480,41 +480,44 @@ class TestRecordAgainstFieldSums:
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
             assert abs(rec.budget_residual) <= 1e-9 * rec.dissipation
 
-    def test_one_contraction_per_record_and_one_build_of_the_rows_per_run(self, grid32, monkeypatch):
+    def test_each_order_row_is_built_once_per_grid(self, monkeypatch):
         # The dense benchmark's record (9 norms, orders 1.5, 2, 3 and 4) reads
         # 23 distinct (field, gamma) norms, 5 cross-term orders and 3 L^2
-        # sums.  Each record sums its power rows against the run's weight rows
-        # in one product, the rows are built once per run, and no row is
-        # built on demand.  The values are those of a Spectra that builds and
-        # contracts each row on its first ask, as the exported functionals do.
-        import tcm2d.diagnostics as diagnostics_mod
-        import tcm2d.model as model_mod
+        # sums, each from the grid's weight row of its order.  The plan and
+        # the first record build the rows of the run's grid, one per order,
+        # and no later record builds any.  The values are those of the
+        # exported functionals, each on a Spectra of its own, which find every
+        # row they read already built.
+        builds = []
+        real_row = SpectralGrid.weight_row
 
-        builds, contractions, on_demand = [], [], []
-        real_rows, real_contract = model_mod.sobolev_rows, Spectra._contract
-        monkeypatch.setattr(model_mod, "sobolev_rows", lambda *a: builds.append(a[1]) or real_rows(*a))
-        monkeypatch.setattr(diagnostics_mod, "sobolev_rows", lambda *a: on_demand.append(a[1]) or real_rows(*a))
-        monkeypatch.setattr(Spectra, "_contract", lambda self, rows: contractions.append(len(rows)) or real_contract(self, rows))
+        def weight_row(grid, gamma):
+            if gamma not in grid._weight_rows:
+                builds.append((grid, gamma))
+            return real_row(grid, gamma)
 
+        monkeypatch.setattr(SpectralGrid, "weight_row", weight_row)
+        grid = SpectralGrid(32, 2 * np.pi)
         params = ModelParams(alpha=0.5, beta=1.0, s=1.5, viscosity="constant")
         norms = tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0))
         orders = (1.5, 2.0, 3.0, 4.0)
         cfg = DiagnosticsConfig(norms=norms, functional_orders=orders)
-        records, states = [], []
+        records, states, built_by_record = [], [], []
 
         def sink(state, plan, dt, diss_int, evaluation):
+            before = len(builds)
             records.append(compute_record(state, plan, cfg, dt, diss_int, evaluation))
+            built_by_record.append(len(builds) - before)
             states.append(state)
 
-        run(make_random_state(grid32, seed=3, amplitude=0.2), params,
+        run(make_random_state(grid, seed=3, amplitude=0.2), params,
             StepperConfig(t_end=0.05, dt=0.01, sample_every=0.01), sink)
         assert len(records) == 6
-        gammas = cfg.gammas(params)
-        assert builds == [gammas] and on_demand == []
-        assert contractions == [len(gammas)] * len(records)
-        assert len(gammas) == 10
+        assert built_by_record[0] > 0 and built_by_record[1:] == [0] * 5
+        gammas = [gamma for _, gamma in builds]
+        assert len(set(gammas)) == len(gammas) and all(g is grid for g, _ in builds)
 
-        del builds[:], contractions[:]
+        del builds[:]
         for rec, state in zip(records, states):
             assert rec.norms == {(f, g): Spectra(state).field_norm(f, g) for f, g in norms}
             for m in orders:
@@ -524,7 +527,26 @@ class TestRecordAgainstFieldSums:
                 assert recorded == values, m
             assert (rec.cross_s, rec.cross_1) == (Spectra(state).cross_term(1.5), Spectra(state).cross_term(1.0))
             assert rec.smallness == smallness_norm(state, params)
-        assert builds == [] and set(contractions) == {1}
+        assert builds == []
+
+    def test_a_record_does_not_depend_on_which_calls_built_the_rows(self):
+        # One state on two grids of one size: a fresh grid, whose rows the
+        # plan and the record build, and a grid whose rows set-up's smallness
+        # norm and an order-3 functional built first.
+        params = ModelParams(alpha=0.5, beta=1.0, s=1.5)
+        cfg = DiagnosticsConfig(
+            norms=tuple((f, g) for f in ("u", "v", "theta") for g in (0.0, 1.0, 2.0)),
+            functional_orders=(1.5, 2.0, 3.0, 4.0),
+        )
+        records = []
+        for warm in (False, True):
+            grid = SpectralGrid(64, 16 * np.pi)
+            state = make_random_state(grid, seed=4, amplitude=0.01)
+            if warm:
+                smallness_norm(state, params)
+                functional_X(state, params, 3.0)
+            records.append(compute_record(state, Plan(grid, params), cfg, 0.01, 0.0, evaluate(state, params)))
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("viscosity", ["constant", "quadratic"])
     def test_a_record_and_the_step_bound_allocate_no_band_or_grid_array(self, viscosity):

@@ -5,6 +5,8 @@ analytic quadrature for the norms (int sin^2 x dx dy = 2 pi^2 on the default
 box) and symbolic differentiation (sympy) for the derivative of a product.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -68,6 +70,55 @@ class TestSpectralGrid:
         vals = np.cos(3 * xx) * np.sin(2 * yy) + 0.5
         f = SpectralField.from_phys(grid64, vals)
         assert np.max(np.abs(f.values() - vals)) < 1e-13
+
+
+class TestWeightRows:
+    GAMMAS = (None, 0, 0.5, 1, 1.5, 2, 2.5, 3, 4, 5)
+
+    @staticmethod
+    def full_width_row(grid, gamma):
+        # Over the whole (n, n/2 + 1) half spectrum: the Parseval weight (2 on
+        # the columns that stand for +-ky, 1 on the self-conjugate columns 0
+        # and n/2), times |k|^(2 gamma) with k = 0 zeroed unless gamma is None.
+        area = grid.box_length**2
+        weights = np.full(grid.shape_spec, 2.0 * area)
+        weights[:, 0] = area
+        weights[:, grid.n // 2] = area
+        if gamma is None:
+            return weights
+        symbol = grid.kmag ** (2.0 * gamma)
+        symbol[0, 0] = 0.0
+        return weights * symbol
+
+    @pytest.mark.parametrize("box", [2 * np.pi, 16 * np.pi], ids=["2pi", "16pi"])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_each_row_is_the_full_width_weight_on_the_band(self, n, box):
+        grid = SpectralGrid(n, box)
+        for gamma in self.GAMMAS:
+            row = grid.weight_row(gamma)
+            assert row.shape == (n, grid.band)
+            assert np.array_equal(row, self.full_width_row(grid, gamma)[:, : grid.band]), gamma
+            assert grid.weight_row(gamma) is row
+
+    def test_rows_are_read_only(self, grid32):
+        row = grid32.weight_row(1.5)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 1] = 0.0
+
+    def test_building_a_row_peaks_below_two_band_rows(self):
+        # A row is computed on the band columns: one band row (44 KiB at
+        # n = 128) and no full-width temporary, which alone would be 66 KiB.
+        grid = SpectralGrid(128, 16 * np.pi)
+        grid.weight_row(1.0)
+        band_row = grid.n * grid.band * 8
+        tracemalloc.start()
+        try:
+            grid.weight_row(1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band_row <= peak < 2 * band_row
 
 
 class TestLambdaPow:
