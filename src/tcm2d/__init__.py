@@ -25,12 +25,8 @@ from .diagnostics import (
     DecayFit,
     DiagnosticsConfig,
     DiagnosticsRecord,
-    cross_term,
+    Spectra,
     decay_fit,
-    functional_A,
-    functional_B,
-    functional_X,
-    functional_Y,
     theory_exponent,
 )
 from .inequality_lab import (
@@ -63,12 +59,8 @@ __all__ = [
     "DecayFit",
     "DiagnosticsConfig",
     "DiagnosticsRecord",
-    "cross_term",
+    "Spectra",
     "decay_fit",
-    "functional_A",
-    "functional_B",
-    "functional_X",
-    "functional_Y",
     "theory_exponent",
     "InequalityReport",
     "check_composition",

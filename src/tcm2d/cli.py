@@ -46,12 +46,12 @@ from .diagnostics import (
     DiagnosticsConfig,
     DiagnosticsRecord,
     JsonlWriter,
+    Spectra,
     compute_record,
     decay_fit,
     default_fit_window,
     norm_column,
     record_schema,
-    smallness_norm,
     theory_exponent,
 )
 from .integrator import DtFloorError, StepperConfig, run as integrate
@@ -329,7 +329,7 @@ def make_initial_data(config: RunConfig) -> TcmState:
     for row in c:
         row[...] = random_coeffs(grid, rng, amp, width=grid.band)
     c[0], c[1] = leray_project_coeffs(c[0], c[1], grid)
-    norm = smallness_norm(state, config.params)
+    norm = Spectra(state).smallness(config.params)
     if norm == 0:  # a zero draw of five Gaussian fields: probability 0
         raise RuntimeError(f"random initial data of seed {config.seed} is zero")
     state.coeffs *= config.epsilon / norm

@@ -25,11 +25,11 @@ ask of its order and kept, so set-up's smallness norm and every record of the
 run, which share one grid, build each order once.  A Spectra contracts the
 row of an order with its four power rows on the first ask of that order.
 :func:`compute_record` builds one Spectra per sample, in the plan's work
-buffer; the energy is half its L^2 sums.  The exported ``functional_*``,
-``cross_term`` and ``smallness_norm`` build a Spectra for one call and sum
-the same rows the same way, so they return the record's values exactly.  The
-budget residual, the dissipation
-and the L^inf norms are read off the state's evaluation
+buffer; the energy is half its L^2 sums.  A Spectra is the one way to a
+state's functionals: a caller outside a record, set-up's rescale among them,
+builds one of its own and names the order, and gets the record's values
+exactly.  The budget residual, the dissipation and the L^inf norms are read
+off the state's evaluation
 (:class:`tcm2d.model.Evaluation`), so a record transforms nothing and takes
 no stiff Parseval sum of its own.
 
@@ -52,7 +52,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import Evaluation, ModelParams, Plan, TcmState, budget_residual
-from .spectral import SpectralField, carve, mode_products
+from .spectral import carve, mode_products
 
 
 class DiagnosticsError(RuntimeError):
@@ -83,7 +83,8 @@ class Spectra:
     (:meth:`~tcm2d.spectral.SpectralGrid.weight_row`): the first ask of an
     order contracts its row with the four power rows and keeps the four
     sums, so a value does not depend on which others were asked for.  A, B,
-    X, Y and smallness are the functionals at an explicit order m.
+    X and Y are the functionals at an explicit order m, and smallness is the
+    norm sum at the base index s of the params.
 
     ``work``, if given, is a flat float buffer of at least 8 n band entries
     that holds the power rows and their scratch (the plan's work buffer for a
@@ -166,6 +167,13 @@ class Spectra:
         )
 
     def A(self, params: ModelParams, m: float) -> float:
+        """Lyapunov stability functional at order m.
+
+        sqrt of ||Lambda^m u||^2 + ||Lambda^{delta1} u||^2 + ||v||_{H^m}^2
+        + ||theta||_{H^m}^2 minus eta times the order-m and order-1 cross
+        terms.  The radicand is checked against the (3/4)-equivalence band
+        before rooting.
+        """
         ssum = self.cross_free_sum_A(params, m)
         rad = ssum - params.eta * (self.cross_term(m) + self.cross_term(1.0))
         if rad < 0.75 * ssum - 1e-12 * max(ssum, 1.0):
@@ -175,6 +183,16 @@ class Spectra:
         return math.sqrt(max(rad, 0.0))
 
     def B(self, params: ModelParams, m: float, theta_slot: str = "lambda_m") -> float:
+        """Dissipation functional at order m, weighted by lam.
+
+        theta_slot = "lambda_m":  lam * sqrt(||grad u||_{Hdot^m}^2 + ||v||_{H^m}^2
+                                             + ||Lambda^m theta||^2)
+        theta_slot = "grad_hm1":  lam * sqrt(||grad u||_{H^m}^2 + ||v||_{H^m}^2
+                                             + ||grad theta||_{H^{m-1}}^2)
+
+        The two variants differ in the theta slot and in whether the u
+        gradient norm carries its low-order part; they are never conflated.
+        """
         v_sq = self.hs_sq("v", m)
         if theta_slot == "lambda_m":
             rad = self.hom_sq("u", m + 1.0) + v_sq + self.hom_sq("theta", m)
@@ -191,6 +209,7 @@ class Spectra:
         return sum(self.hom_sq(name, order) for name in FIELDS for order in (m, m - 1.0))
 
     def X(self, params: ModelParams, m: float) -> float:
+        """Decay Lyapunov functional: order-m and order-(m-1) norms with the kappa cross term."""
         if not m > 1:
             raise DiagnosticsError(f"X-functional order must be > 1, got {m}")
         rad = self.cross_free_sum_X(m) - params.kappa * self.cross_term(m)
@@ -201,6 +220,7 @@ class Spectra:
         return math.sqrt(rad)
 
     def Y(self, params: ModelParams, m: float) -> float:
+        """Dissipation counterpart of X."""
         rad = (
             self.hom_sq("u", m + 1.0)
             + self.hom_sq("u", m)
@@ -212,63 +232,14 @@ class Spectra:
         return math.sqrt(rad)
 
     def smallness(self, params: ModelParams) -> float:
+        """The norm sum the small-data hypotheses bound by epsilon, at the base index s.
+
+        Undamped: ||u||_{H^s} + ||v||_{H^s} + ||theta||_{H^s}.
+        Damped:   ||u||_{Hdot^s cap Hdot^1} + ||v||_{H^s} + ||theta||_{H^s}.
+        """
         s = params.s
         u_sq = self.hs_sq("u", s) if params.delta1 == 0 else self.hom_sq("u", s) + self.hom_sq("u", 1.0)
         return math.sqrt(u_sq) + math.sqrt(self.hs_sq("v", s)) + math.sqrt(self.hs_sq("theta", s))
-
-
-def cross_term(v: tuple[SpectralField, SpectralField], theta: SpectralField, order: float) -> float:
-    """int Lambda^{order-1} v . Lambda^{order-1} grad theta, by Parseval."""
-    zero = SpectralField.zero(theta.grid)
-    return Spectra(TcmState.from_fields((zero, zero), v, theta)).cross_term(order)
-
-
-def functional_A(state: TcmState, params: ModelParams, m: float | None = None) -> float:
-    """Lyapunov stability functional at order m (default: the base index s).
-
-    sqrt of ||Lambda^m u||^2 + ||Lambda^{delta1} u||^2 + ||v||_{H^m}^2
-    + ||theta||_{H^m}^2 minus eta times the order-m and order-1 cross terms.
-    The radicand is checked against the (3/4)-equivalence band before rooting.
-    """
-    return Spectra(state).A(params, params.s if m is None else m)
-
-
-def functional_B(
-    state: TcmState,
-    params: ModelParams,
-    m: float | None = None,
-    theta_slot: str = "lambda_m",
-) -> float:
-    """Dissipation functional at order m, weighted by lam.
-
-    theta_slot = "lambda_m":  lam * sqrt(||grad u||_{Hdot^m}^2 + ||v||_{H^m}^2
-                                         + ||Lambda^m theta||^2)
-    theta_slot = "grad_hm1":  lam * sqrt(||grad u||_{H^m}^2 + ||v||_{H^m}^2
-                                         + ||grad theta||_{H^{m-1}}^2)
-
-    The two variants differ in the theta slot and in whether the u gradient
-    norm carries its low-order part; they are never conflated.
-    """
-    return Spectra(state).B(params, params.s if m is None else m, theta_slot)
-
-
-def functional_X(state: TcmState, params: ModelParams, m: float | None = None) -> float:
-    """Decay Lyapunov functional: order-m and order-(m-1) norms with the kappa cross term."""
-    return Spectra(state).X(params, params.s if m is None else m)
-
-
-def functional_Y(state: TcmState, params: ModelParams, m: float | None = None) -> float:
-    """Dissipation counterpart of X."""
-    return Spectra(state).Y(params, params.s if m is None else m)
-
-
-def smallness_norm(state: TcmState, params: ModelParams) -> float:
-    """The norm sum the small-data hypotheses bound by epsilon.
-
-    Undamped: ||u||_{H^s} + ||v||_{H^s} + ||theta||_{H^s}.
-    Damped:   ||u||_{Hdot^s cap Hdot^1} + ||v||_{H^s} + ||theta||_{H^s}.
-    """
-    return Spectra(state).smallness(params)
 
 
 def theory_exponent(fieldname: str, gamma: float, damped: bool) -> float:
@@ -325,6 +296,8 @@ def decay_fit(
         raise DecayFitError(f"need >= 8 samples in the window, got {len(pts)}")
     if any(v <= 0 for _, v in pts):
         raise DecayFitError("nonpositive values in the fit window")
+    if not all(math.isfinite(v) for _, v in pts):
+        raise DecayFitError("non-finite values in the fit window")
     x = np.log1p([t for t, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -17,7 +17,6 @@ Parseval-exact.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import asdict, dataclass
@@ -57,9 +56,6 @@ class InequalityReport:
 
     def to_dict(self) -> dict:
         return dict(asdict(self), resolutions=list(self.resolutions))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def random_test_field(grid: SpectralGrid, rng: np.random.Generator) -> SpectralField:

@@ -58,11 +58,12 @@ sums the stiff part again.
 
 Every state and tendency is zero in the ky columns from ``grid.band`` on, so
 a :class:`TcmState` holds the band columns alone, as one contiguous
-``(5, n, band)`` array, and that is the one layout of a state: a full
-``(n, n/2 + 1)`` half-spectrum input is reduced to it once, when the state is
-made.  The inverse batch is built from the band (a pruned inverse, see
-:func:`~tcm2d.spectral.to_phys`), the tendency has that layout, and so have
-the stiff symbol, the propagators and the if-rk4 stage vectors.  Only a
+``(5, n, band)`` array, and that is the one layout of a state: a state is
+made from the band alone (:meth:`TcmState.from_fields` takes the band columns
+of full half-spectrum fields).  The inverse batch is built from the band (a
+pruned inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency has that
+layout, and so have the stiff symbol, the propagators and the if-rk4 stage
+vectors.  Only a
 state's component fields (``TcmState.u``, ``.v``, ``.theta``) are full
 half-spectrum, the one layout of a :class:`~tcm2d.spectral.SpectralField`.
 
@@ -237,12 +238,11 @@ class TcmState:
 
     coeffs stacks the components [u_x, u_y, v_x, v_y, theta] over the band
     columns, all a dealiased state has: a contiguous complex array of shape
-    (5, n, grid.band), the one layout of a state.  A full half-spectrum
-    input, shape (5, n, n//2 + 1), is reduced to it when the state is made,
-    to a contiguous complex copy of its band columns; the columns past the
-    band are dropped.  A band-width input is kept as it is when it is
-    contiguous and complex, and is made so otherwise; any other shape raises
-    ValueError.  u is kept divergence-free and all fields dealiased.
+    (5, n, grid.band), the one layout of a state.  The input must have that
+    shape, and any other, a full half spectrum (5, n, n//2 + 1) among them,
+    raises ValueError; it is kept as it is when it is contiguous and complex,
+    and is made so otherwise.  :meth:`from_fields` takes full half-spectrum
+    fields.  u is kept divergence-free and all fields dealiased.
 
     The properties u, v and theta give the components as full half-spectrum
     SpectralFields: new arrays, zero-padded from the band columns, so every
@@ -255,13 +255,10 @@ class TcmState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        n, band = self.grid.n, self.grid.band
-        coeffs = np.asarray(self.coeffs)
-        if coeffs.shape not in ((NCOMP, n, band), (NCOMP, n, n // 2 + 1)):
-            raise ValueError(
-                f"state coefficients must have shape (5, {n}, {band}) or (5, {n}, {n // 2 + 1}), got {coeffs.shape}"
-            )
-        self.coeffs = np.ascontiguousarray(coeffs[..., :band], dtype=np.complex128)
+        shape = (NCOMP, self.grid.n, self.grid.band)
+        if np.shape(self.coeffs) != shape:
+            raise ValueError(f"state coefficients must have shape {shape}, got {np.shape(self.coeffs)}")
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
 
     @classmethod
     def zero(cls, grid: SpectralGrid, time: float = 0.0) -> "TcmState":

@@ -22,9 +22,11 @@ columns only and zero-pads the rest before the ky pass (a pruned transform),
 with the same numbers as the full-width one.
 
 Every quadratic form here and in the model and diagnostics is the per-mode
-Re(a conj b) of :func:`mode_products` summed against a weight row: the
-Parseval weights of :func:`parseval_weights`, alone or times :func:`sobolev_symbol`.
-Over a state's band the grid keeps one row per order (:meth:`SpectralGrid.weight_row`).
+Re(a conj b) of :func:`mode_products` summed against a weight row, and
+:func:`parseval_weights` is the one recipe of every row: the Parseval weight
+w(k_y) L^2 times |k|^(2 gamma), over the whole half spectrum of a field or
+the band of a state, where the grid keeps one row per order
+(:meth:`SpectralGrid.weight_row`).
 
 The transforms are numpy's (``numpy.fft``, pocketfft), looked up on the module
 at each call.
@@ -121,24 +123,10 @@ class SpectralGrid:
         return np.meshgrid(x, x, indexing="ij")
 
     def weight_row(self, gamma: float | None) -> np.ndarray:
-        """The read-only (n, band) weight of ||Lambda^gamma .||^2 in a Parseval sum over the band, kept once built.
-
-        It is the band of :func:`parseval_weights` times :func:`sobolev_symbol`,
-        or of the Parseval weights alone for None, the L^2 row (which, unlike
-        gamma = 0, keeps k = 0), computed on the band columns alone.
-        """
+        """The read-only (n, band) weight row ``parseval_weights(self, gamma, self.band)``, kept once built."""
         row = self._weight_rows.get(gamma)
         if row is None:
-            if gamma is None:
-                row = np.ones((self.n, self.band))
-            else:
-                row = self.kmag[:, : self.band].copy()
-                row **= 2.0 * gamma
-                row[0, 0] = 0.0
-            # The Parseval weights, 1 on the self-conjugate column 0 (halving is exact), on the
-            # whole contiguous row: numpy gives a strided operand such as row[:, 1:] a buffer.
-            row *= 2.0 * self.box_length**2
-            row[:, 0] *= 0.5
+            row = parseval_weights(self, gamma, self.band)
             row.setflags(write=False)
             self._weight_rows[gamma] = row
         return row
@@ -185,11 +173,6 @@ class SpectralField:
         _check_same_grid(self, other)
         return SpectralField(self.grid, self.coeffs - other.coeffs)
 
-    def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c)
-
-    __rmul__ = __mul__
-
 
 VectorField = tuple[SpectralField, SpectralField]
 
@@ -232,7 +215,9 @@ def lambda_pow(f: SpectralField, s: float) -> SpectralField:
         raise SpectralError(f"negative fractional-Laplacian exponent {s} not supported")
     if s == 0:
         return f.copy()
-    return SpectralField(f.grid, f.coeffs * sobolev_symbol(f.grid, s / 2.0))
+    mult = f.grid.kmag**s
+    mult[0, 0] = 0.0
+    return SpectralField(f.grid, f.coeffs * mult)
 
 
 _AXIS_K = {"x": "kx", "y": "ky", 0: "kx", 1: "ky"}
@@ -301,8 +286,9 @@ def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
 def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Re(a conj b) = re(a) re(b) + im(a) im(b), mode by mode, of equal-shaped spectra (a state's band or a field's half spectrum).
 
-    Summed against :func:`parseval_weights` it is the L^2 pairing int a . b,
-    against the band's :meth:`SpectralGrid.weight_row` of s the pairing int Lambda^s a . Lambda^s b.
+    Summed against the weight row :func:`parseval_weights` of gamma (of the
+    same width) it is the pairing int Lambda^gamma a . Lambda^gamma b, the L^2
+    pairing int a . b for gamma None.
     The result and one scratch array fill the first 2 a.size entries of the
     flat float buffer work, the result first, or new arrays without it.
     """
@@ -319,23 +305,32 @@ def mode_products(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) 
     return out
 
 
-def parseval_weights(grid: SpectralGrid) -> np.ndarray:
-    """L^2 w(k_y) over the half spectrum: the per-mode weight of an L^2 pairing.
+def parseval_weights(grid: SpectralGrid, gamma: float | None = None, width: int | None = None) -> np.ndarray:
+    """The weight L^2 w(k_y) |k|^(2 gamma) of ||Lambda^gamma .||^2 in a Parseval sum, over the first width ky columns.
 
-    w is 2 on the interior ky columns, which stand for +-ky, and 1 on the
-    self-conjugate columns 0 and n/2.
+    The Parseval weight L^2 w(k_y) is 2 L^2 on the interior ky columns, which
+    stand for +-ky, and L^2 on the self-conjugate columns 0 and n/2.  The
+    symbol |k|^(2 gamma) has its k = 0 entry zeroed; gamma None stands for no
+    symbol, the L^2 row, which unlike gamma = 0 keeps k = 0.  width defaults
+    to the whole half spectrum, n//2 + 1 columns; a state's rows take the
+    band (:meth:`SpectralGrid.weight_row`).  The result is a new contiguous
+    (n, width) array.
     """
-    area = grid.box_length**2
-    weights = np.full(grid.shape_spec, 2.0 * area)
-    weights[:, 0] = weights[:, grid.n // 2] = area
-    return weights
-
-
-def sobolev_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
-    """|k|^(2 s) with the k = 0 entry zeroed: the weight of ||Lambda^s .||^2 in a Parseval sum."""
-    mult = grid.kmag ** (2.0 * s)
-    mult[0, 0] = 0.0
-    return mult
+    if width is None:
+        width = grid.n // 2 + 1
+    if gamma is None:
+        row = np.ones((grid.n, width))
+    else:
+        row = grid.kmag[:, :width].copy()
+        row **= 2.0 * gamma
+        row[0, 0] = 0.0
+    # Halving is exact, so the self-conjugate columns get (x 2 L^2) / 2 = x L^2; the
+    # scaling runs on the whole contiguous row, as numpy buffers a strided operand.
+    row *= 2.0 * grid.box_length**2
+    row[:, 0] *= 0.5
+    if width > grid.n // 2:
+        row[:, grid.n // 2] *= 0.5
+    return row
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -354,7 +349,7 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     if s < 0:
         raise SpectralError(f"Sobolev index must be >= 0, got {s}")
     # Both rows in one einsum: one einsum per row sums in another order, a last-bit difference.
-    rows = parseval_weights(f.grid) * np.stack((np.ones(f.grid.shape_spec), sobolev_symbol(f.grid, s)))
+    rows = np.stack((parseval_weights(f.grid), parseval_weights(f.grid, s)))
     l2, hom = np.einsum("gjk,jk->g", rows, mode_products(f.coeffs, f.coeffs)).tolist()
     return math.sqrt(hom if homogeneous else l2 + hom)
 

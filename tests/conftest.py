@@ -25,9 +25,9 @@ def make_random_state(grid, seed=0, amplitude=1.0, slope=1.0, peak_index=8):
     rng = np.random.default_rng(seed)
     k_peak = peak_index * 2 * np.pi / grid.box_length
     amp = power_law_amplitude(slope, k_peak)
-    c = np.stack([random_coeffs(grid, rng, amp) for _ in range(5)])
+    c = np.stack([random_coeffs(grid, rng, amp, width=grid.band) for _ in range(5)])
     c[0], c[1] = leray_project_coeffs(c[0], c[1], grid)
-    c *= grid.dealias_mask
+    c *= grid.dealias_mask[:, : grid.band]
     c *= amplitude / np.max(np.abs(c))
     return TcmState(grid, c, 0.0)
 

@@ -33,7 +33,7 @@ from tcm2d.cli import (
     parse_sweep,
 )
 from tcm2d import cli as cli_mod
-from tcm2d.diagnostics import CsvWriter, DiagnosticsError, compute_record, smallness_norm
+from tcm2d.diagnostics import CsvWriter, DiagnosticsError, Spectra, compute_record
 from tcm2d.model import default_eta, default_kappa, derive_delta1, derive_lambda
 from tcm2d.spectral import SpectralGrid
 
@@ -185,13 +185,13 @@ class TestMakeInitialData:
     def test_norm_scaled_to_epsilon(self):
         cfg = parse_run_config(SMALL_DOC)
         state = make_initial_data(cfg)
-        assert smallness_norm(state, cfg.params) == pytest.approx(0.01, rel=1e-12)
+        assert Spectra(state).smallness(cfg.params) == pytest.approx(0.01, rel=1e-12)
 
     def test_damped_norm_variant(self):
         doc = dict(SMALL_DOC, params=dict(SMALL_DOC["params"], alpha=0.5))
         cfg = parse_run_config(doc)
         state = make_initial_data(cfg)
-        assert smallness_norm(state, cfg.params) == pytest.approx(0.01, rel=1e-12)
+        assert Spectra(state).smallness(cfg.params) == pytest.approx(0.01, rel=1e-12)
 
     def test_deterministic(self):
         cfg = parse_run_config(SMALL_DOC)
@@ -221,14 +221,20 @@ class TestMakeInitialData:
         #                         (it holds one of them, or its (n, band) result,
         #                         at a time, with its (2 cut + 1, cut + 1) box);
         #   leray_project_coeffs  four (n, band) complex temporaries;
-        #   smallness_norm        Spectra's four power rows and their scratch,
-        #                         eight (n, band) float rows (the scratch is
-        #                         freed before the grid builds the two or three
+        #   Spectra               its four power rows and their scratch, eight
+        #                         (n, band) float rows (the scratch is freed on
+        #                         return);
+        #   Spectra.smallness     the four power rows and the two or three
         #                         (n, band) float weight rows it reads, which
-        #                         the grid keeps for the run);
+        #                         the grid builds and keeps for the run (the
+        #                         in-place rescale after it allocates nothing
+        #                         and counts with it: that stretch's peak
+        #                         starts where the call ends, with the power
+        #                         rows still held);
         #   between the calls     the results of the last call, not yet copied
         #                         into the state: at most the projection's two
-        #                         (n, band) complex arrays.
+        #                         (n, band) complex arrays, or the four power
+        #                         rows.
         # slack, 48 KiB, is the box arrays (43 x 22 modes here, 15 KB complex
         # each), ufunc and einsum buffers and Python objects.  It is below the
         # 133 KB of one full-width complex array, so such an array, a full
@@ -249,7 +255,8 @@ class TestMakeInitialData:
             "between calls": 2 * n * band * 16,
             "random_coeffs": 2 * n * half * 8,
             "leray_project_coeffs": 4 * n * band * 16,
-            "smallness_norm": 8 * n * band * 8,
+            "Spectra": 8 * n * band * 8,
+            "Spectra.smallness": 7 * n * band * 8,
         }
         peaks = dict.fromkeys(own_work, 0)
 
@@ -264,12 +271,18 @@ class TestMakeInitialData:
             return call
 
         make_initial_data(cfg)  # imports and first-call caches outside the trace
-        for name in list(own_work)[1:]:
+        for name in ("random_coeffs", "leray_project_coeffs"):
             monkeypatch.setattr(cli_mod, name, traced(name, getattr(cli_mod, name)))
+
+        class TracedSpectra(Spectra):
+            __init__ = traced("Spectra", Spectra.__init__)
+            smallness = traced("Spectra.smallness", Spectra.smallness)
+
+        monkeypatch.setattr(cli_mod, "Spectra", TracedSpectra)
         tracemalloc.start()
         try:
             make_initial_data(cfg)
-            peaks["between calls"] = max(peaks["between calls"], tracemalloc.get_traced_memory()[1])
+            peaks["Spectra.smallness"] = max(peaks["Spectra.smallness"], tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         for name, work in own_work.items():
@@ -806,6 +819,21 @@ class TestFitCommand:
         path.write_text("\n".join(lines) + "\n")
         code, _ = execute_fit(path, "v", 1.0, (5.0, 35.0), damped=False)
         assert code == EXIT_NONPOSITIVE
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_exit_2(self, tmp_path, capsys, bad):
+        # One damaged in-window value: no NaN exponent on stdout or in --out.
+        path = self._write_power_law_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        t, _ = lines[41].split(",")
+        lines[41] = f"{t},{bad}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--undamped", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "non-finite values in the fit window" in captured.err
+        assert not out.exists()
 
     def test_damped_flag_from_manifest(self, tmp_path):
         path = self._write_power_law_csv(tmp_path)

@@ -18,14 +18,8 @@ from tcm2d.diagnostics import (
     JsonlWriter,
     Spectra,
     compute_record,
-    cross_term,
     decay_fit,
-    functional_A,
-    functional_B,
-    functional_X,
-    functional_Y,
     record_schema,
-    smallness_norm,
     theory_exponent,
 )
 from tcm2d.integrator import StepperConfig, run, stable_dt
@@ -58,11 +52,14 @@ class TestCrossTerm:
         v = (SpectralField.from_function(grid64, lambda x, y: np.cos(x)), SpectralField.zero(grid64))
         theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
         # integrand is cos(x) * d/dx sin(x) = cos^2 x
-        assert cross_term(v, theta, 1.0) == pytest.approx(TWO_PI_SQ, rel=1e-12)
+        zero = SpectralField.zero(grid64)
+        state = TcmState.from_fields((zero, zero), v, theta)
+        assert Spectra(state).cross_term(1.0) == pytest.approx(TWO_PI_SQ, rel=1e-12)
 
     def test_zero_theta(self, grid64):
         v = (SpectralField.from_function(grid64, lambda x, y: np.cos(x)), SpectralField.zero(grid64))
-        assert cross_term(v, SpectralField.zero(grid64), 1.5) == 0.0
+        zero = SpectralField.zero(grid64)
+        assert Spectra(TcmState.from_fields((zero, zero), v, zero)).cross_term(1.5) == 0.0
 
     @given(seed=st.integers(0, 2**16), order=st.floats(1.0, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -80,12 +77,12 @@ class TestCrossTerm:
 
 class TestFunctionalA:
     def test_zero_state(self, grid64, params_undamped):
-        assert functional_A(TcmState.zero(grid64), params_undamped) == 0.0
+        assert Spectra(TcmState.zero(grid64)).A(params_undamped, params_undamped.s) == 0.0
 
     def test_theta_free_state_is_plain_rss(self, grid64, params_undamped):
         state = make_random_state(grid64, seed=5, amplitude=0.3)
         state.coeffs[ITH] = 0.0
-        a = functional_A(state, params_undamped)
+        a = Spectra(state).A(params_undamped, params_undamped.s)
         assert a**2 == pytest.approx(Spectra(state).cross_free_sum_A(params_undamped, params_undamped.s), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -93,21 +90,22 @@ class TestFunctionalA:
         params = ModelParams(alpha=alpha, beta=1.0, s=1.5)
         for seed in range(5):
             state = make_random_state(grid64, seed=seed, amplitude=0.2)
-            a2 = functional_A(state, params) ** 2
+            a2 = Spectra(state).A(params, params.s) ** 2
             ssum = Spectra(state).cross_free_sum_A(params, params.s)
             assert 0.75 * a2 <= ssum <= 1.25 * a2
 
 
 class TestFunctionalB:
     def test_zero_state(self, grid64, params_undamped):
-        assert functional_B(TcmState.zero(grid64), params_undamped) == 0.0
+        assert Spectra(TcmState.zero(grid64)).B(params_undamped, params_undamped.s) == 0.0
 
     def test_homogeneity(self, grid64, params_undamped):
         state = make_random_state(grid64, seed=6, amplitude=0.2)
         doubled = TcmState(grid64, 2.0 * state.coeffs, 0.0)
         for slot in ("lambda_m", "grad_hm1"):
-            assert functional_B(doubled, params_undamped, theta_slot=slot) == pytest.approx(
-                2.0 * functional_B(state, params_undamped, theta_slot=slot), rel=1e-12
+            m = params_undamped.s
+            assert Spectra(doubled).B(params_undamped, m, theta_slot=slot) == pytest.approx(
+                2.0 * Spectra(state).B(params_undamped, m, theta_slot=slot), rel=1e-12
             )
 
     def test_shear_mode_both_variants(self, grid64):
@@ -121,43 +119,44 @@ class TestFunctionalB:
         m = 1.5
         # |k| = 1 mode: every Lambda power of u has norm sqrt(2 pi^2)
         unit = math.sqrt(TWO_PI_SQ)
-        b_hom = functional_B(state, params, m, theta_slot="lambda_m")
+        b_hom = Spectra(state).B(params, m, theta_slot="lambda_m")
         assert b_hom == pytest.approx(lam * unit, rel=1e-12)
-        b_grad = functional_B(state, params, m, theta_slot="grad_hm1")
+        b_grad = Spectra(state).B(params, m, theta_slot="grad_hm1")
         assert b_grad == pytest.approx(lam * math.sqrt(2.0) * unit, rel=1e-12)
 
     def test_bad_slot(self, grid64, params_undamped):
         with pytest.raises(DiagnosticsError):
-            functional_B(TcmState.zero(grid64), params_undamped, theta_slot="other")
+            Spectra(TcmState.zero(grid64)).B(params_undamped, params_undamped.s, theta_slot="other")
 
 
 class TestFunctionalXY:
     def test_zero_state(self, grid64, params_undamped):
-        assert functional_X(TcmState.zero(grid64), params_undamped) == 0.0
-        assert functional_Y(TcmState.zero(grid64), params_undamped) == 0.0
+        spectra = Spectra(TcmState.zero(grid64))
+        assert spectra.X(params_undamped, params_undamped.s) == 0.0
+        assert spectra.Y(params_undamped, params_undamped.s) == 0.0
 
     def test_theta_free_state(self, grid64, params_undamped):
         state = make_random_state(grid64, seed=5, amplitude=0.3)
         state.coeffs[ITH] = 0.0
-        x = functional_X(state, params_undamped)
+        x = Spectra(state).X(params_undamped, params_undamped.s)
         assert x**2 == pytest.approx(Spectra(state).cross_free_sum_X(params_undamped.s), rel=1e-12)
 
     def test_equivalence_band(self, grid64):
         params = ModelParams(alpha=0.0, beta=math.sqrt(2.0), s=1.5)  # kappa at its clamp
         for seed in range(5):
             state = make_random_state(grid64, seed=seed, amplitude=0.2)
-            x2 = functional_X(state, params) ** 2
+            x2 = Spectra(state).X(params, params.s) ** 2
             ssum = Spectra(state).cross_free_sum_X(params.s)
             assert 0.5 * x2 <= ssum <= 2.0 * x2
 
     def test_order_must_exceed_one(self, grid64, params_undamped):
         with pytest.raises(DiagnosticsError):
-            functional_X(TcmState.zero(grid64), params_undamped, m=1.0)
+            Spectra(TcmState.zero(grid64)).X(params_undamped, 1.0)
 
     def test_alpha_enters_Y(self, grid64):
         state = make_random_state(grid64, seed=11, amplitude=0.2)
-        y0 = functional_Y(state, ModelParams(alpha=0.0, beta=1.0, s=1.5))
-        y1 = functional_Y(state, ModelParams(alpha=2.0, beta=1.0, s=1.5))
+        y0 = Spectra(state).Y(ModelParams(alpha=0.0, beta=1.0, s=1.5), 1.5)
+        y1 = Spectra(state).Y(ModelParams(alpha=2.0, beta=1.0, s=1.5), 1.5)
         assert y1 > y0
 
 
@@ -229,16 +228,21 @@ class TestDecayFit:
         with pytest.raises(DecayFitError):
             decay_fit(series, (5.0, 5.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # Without the check a nan or inf sample fits a NaN exponent.
+        series = [(t, 1.0 / (1 + t)) for t in np.linspace(0.0, 40.0, 81)]
+        series[40] = (series[40][0], bad)
+        with pytest.raises(DecayFitError, match="non-finite values in the fit window"):
+            decay_fit(series, (10.0, 30.0))
+
 
 @pytest.fixture(scope="module")
 def sampled_records():
-    from tcm2d.diagnostics import compute_record, smallness_norm
-    from tcm2d.integrator import StepperConfig, run
-
     grid = SpectralGrid(64, 16 * np.pi)
     params = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0, s=1.5)
     state = make_random_state(grid, seed=3, amplitude=1.0)
-    state.coeffs *= 0.01 / smallness_norm(state, params)
+    state.coeffs *= 0.01 / Spectra(state).smallness(params)
     cfg = DiagnosticsConfig(norms=(("theta", 1.0),))
     records = []
     run(
@@ -388,10 +392,10 @@ class TestRecordSerialization:
             assert jsonl_value(col) == value, col
         # Every JSONL value was matched by one CSV column.
         assert obj == {"norms": {}, "linf": {}, "extra_orders": {"3": {}, "2": {}}}
-        assert csv["A_m_3"] == functional_A(state, params, 3.0)
-        assert csv["B_m_3"] == functional_B(state, params, 3.0)
-        assert csv["X_m_2"] == functional_X(state, params, 2.0)
-        assert csv["Y_m_2"] == functional_Y(state, params, 2.0)
+        assert csv["A_m_3"] == Spectra(state).A(params, 3.0)
+        assert csv["B_m_3"] == Spectra(state).B(params, 3.0)
+        assert csv["X_m_2"] == Spectra(state).X(params, 2.0)
+        assert csv["Y_m_2"] == Spectra(state).Y(params, 2.0)
 
 
 def _hom_sq(fields, gamma):
@@ -485,9 +489,9 @@ class TestRecordAgainstFieldSums:
         # 23 distinct (field, gamma) norms, 5 cross-term orders and 3 L^2
         # sums, each from the grid's weight row of its order.  The plan and
         # the first record build the rows of the run's grid, one per order,
-        # and no later record builds any.  The values are those of the
-        # exported functionals, each on a Spectra of its own, which find every
-        # row they read already built.
+        # and no later record builds any.  The values are those of a Spectra
+        # of the state's own per functional, which finds every row it reads
+        # already built.
         builds = []
         real_row = SpectralGrid.weight_row
 
@@ -521,12 +525,12 @@ class TestRecordAgainstFieldSums:
         for rec, state in zip(records, states):
             assert rec.norms == {(f, g): Spectra(state).field_norm(f, g) for f, g in norms}
             for m in orders:
-                values = (functional_A(state, params, m), functional_B(state, params, m),
-                          functional_X(state, params, m), functional_Y(state, params, m))
+                values = (Spectra(state).A(params, m), Spectra(state).B(params, m),
+                          Spectra(state).X(params, m), Spectra(state).Y(params, m))
                 recorded = (rec.A_m, rec.B_m, rec.X_m, rec.Y_m) if m == orders[0] else rec.extra_orders[m]
                 assert recorded == values, m
             assert (rec.cross_s, rec.cross_1) == (Spectra(state).cross_term(1.5), Spectra(state).cross_term(1.0))
-            assert rec.smallness == smallness_norm(state, params)
+            assert rec.smallness == Spectra(state).smallness(params)
         assert builds == []
 
     def test_a_record_does_not_depend_on_which_calls_built_the_rows(self):
@@ -543,8 +547,8 @@ class TestRecordAgainstFieldSums:
             grid = SpectralGrid(64, 16 * np.pi)
             state = make_random_state(grid, seed=4, amplitude=0.01)
             if warm:
-                smallness_norm(state, params)
-                functional_X(state, params, 3.0)
+                Spectra(state).smallness(params)
+                Spectra(state).X(params, 3.0)
             records.append(compute_record(state, Plan(grid, params), cfg, 0.01, 0.0, evaluate(state, params)))
         assert records[0] == records[1]
 

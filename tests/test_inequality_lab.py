@@ -131,7 +131,7 @@ class TestReport:
         report = check_gn(5, grids[:1], rng)
         import json
 
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["name"] == "gagliardo-nirenberg"
         assert doc["trials"] == 5
         assert doc["worst_ratio"] >= doc["median_ratio"]

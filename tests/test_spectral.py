@@ -28,6 +28,7 @@ from tcm2d.spectral import (
     leray_project_coeffs,
     mode_products,
     oversampled_values,
+    parseval_weights,
     random_coeffs,
     sobolev_norm,
     to_phys,
@@ -99,6 +100,16 @@ class TestWeightRows:
             assert row.shape == (n, grid.band)
             assert np.array_equal(row, self.full_width_row(grid, gamma)[:, : grid.band]), gamma
             assert grid.weight_row(gamma) is row
+
+    @pytest.mark.parametrize("box", [2 * np.pi, 16 * np.pi], ids=["2pi", "16pi"])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_one_recipe_builds_the_full_width_and_the_band_rows(self, n, box):
+        grid = SpectralGrid(n, box)
+        for gamma in self.GAMMAS:
+            full = parseval_weights(grid, gamma)
+            assert full.shape == grid.shape_spec and full.flags.c_contiguous
+            assert np.array_equal(full, self.full_width_row(grid, gamma)), gamma
+            assert np.array_equal(parseval_weights(grid, gamma, grid.band), grid.weight_row(gamma)), gamma
 
     def test_rows_are_read_only(self, grid32):
         row = grid32.weight_row(1.5)
