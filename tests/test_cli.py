@@ -227,14 +227,13 @@ class TestMakeInitialData:
         #   Spectra.smallness     the four power rows and the two or three
         #                         (n, band) float weight rows it reads, which
         #                         the grid builds and keeps for the run (the
-        #                         in-place rescale after it allocates nothing
-        #                         and counts with it: that stretch's peak
-        #                         starts where the call ends, with the power
-        #                         rows still held);
+        #                         temporary Spectra is dropped when the call
+        #                         returns, and its power rows with it);
         #   between the calls     the results of the last call, not yet copied
         #                         into the state: at most the projection's two
         #                         (n, band) complex arrays, or the four power
-        #                         rows.
+        #                         rows; the in-place rescale that ends set-up
+        #                         counts here and holds only the weight rows.
         # slack, 48 KiB, is the box arrays (43 x 22 modes here, 15 KB complex
         # each), ufunc and einsum buffers and Python objects.  It is below the
         # 133 KB of one full-width complex array, so such an array, a full
@@ -274,15 +273,24 @@ class TestMakeInitialData:
         for name in ("random_coeffs", "leray_project_coeffs"):
             monkeypatch.setattr(cli_mod, name, traced(name, getattr(cli_mod, name)))
 
+        traced_smallness = traced("Spectra.smallness", Spectra.smallness)
+
         class TracedSpectra(Spectra):
             __init__ = traced("Spectra", Spectra.__init__)
-            smallness = traced("Spectra.smallness", Spectra.smallness)
+
+            def smallness(self, params):
+                # make_initial_data never reads its Spectra again: free the
+                # power rows before the peak of the next stretch is reset.
+                norm = traced_smallness(self, params)
+                self.power = None
+                tracemalloc.reset_peak()
+                return norm
 
         monkeypatch.setattr(cli_mod, "Spectra", TracedSpectra)
         tracemalloc.start()
         try:
             make_initial_data(cfg)
-            peaks["Spectra.smallness"] = max(peaks["Spectra.smallness"], tracemalloc.get_traced_memory()[1])
+            peaks["between calls"] = max(peaks["between calls"], tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         for name, work in own_work.items():
