@@ -156,16 +156,17 @@ def _list_of(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
     return _reader(_is_list, "must be a list", lambda items: tuple(map(read, items)))
 
 
-_is_number, _is_int, _is_list = _is(int, float), _is(int), _is(list, tuple)
-_number = _reader(_is_number, "must be a number", float)
-_positive = _reader(lambda x: _is_number(x) and x > 0, "must be a number > 0", float)
+_is_int, _is_list = _is(int), _is(list, tuple)
+_is_number = lambda value: _is(int, float)(value) and math.isfinite(value)  # json reads NaN and Infinity as floats
+_number = _reader(_is_number, "must be a finite number", float)
+_positive = _reader(lambda x: _is_number(x) and x > 0, "must be a finite number > 0", float)
 _text = _reader(_is(str), "must be a string")
 _norm = _reader(
     lambda e: _is_list(e) and len(e) == 2 and _is(str)(e[0]) and _is_number(e[1]),
     "entries must be [field, gamma] pairs",
     lambda e: (e[0], float(e[1])),
 )
-_order = _reader(lambda m: _is_number(m) and m <= MAX_FUNCTIONAL_ORDER, f"entries are numbers capped at {MAX_FUNCTIONAL_ORDER}", float)
+_order = _reader(lambda m: _is_number(m) and m <= MAX_FUNCTIONAL_ORDER, f"entries are finite numbers capped at {MAX_FUNCTIONAL_ORDER}", float)
 _threads = _reader(lambda t: _is_int(t) and t >= 1, "must be an integer >= 1")
 _grid_sizes = _reader(
     lambda text: all(tok.strip().isdecimal() and int(tok) > 0 and int(tok) % 2 == 0 for tok in text.split(",")),
@@ -230,10 +231,11 @@ def _expect(cond: bool, msg: str) -> None:
 
 def _read(key: str, value: Any, read: Callable[[Any], Any] | None = None) -> Any:
     """read, by default the reader of the setting key, applied to value; a rejected
-    value is a ConfigError naming key (a setting, a sweep-file key or a flag)."""
+    value is a ConfigError naming key (a setting, a sweep-file key or a flag); so is
+    an integer too large for a float, which json reads exactly."""
     try:
         return (read or SETTINGS[key].read)(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} {exc}") from exc
 
 
@@ -387,29 +389,23 @@ def _budget_block(records: list[DiagnosticsRecord]) -> dict:
     }
 
 
+def _fit_entry(series: Sequence[tuple[float, float]], fieldname: str, gamma: float, damped: bool, window: tuple[float, float]) -> dict:
+    """The fit report of one norm series, in summary.json, aggregate.csv and ``tcm2d fit`` alike: field, gamma,
+    theory_exponent and status, then exponent, r_squared, window and n_samples, or the reason the fit failed."""
+    entry: dict[str, Any] = {"field": fieldname, "gamma": gamma, "theory_exponent": theory_exponent(fieldname, gamma, damped)}
+    try:
+        fit = decay_fit(series, window)
+    except DecayFitError as exc:
+        return dict(entry, status="failed", reason=str(exc))
+    return dict(entry, status="ok", exponent=fit.exponent, r_squared=fit.r_squared, window=list(window), n_samples=fit.n_samples)
+
+
 def _fit_block(records: list[DiagnosticsRecord], config: RunConfig) -> list[dict]:
-    damped = config.params.alpha > 0
-    fits = []
-    for fieldname, gamma in config.diagnostics.norms:
-        theory = theory_exponent(fieldname, gamma, damped)
-        series = [(r.time, r.norms[(fieldname, gamma)]) for r in records]
-        entry: dict[str, Any] = {"field": fieldname, "gamma": gamma, "theory_exponent": theory}
-        try:
-            fit = decay_fit(series, default_fit_window(config.stepper.t_end), fieldname, gamma, theory)
-        except DecayFitError as exc:
-            entry.update({"status": "failed", "reason": str(exc)})
-        else:
-            entry.update(
-                {
-                    "status": "ok",
-                    "exponent": fit.exponent,
-                    "r_squared": fit.r_squared,
-                    "window": list(fit.window),
-                    "n_samples": fit.n_samples,
-                }
-            )
-        fits.append(entry)
-    return fits
+    window = default_fit_window(config.stepper.t_end)
+    return [
+        _fit_entry([(r.time, r.norms[key]) for r in records], *key, config.params.alpha > 0, window)
+        for key in config.diagnostics.norms
+    ]
 
 
 def execute_run(config: RunConfig, out_dir: str | Path, quiet: bool = True) -> RunResult:
@@ -691,20 +687,14 @@ def execute_fit(
             return EXIT_CONFIG, None
     if damped is None:
         damped = _damped_from_manifest(path)
-    theory = theory_exponent(fieldname, gamma, damped)
-    try:
-        fit = decay_fit(series, window or default_fit_window(series[-1][0]), fieldname, gamma, theory)
-    except DecayFitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        code = EXIT_NONPOSITIVE if "nonpositive" in str(exc) else EXIT_CONFIG
-        return code, None
-    doc = fit.to_dict()
-    doc["difference"] = fit.exponent - theory
+    entry = _fit_entry(series, fieldname, gamma, damped, window or default_fit_window(series[-1][0]))
+    if entry["status"] != "ok":
+        print(f"fit failed: {entry['reason']}", file=sys.stderr)
+        return (EXIT_NONPOSITIVE if "nonpositive" in entry["reason"] else EXIT_CONFIG), None
+    doc = dict(entry, difference=entry["exponent"] - entry["theory_exponent"])
     if not quiet:
-        print(
-            f"{fieldname} gamma={gamma:g}: fitted {fit.exponent:+.4f}, theory {theory:+.4f}, "
-            f"difference {doc['difference']:+.4f}, r^2 = {fit.r_squared:.6f}"
-        )
+        print(f"{fieldname} gamma={gamma:g}: fitted {doc['exponent']:+.4f}, theory {doc['theory_exponent']:+.4f}, "
+              f"difference {doc['difference']:+.4f}, r^2 = {doc['r_squared']:.6f}")
         print(json.dumps(doc))
     if out_path is not None:
         _write_json(Path(out_path), doc)

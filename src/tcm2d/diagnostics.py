@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import IO, Callable, NamedTuple, Sequence
 
@@ -261,18 +261,12 @@ def theory_exponent(fieldname: str, gamma: float, damped: bool) -> float:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted decay exponent of one norm time series over a window."""
+    """Fitted decay exponent of one norm series, its r^2 and the number of samples in the window.
+    The field, the order and the window are the caller's, which reports them beside these."""
 
-    field: str
-    gamma: float
-    window: tuple[float, float]
     exponent: float
     r_squared: float
-    theory_exponent: float
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), window=list(self.window))
 
 
 def default_fit_window(t_end: float) -> tuple[float, float]:
@@ -280,14 +274,14 @@ def default_fit_window(t_end: float) -> tuple[float, float]:
     return (t_end / 4.0, 3.0 * t_end / 4.0)
 
 
-def decay_fit(
-    series: Sequence[tuple[float, float]],
-    window: tuple[float, float],
-    fieldname: str = "",
-    gamma: float = 0.0,
-    theory: float = 0.0,
-) -> DecayFit:
-    """Least-squares slope of log(value) against log(1 + t) over the window."""
+def decay_fit(series: Sequence[tuple[float, float]], window: tuple[float, float]) -> DecayFit:
+    """Least-squares slope of log(value) against log(1 + t) over the window.
+
+    A non-finite time anywhere in the series, t0 >= t1, fewer than 8 samples in
+    the window or a nonpositive or non-finite value in it is a DecayFitError.
+    """
+    if not all(math.isfinite(t) for t, _ in series):
+        raise DecayFitError("non-finite times in the series")
     t0, t1 = window
     if not t0 < t1:
         raise DecayFitError(f"window must satisfy t0 < t1, got {window}")
@@ -304,7 +298,7 @@ def decay_fit(
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid**2)) / ss_tot)
-    return DecayFit(fieldname, gamma, (t0, t1), float(slope), min(r2, 1.0), theory, len(pts))
+    return DecayFit(float(slope), min(r2, 1.0), len(pts))
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,12 @@ class TestConfigParsing:
             ("run", {"schema_version": True}, "schema_version"),
             ("sweep", {"threads": "x"}, "threads"),
             ("sweep", {"axes": {"alpha": ["x"]}}, "params.alpha"),
+            # json reads NaN, Infinity and integers past the float range; json.dumps writes them.
+            ("run", {"params": dict(SMALL_DOC["params"], alpha=math.nan)}, "params.alpha"),
+            ("run", {"stepper": dict(SMALL_DOC["stepper"], t_end=math.inf)}, "stepper.t_end"),
+            ("run", {"diagnostics": {"norms": [["u", math.inf]]}}, "diagnostics.norms"),
+            ("sweep", {"axes": {"alpha": [math.nan]}}, "params.alpha"),
+            ("run", {"params": dict(SMALL_DOC["params"], alpha=10**400)}, "params.alpha"),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, doc, key):
@@ -217,9 +223,12 @@ class TestMakeInitialData:
         # The benchmark's stability-n128 run.  Set-up holds the grid's tables
         # and the (5, n, band) state throughout; on top of them each stretch
         # may hold only its own work, traced call by call:
-        #   random_coeffs         one draw's two (n, n/2+1) float standard normals
-        #                         (it holds one of them, or its (n, band) result,
-        #                         at a time, with its (2 cut + 1, cut + 1) box);
+        #   random_coeffs         its (n, band) complex result, or before it
+        #                         one (n, n/2+1) float standard normal at a
+        #                         time, with its box arrays: the complex
+        #                         (2 cut + 1, cut + 1) box and three float ones
+        #                         (the real and imaginary draws and |k|), 43 x
+        #                         22 modes here, 15 KB complex;
         #   leray_project_coeffs  four (n, band) complex temporaries;
         #   Spectra               its four power rows and their scratch, eight
         #                         (n, band) float rows (the scratch is freed on
@@ -234,10 +243,16 @@ class TestMakeInitialData:
         #                         (n, band) complex arrays, or the four power
         #                         rows; the in-place rescale that ends set-up
         #                         counts here and holds only the weight rows.
-        # slack, 48 KiB, is the box arrays (43 x 22 modes here, 15 KB complex
-        # each), ufunc and einsum buffers and Python objects.  It is below the
-        # 133 KB of one full-width complex array, so such an array, a full
-        # draw or a stack of full draws, held anywhere breaks a bound.
+        # slack is ufunc and einsum buffers, index arrays and Python objects:
+        # 48 KiB, which also covers the box arrays where they are not counted,
+        # and 16 KiB in random_coeffs.  Measured with numpy 2.4, each stretch's
+        # peak sits 41 to 86 KB below its bound, under the 133 KB of one
+        # full-width complex array, so such an array alive at a stretch's peak
+        # breaks that stretch's bound.  random_coeffs peaks 7.8 KB below its
+        # bound, under the 45 KB by which a full-width draw outweighs the band
+        # result, so a full-width draw there breaks it even when it is sliced
+        # to the band at once: drawn full width and sliced by the caller, or
+        # written into a full-width array and returned as a slice of it.
         doc = {
             "grid": {"n": 128, "box_length": 16.0 * math.pi},
             "params": {"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5, "viscosity": "quadratic"},
@@ -249,14 +264,17 @@ class TestMakeInitialData:
         n, band, half = grid.n, grid.band, grid.n // 2 + 1
         tables = sum(a.nbytes for a in (grid.kx, grid.ky, grid.k2, grid.kmag, grid.inv_k2, grid.dealias_mask))
         held = tables + 5 * n * band * 16
-        slack = 48 * 1024
+        cut = (band - 1) // 2  # random_coeffs' default band_cut
+        box = (2 * cut + 1) * (cut + 1) * 16
         own_work = {
             "between calls": 2 * n * band * 16,
-            "random_coeffs": 2 * n * half * 8,
+            "random_coeffs": max(n * band * 16, n * half * 8) + box + 3 * box // 2,
             "leray_project_coeffs": 4 * n * band * 16,
             "Spectra": 8 * n * band * 8,
             "Spectra.smallness": 7 * n * band * 8,
         }
+        slack = dict.fromkeys(own_work, 48 * 1024)
+        slack["random_coeffs"] = 16 * 1024
         peaks = dict.fromkeys(own_work, 0)
 
         def traced(name, fn):
@@ -294,8 +312,8 @@ class TestMakeInitialData:
         finally:
             tracemalloc.stop()
         for name, work in own_work.items():
-            assert peaks[name] <= held + work + slack, (name, peaks[name] - held)
-        assert slack < n * half * 16
+            assert peaks[name] <= held + work + slack[name], (name, peaks[name] - held)
+        assert max(slack.values()) < n * half * 16
 
 
 class TestRunCommand:
@@ -842,6 +860,40 @@ class TestFitCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "non-finite values in the fit window" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", [41, 81], ids=["in-window", "last"])
+    def test_non_finite_time_exit_2(self, tmp_path, capsys, row):
+        # A nan time is no sample to drop silently, and no default window to complain about.
+        path = self._write_power_law_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        _, value = lines[row].split(",")
+        lines[row] = f"nan,{value}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--field", "v", "--gamma", "1", "--undamped", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "non-finite times" in captured.err
+        assert not out.exists()
+
+    def test_out_is_the_summary_entry(self, tmp_path):
+        # summary.json and tcm2d fit report a norm's fit through one function:
+        # the --out document is the summary's entry, key order included, plus
+        # difference.  The fit reads damping from the run's manifest.
+        doc = dict(SMALL_DOC, stepper=dict(SMALL_DOC["stepper"], sample_every=0.02))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(run_dir), "--quiet"]) == 0
+        fits = json.loads((run_dir / "summary.json").read_text())["fits"]
+        assert [entry["status"] for entry in fits] == ["ok"] * 3
+        for entry in fits:
+            out = tmp_path / f"fit_{entry['field']}.json"
+            t0, t1 = entry["window"]
+            argv = ["fit", str(run_dir / "diagnostics.csv"), "--field", entry["field"], "--gamma", repr(entry["gamma"]),
+                    "--window", repr(t0), repr(t1), "--out", str(out), "--quiet"]
+            assert main(argv) == 0
+            fit = json.loads(out.read_text())
+            assert fit.pop("difference") == entry["exponent"] - entry["theory_exponent"]
+            assert list(fit.items()) == list(entry.items())
 
     def test_damped_flag_from_manifest(self, tmp_path):
         path = self._write_power_law_csv(tmp_path)

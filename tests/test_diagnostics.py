@@ -236,6 +236,15 @@ class TestDecayFit:
         with pytest.raises(DecayFitError, match="non-finite values in the fit window"):
             decay_fit(series, (10.0, 30.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [40, -1], ids=["in-window", "last"])
+    def test_non_finite_time_rejected(self, where, bad):
+        # Without the check the window filter drops such a sample unseen.
+        series = [(t, 1.0 / (1 + t)) for t in np.linspace(0.0, 40.0, 81)]
+        series[where] = (bad, series[where][1])
+        with pytest.raises(DecayFitError, match="non-finite times in the series"):
+            decay_fit(series, (10.0, 30.0))
+
 
 @pytest.fixture(scope="module")
 def sampled_records():
