@@ -71,6 +71,7 @@ from .model import (
     ViscosityFloorError,
 )
 from .spectral import (
+    MIN_DRAW_GRID,
     SpectralGrid,
     leray_project_coeffs,
     power_law_amplitude,
@@ -167,10 +168,12 @@ _norm = _reader(
     lambda e: (e[0], float(e[1])),
 )
 _order = _reader(lambda m: _is_number(m) and m <= MAX_FUNCTIONAL_ORDER, f"entries are finite numbers capped at {MAX_FUNCTIONAL_ORDER}", float)
-_threads = _reader(lambda t: _is_int(t) and t >= 1, "must be an integer >= 1")
+_count = _reader(lambda t: _is_int(t) and t >= 1, "must be an integer >= 1")
+_is_grid_size = lambda n: _is_int(n) and n >= MIN_DRAW_GRID and n % 2 == 0
 _grid_sizes = _reader(
-    lambda text: all(tok.strip().isdecimal() and int(tok) > 0 and int(tok) % 2 == 0 for tok in text.split(",")),
-    "must be comma-separated positive even integers",
+    lambda text: all(tok.strip().isdecimal() and _is_grid_size(int(tok)) for tok in text.split(","))
+    and len({int(tok) for tok in text.split(",")}) == len(text.split(",")),
+    f"must be comma-separated distinct even integers >= {MIN_DRAW_GRID}",
     lambda text: [int(tok) for tok in text.split(",")],
 )
 
@@ -198,7 +201,7 @@ class Setting:
 SETTINGS = {
     setting.key: setting
     for setting in (
-        Setting("grid.n", _reader(lambda n: _is_int(n) and n > 0 and n % 2 == 0, "must be a positive even integer")),
+        Setting("grid.n", _reader(_is_grid_size, f"must be an even integer >= {MIN_DRAW_GRID}")),
         Setting("grid.box_length", _positive),
         Setting("params.alpha", _number),
         Setting("params.beta", _number),
@@ -553,7 +556,7 @@ def parse_sweep(doc: dict) -> tuple[RunConfig, list[tuple[dict[str, Any], RunCon
     for key, values in axes.items():
         _expect(key in SWEEP_AXES, f"axes.{key} is not sweepable (allowed: {sorted(SWEEP_AXES)})")
         _expect(isinstance(values, list) and values, f"axes.{key} must be a non-empty list")
-    threads = _read("threads", doc.get("threads", 1), _threads)
+    threads = _read("threads", doc.get("threads", 1), _count)
     assignments: list[dict[str, Any]] = [{}]
     for name in sorted(axes):
         assignments = [dict(cell, **{name: v}) for cell in assignments for v in axes[name]]
@@ -622,8 +625,6 @@ def execute_sweep(base: RunConfig, cells: list[tuple[dict[str, Any], RunConfig]]
 
 
 def execute_validate(trials: int, resolutions: Sequence[int], seed: int, quiet: bool = False) -> tuple[int, list]:
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     grids = [SpectralGrid(n, 2.0 * math.pi) for n in resolutions]
     rng = np.random.default_rng(seed)
     reports = [check_gn(trials, grids, rng)]
@@ -730,8 +731,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--quiet", action="store_true")
 
     p_val = sub.add_parser("validate", help="run the inequality lab")
-    p_val.add_argument("--trials", type=int, default=100, help="trials per inequality per resolution")
-    p_val.add_argument("--resolutions", default="64,128", help="comma-separated grid sizes")
+    p_val.add_argument("--trials", type=int, default=100, help="trials per inequality per resolution (>= 1)")
+    p_val.add_argument("--resolutions", default="64,128", help=f"comma-separated distinct even grid sizes >= {MIN_DRAW_GRID}")
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", default=None, help="optional path for the JSON report")
     p_val.add_argument("--quiet", action="store_true")
@@ -763,13 +764,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             base, cells, threads = parse_sweep(_load_json(args.config))
             if args.threads is not None:
-                threads = _read("--threads", args.threads, _threads)
+                threads = _read("--threads", args.threads, _count)
             out = _resolve_out_dir(args.out, base)
             return execute_sweep(base, cells, out, threads, quiet=args.quiet)
         if args.command == "validate":
+            trials = _read("--trials", args.trials, _count)
             resolutions = _read("--resolutions", args.resolutions, _grid_sizes)
             seed = _read("--seed", args.seed, SETTINGS["seed"].read)
-            code, reports = execute_validate(args.trials, resolutions, seed, quiet=args.quiet)
+            code, reports = execute_validate(trials, resolutions, seed, quiet=args.quiet)
             if args.out:
                 _write_json(Path(args.out), {"reports": [r.to_dict() for r in reports]})
             return code

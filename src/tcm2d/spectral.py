@@ -354,16 +354,19 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     return math.sqrt(hom if homogeneous else l2 + hom)
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
-    """L^p norm computed on the 2x finer physical grid of :func:`oversampled_values`.
+def lp_norm(f: SpectralField | VectorField, p: float) -> float:
+    """L^p norm of a field, or of the magnitude sqrt(fx^2 + fy^2) of a vector field (fx, fy), on the 2x finer grid of :func:`oversampled_values`.
 
     Non-quadratic norms are not Parseval-exact; zero-padding the spectrum
     before quadrature suppresses the bias of the collocation product.
     """
-    vals = oversampled_values(f)
+    if isinstance(f, SpectralField):
+        grid, vals = f.grid, oversampled_values(f)
+    else:
+        grid, vals = f[0].grid, np.sqrt(np.add(*(oversampled_values(c) ** 2 for c in f)))
     if p == np.inf:
         return float(np.max(np.abs(vals)))
-    h2 = (f.grid.box_length / (2 * f.grid.n)) ** 2
+    h2 = (grid.box_length / (2 * grid.n)) ** 2
     return float((np.sum(np.abs(vals) ** p) * h2) ** (1.0 / p))
 
 
@@ -380,6 +383,9 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
     return _fft.irfft2(big, s=(m, m), norm="forward")
 
 
+MIN_DRAW_GRID = 8  # the smallest n whose default band_cut, ((n - 1) // 3) // 2, is >= 1 (n = 6 gives 0)
+
+
 def random_coeffs(
     grid: SpectralGrid,
     rng: np.random.Generator,
@@ -393,7 +399,7 @@ def random_coeffs(
     (default: half the dealias cut) and conjugate-symmetrized so the field is
     real-valued.  The result holds the first width ky columns of the half
     spectrum, shape (n, width) (default: all n//2 + 1); width must reach past
-    band_cut, and band_cut must stay below the Nyquist index n/2.
+    band_cut, and 1 <= band_cut < n/2: a mode past the mean, below the Nyquist index.
 
     The generator gives two (n, n//2 + 1) standard-normal draws, the real and
     the imaginary parts, at every width.  So a draw is the first width
@@ -408,8 +414,8 @@ def random_coeffs(
         band_cut = _dealias_cut(n) // 2
     if width is None:
         width = n // 2 + 1
-    if not 0 <= band_cut < n // 2:
-        raise ValueError(f"band_cut must be in [0, {n // 2}), below the Nyquist index, got {band_cut}")
+    if not 1 <= band_cut < n // 2:
+        raise ValueError(f"band_cut must be in [1, {n // 2}): a mode past the mean, below the Nyquist index, got {band_cut}")
     if not band_cut < width <= n // 2 + 1:
         raise ValueError(f"width must be in ({band_cut}, {n // 2 + 1}] to hold the band_cut box, got {width}")
     # The box's rows in fftfreq order, jx = 0..band_cut, -band_cut..-1: its

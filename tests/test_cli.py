@@ -142,6 +142,8 @@ class TestConfigParsing:
             ("run", {"diagnostics": {"norms": [["u", math.inf]]}}, "diagnostics.norms"),
             ("sweep", {"axes": {"alpha": [math.nan]}}, "params.alpha"),
             ("run", {"params": dict(SMALL_DOC["params"], alpha=10**400)}, "params.alpha"),
+            # Too small for a draw with a mode past the mean.
+            ("run", {"grid": {"n": 6}}, "grid.n"),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, doc, key):
@@ -163,6 +165,9 @@ class TestConfigParsing:
             (["validate", "--resolutions", ""], "--resolutions"),
             (["validate", "--resolutions", "64,x"], "--resolutions"),
             (["validate", "--seed", "-1"], "--seed"),
+            (["validate", "--resolutions", "6,16"], "--resolutions"),
+            (["validate", "--resolutions", "32,32"], "--resolutions"),
+            (["validate", "--trials", "0"], "--trials"),
         ],
     )
     def test_malformed_flag_exit_2(self, tmp_path, capsys, argv, flag):

@@ -140,3 +140,9 @@ class TestReport:
         for check in (check_gn, check_interpolation, check_kato_ponce, check_composition):
             with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
                 check(0, grids, rng)
+
+    @pytest.mark.parametrize("check", [check_gn, check_interpolation, check_kato_ponce, check_composition])
+    def test_a_grid_too_small_to_draw_on_raises(self, check, rng):
+        # n = 6: the draw's band holds the mean alone, so random_coeffs refuses it.
+        with pytest.raises(ValueError, match="band_cut"):
+            check(1, [SpectralGrid(6, 2 * np.pi)], rng)

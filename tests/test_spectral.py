@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tcm2d.diagnostics import Spectra
 from tcm2d.spectral import (
+    MIN_DRAW_GRID,
     SpectralError,
     SpectralField,
     SpectralGrid,
@@ -26,6 +27,7 @@ from tcm2d.spectral import (
     lambda_pow,
     leray_project,
     leray_project_coeffs,
+    lp_norm,
     mode_products,
     oversampled_values,
     parseval_weights,
@@ -326,6 +328,17 @@ class TestNormsAndInnerProduct:
         with pytest.raises(SpectralError):
             sobolev_norm(band_limited_field(grid64, 0), -1.0)
 
+    def test_lp_norm_of_a_gradient_is_the_hand_rolled_quadrature(self, grid64):
+        # Bit for bit the hand-written quadrature: the root of the squared
+        # oversampled components, summed in order, then the scalar path.
+        rng = np.random.default_rng(17)
+        gx, gy = gradient(SpectralField(grid64, random_coeffs(grid64, rng, lambda k: k**-2.0)))
+        mag = np.sqrt(oversampled_values(gx) ** 2 + oversampled_values(gy) ** 2)
+        p = 2.0 / (2.0 - rng.uniform(1.05, 1.95))
+        h2 = (grid64.box_length / (2 * grid64.n)) ** 2
+        assert lp_norm((gx, gy), p) == float((np.sum(mag**p) * h2) ** (1.0 / p))
+        assert lp_norm((gx, gy), np.inf) == float(np.max(mag))
+
 
 class TestModeProducts:
     @pytest.mark.parametrize("with_work", [False, True])
@@ -404,12 +417,19 @@ class TestRandomFields:
             np.testing.assert_array_equal(narrow, full[:, :width])
             np.testing.assert_array_equal(full, full_spectrum_draw(grid, ref_rng, amp, band_cut))
 
-    @pytest.mark.parametrize("kwargs", [{"width": 4}, {"band_cut": 16}, {"band_cut": -1}, {"width": 18}])
+    @pytest.mark.parametrize("kwargs", [{"width": 4}, {"band_cut": 16}, {"band_cut": -1}, {"width": 18}, {"band_cut": 0}])
     def test_rejects_a_box_past_the_width_or_the_nyquist_index(self, kwargs):
         # n = 32: the default band_cut is 5, so width 4 cannot hold the box.
         grid = SpectralGrid(32, 2 * np.pi)
         with pytest.raises(ValueError):
             random_coeffs(grid, np.random.default_rng(0), lambda k: k**-1.0, **kwargs)
+
+    def test_min_draw_grid_is_the_smallest_with_a_default_draw(self):
+        # Below it the default band_cut, ((n - 1) // 3) // 2, is 0: a box of the mean alone.
+        amp = lambda k: k**-1.0  # noqa: E731
+        with pytest.raises(ValueError, match="band_cut"):
+            random_coeffs(SpectralGrid(MIN_DRAW_GRID - 2, 2 * np.pi), np.random.default_rng(0), amp)
+        assert np.any(random_coeffs(SpectralGrid(MIN_DRAW_GRID, 2 * np.pi), np.random.default_rng(0), amp))
 
     def test_real_and_mean_free(self, grid64):
         f = band_limited_field(grid64, 9)
