@@ -90,6 +90,10 @@ def _run_trials(
     """One report per name, from trials draws per grid; a draw gives one ratio per name."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    sizes = [grid.n for grid in grids]
+    for n in sizes:
+        if sizes.count(n) > 1:  # the reports are keyed by size: a repeat would drop its draws
+            raise ValueError(f"grid sizes must be distinct, got n = {n} more than once")
     per_res: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in names}
     for grid in grids:
         draws = [one_trial(grid, rng) for _ in range(trials)]

@@ -4,9 +4,12 @@ Run with `pytest -v -s tests/test_acceptance.py` to see one PASS/FAIL line per
 criterion.  The heavy shared trajectories (five seeds, damped and undamped, at
 N = 128) are integrated once per session.
 
-The box is periodic while the analytic statements live on the plane; the rate
-checks therefore use a calibrated intermediate-time window (documented in the
-configs below) and looser absolute tolerances, as declared.
+The stability battery and the decay-rate sweep are the checked-in sweep
+documents experiments/stability.json and experiments/rates.json, run as they
+are.  The box is periodic while the analytic statements live on the plane; the
+rate checks therefore use a calibrated intermediate-time window (the box
+parameters of experiments/rates.json, explained in the README's Experiments
+section) and looser absolute tolerances, as declared.
 """
 
 import csv
@@ -43,18 +46,15 @@ def read_rows(out_dir):
     return [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
 
 
-STABILITY_DOC = {
-    "schema_version": 1,
-    "grid": {"n": 128, "box_length": 16 * math.pi},
-    "params": {"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5},
-    "stepper": {"t_end": 20.0, "sample_every": 0.5, "dt": "auto"},
-    "epsilon": 0.01,
-    "seed": 1,
-    "spectrum_peak": 8,
-    "spectrum_slope": 1.0,
-    "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
-}
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
+
+def experiment(name):
+    """A fresh copy of the checked-in sweep document experiments/<name>.json."""
+    return json.loads((EXPERIMENTS / f"{name}.json").read_text())
+
+
+# Criteria 3-5 cover five seeds, damped and undamped; experiments/stability.json must supply them.
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -63,9 +63,8 @@ def stability_runs(tmp_path_factory):
     """Five seeds x {undamped, damped} at N = 128, auto dt, as one sweep
     (criteria 3-5): each cell's summary and directory, keyed (alpha, seed)."""
     root = tmp_path_factory.mktemp("stability")
-    doc = {"base": STABILITY_DOC, "axes": {"alpha": [0.0, 0.5], "seed": list(SEEDS)}, "threads": 2}
-    base, cells, threads = parse_sweep(doc)
-    assert execute_sweep(base, cells, root, threads=threads, quiet=True) == 0
+    base, cells, _ = parse_sweep(experiment("stability"))
+    assert execute_sweep(base, cells, root, threads=2, quiet=True) == 0
     with open(root / "aggregate.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * len(SEEDS)
@@ -75,6 +74,7 @@ def stability_runs(tmp_path_factory):
         cell_dir = root / row["cell"]
         summary = json.loads((cell_dir / "summary.json").read_text())
         results[(float(row["alpha"]), int(row["seed"]))] = RunResult(0, cell_dir, summary)
+    assert set(results) == {(alpha, seed) for alpha in (0.0, 0.5) for seed in SEEDS}
     return results
 
 
@@ -82,7 +82,7 @@ def stability_runs(tmp_path_factory):
 def budget_run(tmp_path_factory):
     """The energy-identity run: fixed dt small enough that the fourth-order
     dissipation quadrature resolves the cumulative budget to 1e-6 (criterion 2)."""
-    doc = json.loads(json.dumps(STABILITY_DOC))
+    doc = experiment("stability")["base"]
     doc["stepper"]["dt"] = 0.02
     out = tmp_path_factory.mktemp("budget") / "run"
     res = execute_run(parse_run_config(doc), out, quiet=True)
@@ -151,7 +151,7 @@ class TestCriterion4:
         # verdict must say so, while the energy budget still closes; the same
         # configuration with small data passes.
         doc = dict(
-            STABILITY_DOC,
+            experiment("stability")["base"],
             grid={"n": 64, "box_length": 16 * math.pi},
             params={"alpha": 0.0, "beta": 1.0, "mu_lower": 1.0, "s": 1.5, "viscosity": "constant"},
             stepper={"t_end": 1.0, "sample_every": 0.5, "dt": "auto"},
@@ -179,30 +179,11 @@ class TestCriterion5:
             assert 0.5 <= lo_x and hi_x <= 2.0
 
 
-RATE_DOC = {
-    "schema_version": 1,
-    "base": {
-        "grid": {"n": 64, "box_length": 16 * math.pi},
-        # beta = 8 slows the slaved temperature branch so the fit window
-        # [t_end/4, 3 t_end/4] precedes box-gap saturation; mu_lower = 0.25
-        # does the same for the barotropic mode.
-        "params": {"alpha": 0.0, "beta": 8.0, "mu_lower": 0.25, "s": 1.5},
-        "stepper": {"t_end": 100.0, "sample_every": 1.0, "dt": "auto"},
-        "epsilon": 0.01,
-        "seed": 2,
-        "spectrum_peak": 8,
-        "spectrum_slope": 1.0,
-        "diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["theta", 1.0]]},
-    },
-    "axes": {"alpha": [0.0, 0.5]},
-}
-
-
 class TestCriterion6:
     def test_rate_ordering_and_gaps(self, tmp_path_factory):
         with criterion(6, "decay-rate ordering and damping gap at gamma = 1"):
             out = tmp_path_factory.mktemp("rates")
-            base, cells, _ = parse_sweep(json.loads(json.dumps(RATE_DOC)))
+            base, cells, _ = parse_sweep(experiment("rates"))
             assert execute_sweep(base, cells, out, threads=2, quiet=True) == 0
             exps = {}
             for cell_dir in (p for p in out.iterdir() if p.is_dir()):
@@ -276,7 +257,7 @@ class TestCriterion8:
 class TestCriterion9:
     def test_byte_identical_reruns(self, tmp_path_factory):
         with criterion(9, "byte-identical diagnostics for identical config"):
-            doc = json.loads(json.dumps(STABILITY_DOC))
+            doc = experiment("stability")["base"]
             doc["grid"]["n"] = 64
             doc["stepper"]["t_end"] = 2.0
             root = tmp_path_factory.mktemp("determinism")

@@ -66,7 +66,7 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 def load_module(path):
-    """Import a file that is not in a package (an experiment script, a benchmark module)."""
+    """Import a file that is not in a package (a benchmark module)."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -104,19 +104,27 @@ class TestConfigParsing:
             parse_run_config({"diagnostics": {"norms": [["u", 1.0], ["v", 1.0], ["u", 1]]}})
 
     def test_roundtrip_through_dict(self):
-        # SMALL_DOC, the benchmark's workload documents and the experiment scripts' documents.
+        # SMALL_DOC and the benchmark's workload documents.
         workloads = load_module(ROOT / "perfbench" / "workloads.py")
-        stability = load_module(ROOT / "scripts" / "stability_experiment.py")
-        rates = load_module(ROOT / "scripts" / "decay_rate_sweep.py")
         configs = [parse_run_config(SMALL_DOC)]
         for kind, seed, build in workloads.WORKLOADS.values():
             configs += sweep_configs(build(seed)) if kind == "sweep" else [parse_run_config(build(seed))]
-        configs += sweep_configs(stability.sweep_doc(1, 128, 0.01, 20.0))
-        configs += sweep_configs(rates.sweep_doc(2, 100.0, [0.0, 0.5]))
-        assert len(configs) == 1 + 2 + 3 + 3 + 3
+        assert len(configs) == 1 + 2 + 3
         for cfg in configs:
             again = parse_run_config(cfg.to_dict())
             assert again == cfg
+
+    def test_experiment_documents(self):
+        # Every checked-in experiment is a sweep document that `tcm2d sweep --config`
+        # runs as it is; the worker count and the output directory are the caller's.
+        paths = sorted((ROOT / "experiments").glob("*.json"))
+        assert {"rates.json", "stability.json"} <= {path.name for path in paths}
+        for path in paths:
+            doc = cli_mod._load_json(path)
+            configs = sweep_configs(doc)
+            assert "threads" not in doc and configs[0].output_dir is None, path.name
+            for cfg in configs:
+                assert parse_run_config(cfg.to_dict()) == cfg, path.name
 
     def test_readme_block_is_the_defaults(self):
         # The README's run-configuration block says "defaults shown".
@@ -564,8 +572,8 @@ class TestRunCommand:
 
 class TestSweepCommand:
     def test_one_by_one_equals_run(self, tmp_path):
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
         cells = [p for p in out.iterdir() if p.is_dir()]
@@ -576,16 +584,19 @@ class TestSweepCommand:
         assert (cells[0] / "diagnostics.csv").read_bytes() == (run_out / "diagnostics.csv").read_bytes()
 
     def test_two_by_two_product(self, tmp_path):
-        sweep_doc = {
+        sweep = {
             "schema_version": 1,
             "base": SMALL_DOC,
             "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]},
         }
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
-        cells = [p for p in out.iterdir() if p.is_dir()]
-        assert len(cells) == 4
+        cells = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert cells == [
+            "cell_0000__alpha_0__seed_1", "cell_0001__alpha_0__seed_2",
+            "cell_0002__alpha_0.5__seed_1", "cell_0003__alpha_0.5__seed_2",
+        ]
         agg = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(agg) == 5  # header + one row per cell
         assert agg[0] == (
@@ -607,8 +618,8 @@ class TestSweepCommand:
             return compute_record(state, plan, *args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "compute_record", raising_when_damped)
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_ERROR
         rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
@@ -669,8 +680,8 @@ class TestSweepCommand:
     def test_beta_axis_takes_per_cell_defaults(self, tmp_path):
         # eta and kappa unset in the base take their defaults for each cell's
         # beta; beta = 8 lowers the eta bound to 0.0606, below beta = 1's 1/6.
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"beta": [1.0, 8.0]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"beta": [1.0, 8.0]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
         derived = {}
@@ -701,8 +712,8 @@ class TestSweepCommand:
             return parse_run_config(doc)
 
         monkeypatch.setattr(cli_mod, "parse_run_config", counting)
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
         assert len(calls) == 1 + 4
 
@@ -714,8 +725,8 @@ class TestSweepCommand:
                 super().write(rec)
 
         monkeypatch.setattr(cli_mod, "CsvWriter", FailingCsvWriter)
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == EXIT_IO
         rows = [line.split(",") for line in (out / "aggregate.csv").read_text().strip().splitlines()]
@@ -725,8 +736,8 @@ class TestSweepCommand:
     def test_blocked_cell_is_an_io_error_as_in_run(self, tmp_path, capsys):
         # A regular file where a cell's directory goes: the cell ends as the
         # same run under `tcm2d run` does, io-error with exit 4.
-        sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0, 0.5]}}
-        sweep_path = write_config(tmp_path, sweep_doc, "sweep.json")
+        sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0, 0.5]}}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sweep"
         out.mkdir()
         (out / "cell_0000__alpha_0").write_text("")
@@ -746,8 +757,8 @@ class TestSweepCommand:
         # The pool sends each cell's RunConfig to a worker and its summary back.
         outs = {}
         for threads in (1, 2):
-            sweep_doc = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}, "threads": threads}
-            sweep_path = write_config(tmp_path, sweep_doc, f"sweep{threads}.json")
+            sweep = {"schema_version": 1, "base": SMALL_DOC, "axes": {"alpha": [0.0, 0.5], "seed": [1, 2]}, "threads": threads}
+            sweep_path = write_config(tmp_path, sweep, f"sweep{threads}.json")
             out = tmp_path / f"threads{threads}"
             assert main(["sweep", "--config", str(sweep_path), "--out", str(out), "--quiet"]) == 0
             outs[threads] = {

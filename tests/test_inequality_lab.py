@@ -142,6 +142,13 @@ class TestReport:
                 check(0, grids, rng)
 
     @pytest.mark.parametrize("check", [check_gn, check_interpolation, check_kato_ponce, check_composition])
+    def test_a_repeated_grid_size_raises(self, check, rng):
+        # Reports are keyed by grid size, so a second n = 32 grid would drop its draws.
+        grids = [SpectralGrid(32, 2 * np.pi), SpectralGrid(64, 2 * np.pi), SpectralGrid(32, 2 * np.pi)]
+        with pytest.raises(ValueError, match=r"^grid sizes must be distinct, got n = 32 more than once$"):
+            check(1, grids, rng)
+
+    @pytest.mark.parametrize("check", [check_gn, check_interpolation, check_kato_ponce, check_composition])
     def test_a_grid_too_small_to_draw_on_raises(self, check, rng):
         # n = 6: the draw's band holds the mean alone, so random_coeffs refuses it.
         with pytest.raises(ValueError, match="band_cut"):
