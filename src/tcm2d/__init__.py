@@ -6,11 +6,9 @@ __version__ = "0.1.0"
 from .spectral import (
     SpectralField,
     SpectralGrid,
-    dealias,
     derivative,
     inner_product,
     lambda_pow,
-    leray_project,
     sobolev_norm,
 )
 from .model import (
@@ -41,11 +39,9 @@ from .cli import RunConfig, make_initial_data
 __all__ = [
     "SpectralField",
     "SpectralGrid",
-    "dealias",
     "derivative",
     "inner_product",
     "lambda_pow",
-    "leray_project",
     "sobolev_norm",
     "ModelParams",
     "Plan",

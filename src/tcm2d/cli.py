@@ -42,6 +42,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     CsvWriter,
+    MAX_FUNCTIONAL_ORDER,
     DecayFitError,
     DiagnosticsConfig,
     DiagnosticsRecord,
@@ -79,7 +80,6 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
-MAX_FUNCTIONAL_ORDER = 4.0  # high orders amplify round-off near the dealias cutoff
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,20 @@ class RunConfig:
     spectrum_slope: float = 1.0
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        for ok, requirement, value in (
+            (0 < self.epsilon < math.inf, "epsilon must be a finite number > 0", self.epsilon),
+            (self.n >= MIN_DRAW_GRID and self.n % 2 == 0, f"n must be an even integer >= {MIN_DRAW_GRID}", self.n),
+            (0 < self.box_length < math.inf, "box_length must be a finite number > 0", self.box_length),
+            (self.seed >= 0, "seed must be >= 0", self.seed),
+            (self.spectrum_peak >= 1, "spectrum_peak must be >= 1", self.spectrum_peak),
+            (math.isfinite(self.spectrum_slope), "spectrum_slope must be finite", self.spectrum_slope),
+            *((m >= self.params.s, f"diagnostics.functional_orders entries must be >= s = {self.params.s}", m)
+              for m in self.diagnostics.functional_orders),
+        ):
+            if not ok:
+                raise ValueError(f"{requirement}, got {value}")
 
     def to_dict(self) -> dict:
         """The run document of this config: every setting of SETTINGS, echoed at its key."""
@@ -294,10 +308,10 @@ def parse_run_config(doc: dict) -> RunConfig:
             _set_at(given, setting.path, _read(setting.key, source[name]))
     # The given settings by RunConfig attribute: the grid's sit on RunConfig itself, the other sections are objects.
     top = {key: _section(key, value) if isinstance(value, dict) else value for key, value in given.items() if key != "grid"}
-    config = RunConfig(**given.get("grid", {}), **top)
-    for m in config.diagnostics.functional_orders:
-        _expect(m >= config.params.s, f"diagnostics.functional_orders entries must be >= s = {config.params.s}, got {m}")
-    return config
+    try:
+        return RunConfig(**given.get("grid", {}), **top)
+    except ValueError as exc:  # the one check across sections: a functional order below s
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_json(path: str | Path) -> Any:

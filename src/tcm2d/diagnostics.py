@@ -64,6 +64,7 @@ class DecayFitError(ValueError):
 
 
 FIELDS = ("u", "v", "theta")
+MAX_FUNCTIONAL_ORDER = 4.0  # high orders amplify round-off near the dealias cutoff
 
 # The rows of Spectra.power: the per-mode power of each field, then the pairing.
 POWER_ROWS = {"u": 0, "v": 1, "theta": 2, "pairing": 3}
@@ -322,9 +323,14 @@ class DiagnosticsConfig:
                 raise ValueError(f"norms field must be u, v, or theta, got {f!r}")
             if not g >= 0:
                 raise ValueError(f"norms gamma must be >= 0, got {g}")
+            if g == math.inf:
+                raise ValueError("norms gamma must be finite, got inf")
         columns = [norm_column(f, g) for f, g in self.norms]
         if len(set(columns)) != len(columns):
             raise ValueError(f"norms entries must be distinct, got {columns}")
+        for m in self.functional_orders:
+            if not 1 < m <= MAX_FUNCTIONAL_ORDER:
+                raise ValueError(f"functional_orders entries must be numbers in (1, {MAX_FUNCTIONAL_ORDER}], got {m}")
         labels = [f"{m:g}" for m in self.functional_orders]
         if len(set(labels)) != len(labels):
             raise ValueError(f"functional_orders entries must be distinct, got {labels}")

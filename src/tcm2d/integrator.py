@@ -89,12 +89,18 @@ class StepperConfig:
                 raise ValueError("dt 'auto' gives the if-rk4 step bound; imex-euler needs a fixed dt <~ beta / kmax^2")
         elif not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        elif self.dt == math.inf:
+            raise ValueError("dt must be finite, got inf")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if not self.sample_every > 0:
             raise ValueError(f"sample_every must be > 0, got {self.sample_every}")
+        if self.sample_every == math.inf:
+            raise ValueError("sample_every must be finite, got inf")
 
 
 def stable_dt(plan: Plan, evaluation: Evaluation, cfl: float = 0.5) -> float:

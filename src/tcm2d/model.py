@@ -59,13 +59,10 @@ sums the stiff part again.
 Every state and tendency is zero in the ky columns from ``grid.band`` on, so
 a :class:`TcmState` holds the band columns alone, as one contiguous
 ``(5, n, band)`` array, and that is the one layout of a state: a state is
-made from the band alone (:meth:`TcmState.from_fields` takes the band columns
-of full half-spectrum fields).  The inverse batch is built from the band (a
+made from the band alone.  The inverse batch is built from the band (a
 pruned inverse, see :func:`~tcm2d.spectral.to_phys`), the tendency has that
 layout, and so have the stiff symbol, the propagators and the if-rk4 stage
-vectors.  Only a
-state's component fields (``TcmState.u``, ``.v``, ``.theta``) are full
-half-spectrum, the one layout of a :class:`~tcm2d.spectral.SpectralField`.
+vectors.
 
 Everything an evaluation reuses lives in a :class:`Plan`, built once per
 (grid, params): the ik multipliers, the stiff diagonal symbol, the curl and
@@ -88,13 +85,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    SpectralGrid,
-    from_phys,
-    mode_products,
-    to_phys,
-)
+from .spectral import SpectralGrid, from_phys, mode_products, to_phys
 
 
 class ParamError(ValueError):
@@ -179,6 +170,9 @@ class ModelParams:
     _mu0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "mu_lower", "s", "viscosity_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ParamError(f"alpha must be >= 0, got {self.alpha}")
         if not self.beta > 0:
@@ -241,13 +235,8 @@ class TcmState:
     (5, n, grid.band), the one layout of a state.  The input must have that
     shape, and any other, a full half spectrum (5, n, n//2 + 1) among them,
     raises ValueError; it is kept as it is when it is contiguous and complex,
-    and is made so otherwise.  :meth:`from_fields` takes full half-spectrum
-    fields.  u is kept divergence-free and all fields dealiased.
-
-    The properties u, v and theta give the components as full half-spectrum
-    SpectralFields: new arrays, zero-padded from the band columns, so every
-    spectral helper takes them.  They are not views of the state: writing to
-    one leaves the state as it is.
+    and is made so otherwise.  u is kept divergence-free and all fields
+    dealiased.  The physical fields are ``to_phys(coeffs, grid)``.
     """
 
     grid: SpectralGrid
@@ -263,35 +252,6 @@ class TcmState:
     @classmethod
     def zero(cls, grid: SpectralGrid, time: float = 0.0) -> "TcmState":
         return cls(grid, np.zeros((NCOMP, grid.n, grid.band), dtype=np.complex128), time)
-
-    @classmethod
-    def from_fields(
-        cls,
-        u: tuple[SpectralField, SpectralField],
-        v: tuple[SpectralField, SpectralField],
-        theta: SpectralField,
-        time: float = 0.0,
-    ) -> "TcmState":
-        """The state of five half-spectrum fields, stacked from their band columns."""
-        band = theta.grid.band
-        return cls(theta.grid, np.stack([f.coeffs[:, :band] for f in (*u, *v, theta)]), time)
-
-    def _field(self, row: int) -> SpectralField:
-        full = np.zeros(self.grid.shape_spec, dtype=np.complex128)
-        full[:, : self.grid.band] = self.coeffs[row]
-        return SpectralField(self.grid, full)
-
-    @property
-    def u(self) -> tuple[SpectralField, SpectralField]:
-        return (self._field(0), self._field(1))
-
-    @property
-    def v(self) -> tuple[SpectralField, SpectralField]:
-        return (self._field(2), self._field(3))
-
-    @property
-    def theta(self) -> SpectralField:
-        return self._field(ITH)
 
 
 class Plan:

@@ -19,7 +19,10 @@ this property.  A dealiased field is zero in every ky column from
 :attr:`SpectralGrid.band` on, so :func:`to_phys` may be handed the band
 columns ``[..., :band]`` alone: the inverse then runs its kx pass over those
 columns only and zero-pads the rest before the ky pass (a pruned transform),
-with the same numbers as the full-width one.
+with the same numbers as the full-width one.  A :class:`SpectralField` is
+one field over the whole half spectrum, the layout the inequality lab draws
+in; a model state holds the band columns alone, and its physical fields are
+``to_phys(state.coeffs, grid)``.
 
 Every quadratic form here and in the model and diagnostics is the per-mode
 Re(a conj b) of :func:`mode_products` summed against a weight row, and
@@ -75,8 +78,8 @@ class SpectralGrid:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.n % 2 != 0:
             raise SpectralError(f"grid resolution must be a positive even integer, got {self.n}")
-        if not self.box_length > 0:
-            raise SpectralError(f"box_length must be > 0, got {self.box_length}")
+        if not 0 < self.box_length < math.inf:
+            raise SpectralError(f"box_length must be a finite number > 0, got {self.box_length}")
         n = self.n
         dk = 2.0 * np.pi / self.box_length
         jx = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)           # 0..n/2-1, -n/2..-1
@@ -117,11 +120,6 @@ class SpectralGrid:
         """Largest |k| retained by the dealias mask."""
         return float(np.sqrt(2.0) * _dealias_cut(self.n) * 2.0 * np.pi / self.box_length)
 
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical mesh (x, y), indexed [ix, iy]."""
-        x = np.arange(self.n) * self.spacing
-        return np.meshgrid(x, x, indexing="ij")
-
     def weight_row(self, gamma: float | None) -> np.ndarray:
         """The read-only (n, band) weight row ``parseval_weights(self, gamma, self.band)``, kept once built."""
         row = self._weight_rows.get(gamma)
@@ -144,34 +142,17 @@ class SpectralField:
             raise SpectralError(f"field coefficients must have shape {self.grid.shape_spec}, got {np.shape(self.coeffs)}")
 
     @classmethod
-    def zero(cls, grid: SpectralGrid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.shape_spec, dtype=np.complex128))
-
-    @classmethod
     def from_phys(cls, grid: SpectralGrid, values: np.ndarray) -> "SpectralField":
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape_phys:
             raise SpectralError(f"physical shape {values.shape} != grid {grid.shape_phys}")
         return cls(grid, from_phys(values, grid))
 
-    @classmethod
-    def from_function(cls, grid: SpectralGrid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "SpectralField":
-        xx, yy = grid.coords()
-        return cls.from_phys(grid, fn(xx, yy))
-
     def values(self) -> np.ndarray:
         return to_phys(self.coeffs, self.grid)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
 
 VectorField = tuple[SpectralField, SpectralField]
@@ -220,10 +201,10 @@ def lambda_pow(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * mult)
 
 
-_AXIS_K = {"x": "kx", "y": "ky", 0: "kx", 1: "ky"}
+_AXIS_K = {"x": "kx", "y": "ky"}
 
 
-def derivative(f: SpectralField, axis: str | int) -> SpectralField:
+def derivative(f: SpectralField, axis: str) -> SpectralField:
     """Spectral partial derivative along x or y."""
     try:
         k = getattr(f.grid, _AXIS_K[axis])
@@ -236,41 +217,18 @@ def gradient(f: SpectralField) -> VectorField:
     return (derivative(f, "x"), derivative(f, "y"))
 
 
-def divergence(w: VectorField) -> SpectralField:
-    wx, wy = w
-    _check_same_grid(wx, wy)
-    g = wx.grid
-    return SpectralField(g, 1j * (g.kx * wx.coeffs + g.ky * wy.coeffs))
-
-
-def leray_project(w: VectorField) -> VectorField:
-    """Project a vector field onto its divergence-free part, mode by mode.
+def leray_project_coeffs(cx: np.ndarray, cy: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Project the vector field of coefficients (cx, cy) onto its divergence-free part, over the first cx.shape[-1] ky columns.
 
     For k != 0 the coefficient pair is replaced by w - k (k.w)/|k|^2; the
-    k = 0 mode is left unchanged.
-    """
-    wx, wy = w
-    _check_same_grid(wx, wy)
-    g = wx.grid
-    px, py = leray_project_coeffs(wx.coeffs, wy.coeffs, g)
-    return (SpectralField(g, px), SpectralField(g, py))
-
-
-def leray_project_coeffs(cx: np.ndarray, cy: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient form of :func:`leray_project`, over the first cx.shape[-1] ky columns.
-
-    cx and cy may hold any leading width of the half spectrum (a state's band
-    columns, say); each column's numbers are those of the full-width result.
+    k = 0 mode is left unchanged.  cx and cy may hold any leading width of
+    the half spectrum (a state's band columns, say); each column's numbers
+    are those of the full-width result.
     """
     width = cx.shape[-1]
     ky = grid.ky[:, :width]
     kdotw = (grid.kx * cx + ky * cy) * grid.inv_k2[:, :width]
     return cx - grid.kx * kdotw, cy - ky * kdotw
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients outside the two-thirds mask."""
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:

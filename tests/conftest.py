@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tcm2d.model import ModelParams, Plan, TcmState, nonlinear_tendency
+from tcm2d.model import NCOMP, ModelParams, Plan, TcmState, nonlinear_tendency
 from tcm2d.spectral import (
+    SpectralField,
     SpectralGrid,
     leray_project_coeffs,
     power_law_amplitude,
@@ -18,6 +19,40 @@ def grid64():
 @pytest.fixture(scope="session")
 def grid32():
     return SpectralGrid(32, 2 * np.pi)
+
+
+def coords(grid):
+    """Physical mesh (x, y), indexed [ix, iy]."""
+    x = np.arange(grid.n) * grid.spacing
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def field_of(grid, fn):
+    """The half-spectrum field of fn(x, y) on the grid's mesh."""
+    return SpectralField.from_phys(grid, fn(*coords(grid)))
+
+
+def zero_field(grid):
+    return SpectralField(grid, np.zeros(grid.shape_spec, dtype=np.complex128))
+
+
+def state_of(u, v, theta, time=0.0):
+    """The state of five half-spectrum fields, stacked from their band columns."""
+    band = theta.grid.band
+    return TcmState(theta.grid, np.stack([f.coeffs[:, :band] for f in (*u, *v, theta)]), time)
+
+
+def fields_of(state):
+    """A state's components [u_x, u_y, v_x, v_y, theta] as half-spectrum fields, zero-padded from its band."""
+    full = np.zeros((NCOMP,) + state.grid.shape_spec, dtype=np.complex128)
+    full[..., : state.grid.band] = state.coeffs
+    return [SpectralField(state.grid, row) for row in full]
+
+
+def shear_state(grid):
+    """u = (sin y, 0), v = 0, theta = 0."""
+    zero = zero_field(grid)
+    return state_of((field_of(grid, lambda x, y: np.sin(y)), zero), (zero, zero), zero)
 
 
 def make_random_state(grid, seed=0, amplitude=1.0, slope=1.0, peak_index=8):

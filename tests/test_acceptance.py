@@ -24,10 +24,10 @@ import pytest
 
 from tcm2d.cli import RunResult, execute_run, execute_sweep, execute_validate, parse_run_config, parse_sweep
 from tcm2d.integrator import StepperConfig, run
-from tcm2d.model import ModelParams, TcmState
-from tcm2d.spectral import SpectralField, SpectralGrid
+from tcm2d.model import ModelParams
+from tcm2d.spectral import SpectralGrid, to_phys
 
-from conftest import make_random_state
+from conftest import coords, make_random_state, shear_state
 
 
 @contextmanager
@@ -96,15 +96,13 @@ class TestCriterion1:
         with criterion(1, f"exact shear-mode decay, alpha={alpha}"):
             grid = SpectralGrid(64, 2 * math.pi)
             params = ModelParams(alpha=alpha, beta=1.0, mu_lower=1.0, viscosity="constant")
-            zero = SpectralField.zero(grid)
-            shear = SpectralField.from_function(grid, lambda x, y: np.sin(y))
-            state = TcmState.from_fields((shear, zero), (zero, zero), zero)
+            state = shear_state(grid)
             t0 = time.time()
             out = run(state, params, StepperConfig(t_end=1.0, dt=1e-3, sample_every=1.0))
             elapsed = time.time() - t0
-            yy = grid.coords()[1]
+            yy = coords(grid)[1]
             envelope = math.exp(-(1.0 + alpha))
-            rel = np.max(np.abs(out.u[0].values() - envelope * np.sin(yy))) / envelope
+            rel = np.max(np.abs(to_phys(out.coeffs[0], grid) - envelope * np.sin(yy))) / envelope
             print(f"  rel error {rel:.3e}, runtime {elapsed:.1f} s")
             assert rel <= 1e-7
             assert elapsed < 10.0

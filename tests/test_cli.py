@@ -33,7 +33,7 @@ from tcm2d.cli import (
     parse_sweep,
 )
 from tcm2d import cli as cli_mod
-from tcm2d.diagnostics import CsvWriter, DiagnosticsError, Spectra, compute_record
+from tcm2d.diagnostics import CsvWriter, DiagnosticsConfig, DiagnosticsError, Spectra, compute_record
 from tcm2d.model import default_eta, default_kappa, derive_delta1, derive_lambda
 from tcm2d.spectral import SpectralGrid
 
@@ -92,6 +92,26 @@ class TestConfigParsing:
             parse_run_config({"grid": {"n": 31}})
         with pytest.raises(ConfigError, match="epsilon"):
             parse_run_config({"epsilon": 0.0})
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"epsilon": -1.0}, "epsilon must be a finite number > 0"),
+            ({"epsilon": math.inf}, "epsilon must be a finite number > 0"),
+            ({"epsilon": math.nan}, "epsilon must be a finite number > 0"),
+            ({"n": 6}, "n must be an even integer >= 8"),
+            ({"n": 33}, "n must be an even integer >= 8"),
+            ({"box_length": math.inf}, "box_length must be a finite number > 0"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"spectrum_peak": 0}, "spectrum_peak must be >= 1"),
+            ({"spectrum_slope": math.inf}, "spectrum_slope must be finite"),
+            ({"diagnostics": DiagnosticsConfig(functional_orders=(1.2,))}, r"functional_orders entries must be >= s = 1.5"),
+        ],
+    )
+    def test_a_config_built_in_python_gets_the_documents_checks(self, change, match):
+        # Unchecked, each of these would start a run instead of failing here.
+        with pytest.raises(ValueError, match=match):
+            replace(RunConfig(), **change)
 
     def test_functional_order_cap(self):
         with pytest.raises(ConfigError, match="capped"):

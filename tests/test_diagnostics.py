@@ -33,7 +33,6 @@ from tcm2d.model import (
     nonlinear_tendency,
 )
 from tcm2d.spectral import (
-    SpectralField,
     SpectralGrid,
     derivative,
     inner_product,
@@ -42,24 +41,24 @@ from tcm2d.spectral import (
     to_phys,
 )
 
-from conftest import evaluate, make_random_state
+from conftest import evaluate, field_of, fields_of, make_random_state, shear_state, state_of, zero_field
 
 TWO_PI_SQ = 2 * np.pi**2
 
 
 class TestCrossTerm:
     def test_analytic_value(self, grid64):
-        v = (SpectralField.from_function(grid64, lambda x, y: np.cos(x)), SpectralField.zero(grid64))
-        theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
+        zero = zero_field(grid64)
+        v = (field_of(grid64, lambda x, y: np.cos(x)), zero)
+        theta = field_of(grid64, lambda x, y: np.sin(x))
         # integrand is cos(x) * d/dx sin(x) = cos^2 x
-        zero = SpectralField.zero(grid64)
-        state = TcmState.from_fields((zero, zero), v, theta)
+        state = state_of((zero, zero), v, theta)
         assert Spectra(state).cross_term(1.0) == pytest.approx(TWO_PI_SQ, rel=1e-12)
 
     def test_zero_theta(self, grid64):
-        v = (SpectralField.from_function(grid64, lambda x, y: np.cos(x)), SpectralField.zero(grid64))
-        zero = SpectralField.zero(grid64)
-        assert Spectra(TcmState.from_fields((zero, zero), v, zero)).cross_term(1.5) == 0.0
+        zero = zero_field(grid64)
+        v = (field_of(grid64, lambda x, y: np.cos(x)), zero)
+        assert Spectra(state_of((zero, zero), v, zero)).cross_term(1.5) == 0.0
 
     @given(seed=st.integers(0, 2**16), order=st.floats(1.0, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -67,11 +66,9 @@ class TestCrossTerm:
         grid = SpectralGrid(32, 2 * np.pi)
         state = make_random_state(grid, seed=seed, amplitude=1.0)
         lhs = abs(Spectra(state).cross_term(order))
-        v_norm = math.sqrt(
-            sobolev_norm(state.v[0], order - 1.0, True) ** 2
-            + sobolev_norm(state.v[1], order - 1.0, True) ** 2
-        )
-        rhs = v_norm * sobolev_norm(state.theta, order, True)
+        _, _, v1, v2, theta = fields_of(state)
+        v_norm = math.sqrt(sobolev_norm(v1, order - 1.0, True) ** 2 + sobolev_norm(v2, order - 1.0, True) ** 2)
+        rhs = v_norm * sobolev_norm(theta, order, True)
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -113,9 +110,7 @@ class TestFunctionalB:
         # so pin s via a params object with s = 1.5 and evaluate at m = 1.5.
         params = ModelParams(alpha=0.0, beta=2.0, mu_lower=1.0, s=1.5)
         lam = derive_lambda(0.0, 2.0, 1.0)
-        zero = SpectralField.zero(grid64)
-        shear = SpectralField.from_function(grid64, lambda x, y: np.sin(y))
-        state = TcmState.from_fields((shear, zero), (zero, zero), zero)
+        state = shear_state(grid64)
         m = 1.5
         # |k| = 1 mode: every Lambda power of u has norm sqrt(2 pi^2)
         unit = math.sqrt(TWO_PI_SQ)
@@ -324,6 +319,12 @@ class TestRecordSerialization:
             ({"functional_orders": (1.5, 2.0, 2.0)}, "functional_orders entries must be distinct"),
             ({"norms": (("w", 1.0),)}, "u, v, or theta"),
             ({"norms": (("u", -1.0),)}, "gamma must be >= 0"),
+            ({"norms": (("u", np.inf),)}, "gamma must be finite"),
+            ({"norms": (("u", np.nan),)}, "gamma must be >= 0"),
+            ({"functional_orders": (1.0,)}, r"numbers in \(1, 4.0\]"),
+            ({"functional_orders": (6.0,)}, r"numbers in \(1, 4.0\]"),
+            ({"functional_orders": (np.inf,)}, r"numbers in \(1, 4.0\]"),
+            ({"functional_orders": (np.nan,)}, r"numbers in \(1, 4.0\]"),
         ],
     )
     def test_config_rejects_colliding_columns(self, kwargs, match):
@@ -416,15 +417,17 @@ def _hs_sq(fields, s):
 
 
 def _cross(state, order):
+    _, _, v1, v2, theta = fields_of(state)
     return sum(
-        inner_product(lambda_pow(v_i, order - 1.0), lambda_pow(derivative(state.theta, axis), order - 1.0))
-        for v_i, axis in zip(state.v, "xy")
+        inner_product(lambda_pow(v_i, order - 1.0), lambda_pow(derivative(theta, axis), order - 1.0))
+        for v_i, axis in zip((v1, v2), "xy")
     )
 
 
 def _reference_record(state, params, norms, m0, extra):
     """compute_record's values, each one summed field by field from the spectral module."""
-    u, v, th = state.u, state.v, (state.theta,)
+    fields = fields_of(state)
+    u, v, th = fields[0:2], fields[2:4], fields[4:]
     lam, alpha = params.lam, params.alpha
 
     def sum_a(m):

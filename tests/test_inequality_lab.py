@@ -19,6 +19,8 @@ from tcm2d.inequality_lab import (
 )
 from tcm2d.spectral import SpectralField, SpectralGrid, lp_norm, sobolev_norm
 
+from conftest import field_of, zero_field
+
 
 @pytest.fixture(scope="module")
 def grids():
@@ -33,7 +35,7 @@ def rng():
 class TestGagliardoNirenberg:
     def test_single_mode_closed_form(self, grids):
         g = grids[0]
-        f = SpectralField.from_function(g, lambda x, y: np.sin(x))
+        f = field_of(g, lambda x, y: np.sin(x))
         ratio = lp_norm(f, 4.0) / sobolev_norm(f, 0.5, homogeneous=True)
         # |k| = 1 mode: Lambda^(1/2) acts as the identity, denominator pi sqrt(2)
         expected = (1.5 * np.pi**2) ** 0.25 / (np.pi * math.sqrt(2.0))
@@ -57,7 +59,7 @@ class TestGagliardoNirenberg:
 class TestInterpolation:
     def test_single_mode_equality(self, grids):
         g = grids[0]
-        f = SpectralField.from_function(g, lambda x, y: np.sin(2 * x))
+        f = field_of(g, lambda x, y: np.sin(2 * x))
         n0 = sobolev_norm(f, 0.0, True)
         n1 = sobolev_norm(f, 1.0, True)
         n2 = sobolev_norm(f, 2.0, True)
@@ -70,7 +72,7 @@ class TestInterpolation:
 
     def test_two_mode_strict_inequality(self, grids):
         g = grids[0]
-        f = SpectralField.from_function(g, lambda x, y: np.sin(x) + 0.5 * np.sin(7 * y))
+        f = field_of(g, lambda x, y: np.sin(x) + 0.5 * np.sin(7 * y))
         ratio = sobolev_norm(f, 1.0, True) / math.sqrt(
             sobolev_norm(f, 0.0, True) * sobolev_norm(f, 2.0, True)
         )
@@ -84,7 +86,7 @@ class TestInterpolation:
 class TestKatoPonce:
     def test_constant_f_vanishes(self, grids):
         g = grids[0]
-        const = SpectralField.from_function(g, lambda x, y: np.full_like(x, 2.0))
+        const = field_of(g, lambda x, y: np.full_like(x, 2.0))
         other = random_test_field(g, np.random.default_rng(8))
         for s in (0.5, 1.5, 2.5):
             lhs = commutator_norm(const, other, s)
@@ -94,7 +96,7 @@ class TestKatoPonce:
     def test_zero_g(self, grids):
         g = grids[0]
         f = random_test_field(g, np.random.default_rng(9))
-        assert commutator_norm(f, SpectralField.zero(g), 1.5) == 0.0
+        assert commutator_norm(f, zero_field(g), 1.5) == 0.0
 
     def test_random_pairs_stable(self, grids, rng):
         report = check_kato_ponce(40, grids, rng, s=1.5)

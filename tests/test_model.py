@@ -32,18 +32,26 @@ from tcm2d.model import (
     NCOMP,
 )
 from tcm2d.spectral import (
-    SpectralField,
     SpectralGrid,
-    dealias,
     derivative,
-    divergence,
+    from_phys,
     gradient,
     inner_product,
-    leray_project,
+    leray_project_coeffs,
     to_phys,
 )
 
-from conftest import evaluate, make_random_state, stage1
+from conftest import (
+    coords,
+    evaluate,
+    field_of,
+    fields_of,
+    make_random_state,
+    shear_state,
+    stage1,
+    state_of,
+    zero_field,
+)
 
 
 def rhs(state, params):
@@ -141,6 +149,13 @@ class TestParamBounds:
         with pytest.raises(ParamError):
             ModelParams(s=1.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "mu_lower", "s", "viscosity_a"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_constants_rejected(self, name, value):
+        # Unchecked, alpha = nan and s = inf ran to blow-up, and beta = inf gave eta = nan and kappa = 0.
+        with pytest.raises(ParamError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
 
 class TestStateLayout:
     def test_every_state_is_the_contiguous_band(self, grid32, params_undamped):
@@ -149,10 +164,6 @@ class TestStateLayout:
         g = grid32
         band = g.band
         base = make_random_state(g, seed=1, amplitude=0.3)
-        padded = np.zeros((NCOMP,) + g.shape_spec, dtype=complex)
-        padded[..., :band] = base.coeffs
-        padded[..., band:] = 1.0  # columns past the band are dropped
-        fields = [SpectralField(g, row) for row in padded]
         config = parse_run_config({
             "schema_version": 1,
             "grid": {"n": g.n, "box_length": g.box_length},
@@ -163,9 +174,8 @@ class TestStateLayout:
         })
         plan = Plan(g, params_undamped)
         states = {
-            "band input": TcmState(g, padded[..., :band].real),
+            "band input": TcmState(g, base.coeffs.real),
             "zero": TcmState.zero(g),
-            "from_fields": TcmState.from_fields(fields[0:2], fields[2:4], fields[4]),
             "make_initial_data": make_initial_data(config),
             "step": step(base, plan, 1e-3, stage1(nonlinear_tendency(base.coeffs, plan)))[0],
             "run": run(base, params_undamped, StepperConfig(t_end=2e-3, dt=1e-3)),
@@ -174,8 +184,6 @@ class TestStateLayout:
             c = state.coeffs
             assert c.shape == (NCOMP, g.n, band), name
             assert c.dtype == np.complex128 and c.flags.c_contiguous, name
-        np.testing.assert_array_equal(states["from_fields"].coeffs, base.coeffs)
-        assert not np.shares_memory(states["from_fields"].coeffs, padded)
         # A contiguous complex band array is taken as it is, with no copy.
         kept = TcmState(g, base.coeffs).coeffs
         assert np.shares_memory(kept, base.coeffs) and kept.shape == base.coeffs.shape
@@ -197,10 +205,10 @@ class TestRhs:
         assert np.max(np.abs(rhs(z, params_undamped))) == 0.0
 
     def test_pure_theta_forces_v_only(self, grid64, params_undamped):
-        zero = SpectralField.zero(grid64)
-        theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x) + 0.3 * np.cos(2 * y))
-        t = rhs(TcmState.from_fields((zero, zero), (zero, zero), theta), params_undamped)
-        xx, yy = grid64.coords()
+        zero = zero_field(grid64)
+        theta = field_of(grid64, lambda x, y: np.sin(x) + 0.3 * np.cos(2 * y))
+        t = rhs(state_of((zero, zero), (zero, zero), theta), params_undamped)
+        xx, yy = coords(grid64)
         assert np.max(np.abs(t[0:2])) == 0.0
         assert np.max(np.abs(t[ITH])) == 0.0
         dv1 = to_phys(t[2], grid64)
@@ -210,10 +218,8 @@ class TestRhs:
 
     def test_shear_mode_hand_value(self, grid64):
         p = ModelParams(alpha=0.0, beta=1.0, mu_lower=1.0, viscosity="constant")
-        zero = SpectralField.zero(grid64)
-        shear = SpectralField.from_function(grid64, lambda x, y: np.sin(y))
-        t = rhs(TcmState.from_fields((shear, zero), (zero, zero), zero), p)
-        yy = grid64.coords()[1]
+        t = rhs(shear_state(grid64), p)
+        yy = coords(grid64)[1]
         assert np.max(np.abs(to_phys(t[0], grid64) + np.sin(yy))) < 1e-12
         assert np.max(np.abs(t[1])) < 1e-14
         assert np.max(np.abs(t[2:])) < 1e-14
@@ -228,40 +234,46 @@ class TestRhs:
 
 
 def _product(a, b, grid):
-    """One dealiased quadratic product, through its own forward transform."""
-    return dealias(SpectralField.from_phys(grid, a * b))
+    """The coefficients of one dealiased quadratic product, through its own forward transform."""
+    return from_phys(a * b, grid) * grid.dealias_mask
 
 
 def _reference_tendency(state, params):
     """nonlinear_tendency and its dissipation, built term by term.
 
     Every product gets its own forward transform, so this checks the grouping
-    of products before the batched transform in nonlinear_tendency.
+    of products before the batched transform in nonlinear_tendency.  The
+    terms are half-spectrum coefficients.
     """
     g = state.grid
-    u = [f.values() for f in state.u]
-    v = [f.values() for f in state.v]
-    grad_u = [[d.values() for d in gradient(f)] for f in state.u]
-    grad_v = [[d.values() for d in gradient(f)] for f in state.v]
-    grad_th = [d.values() for d in gradient(state.theta)]
-    mu_rem = dealias(SpectralField.from_phys(g, params.mu(state.theta.values()) - params.mu0)).values()
+    fields = fields_of(state)
+    su, sv, theta = fields[0:2], fields[2:4], fields[4]
+    u = [f.values() for f in su]
+    v = [f.values() for f in sv]
+    grad_u = [[d.values() for d in gradient(f)] for f in su]
+    grad_v = [[d.values() for d in gradient(f)] for f in sv]
+    grad_th = [d.values() for d in gradient(theta)]
+    mu_rem = to_phys(from_phys(params.mu(theta.values()) - params.mu0, g) * g.dealias_mask, g)
 
     def transport(w, grad):  # (w.grad) of the field whose gradient is given
         return _product(w[0], grad[0], g) + _product(w[1], grad[1], g)
 
+    def divergence(wx, wy):
+        return 1j * (g.kx * wx + g.ky * wy)
+
     tu = []
     for i in range(2):
         stress = [_product(mu_rem, grad_u[i][j], g) - _product(v[i], v[j], g) for j in range(2)]
-        tu.append(divergence(tuple(stress)) - transport(u, grad_u[i]))
-    tu = leray_project(tuple(tu))
-    tv = [derivative(state.theta, i) - transport(u, grad_v[i]) - transport(v, grad_u[i]) for i in range(2)]
-    tth = divergence(state.v) - transport(u, grad_th)
-    out = np.stack([f.coeffs for f in (*tu, *tv, tth)])
+        tu.append(divergence(*stress) - transport(u, grad_u[i]))
+    tu = leray_project_coeffs(*tu, g)
+    tv = [derivative(theta, axis).coeffs - transport(u, grad_v[i]) - transport(v, grad_u[i]) for i, axis in enumerate("xy")]
+    tth = divergence(sv[0].coeffs, sv[1].coeffs) - transport(u, grad_th)
+    out = np.stack([*tu, *tv, tth])
 
     grad_u_sq = sum(d**2 for row in grad_u for d in row)
     visc = float(np.sum((params.mu0 + mu_rem) * grad_u_sq)) * g.cell_area
-    u_sq = sum(inner_product(f, f) for f in state.u)
-    v_sq = sum(inner_product(f, f) for f in state.v)
+    u_sq = sum(inner_product(f, f) for f in su)
+    v_sq = sum(inner_product(f, f) for f in sv)
     return out, visc + params.alpha * u_sq + params.beta * v_sq
 
 
@@ -527,9 +539,8 @@ class TestFiniteDifferenceOracle:
         )
         params = ModelParams(alpha=0.2, beta=1.0, mu_lower=1.0)
         grid = SpectralGrid(64, L)
-        xx, yy = grid.coords()
-        u1, u2, v1, v2, th = (SpectralField.from_phys(grid, f(xx, yy)) for f in fields)
-        state = TcmState.from_fields((u1, u2), (v1, v2), th)
+        u1, u2, v1, v2, th = (field_of(grid, f) for f in fields)
+        state = state_of((u1, u2), (v1, v2), th)
         truth = to_phys(rhs(state, params), grid)
 
         errs = {}
@@ -549,9 +560,8 @@ class TestEnergyBudget:
         assert residual(TcmState.zero(grid64), params_undamped) == 0.0
 
     def test_pure_theta(self, grid64, params_undamped):
-        zero = SpectralField.zero(grid64)
-        theta = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
-        res = residual(TcmState.from_fields((zero, zero), (zero, zero), theta), params_undamped)
+        zero = zero_field(grid64)
+        res = residual(state_of((zero, zero), (zero, zero), field_of(grid64, lambda x, y: np.sin(x))), params_undamped)
         assert abs(res) < 1e-15
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])

@@ -14,18 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcm2d.diagnostics import Spectra
+from tcm2d.model import ModelParams, Plan
 from tcm2d.spectral import (
     MIN_DRAW_GRID,
     SpectralError,
     SpectralField,
     SpectralGrid,
-    dealias,
     derivative,
-    divergence,
     gradient,
     inner_product,
     lambda_pow,
-    leray_project,
     leray_project_coeffs,
     lp_norm,
     mode_products,
@@ -36,7 +34,7 @@ from tcm2d.spectral import (
     to_phys,
 )
 
-from conftest import make_random_state
+from conftest import coords, field_of, fields_of, make_random_state, zero_field
 
 TWO_PI_SQ = 2 * np.pi**2  # int_{[0,2pi)^2} sin^2(x) dx dy
 
@@ -65,11 +63,12 @@ class TestSpectralGrid:
     def test_rejects_odd_or_nonpositive(self):
         with pytest.raises(SpectralError):
             SpectralGrid(63, 2 * np.pi)
-        with pytest.raises(SpectralError):
-            SpectralGrid(64, -1.0)
+        for box_length in (-1.0, np.inf, np.nan):
+            with pytest.raises(SpectralError):
+                SpectralGrid(64, box_length)
 
     def test_roundtrip(self, grid64):
-        xx, yy = grid64.coords()
+        xx, yy = coords(grid64)
         vals = np.cos(3 * xx) * np.sin(2 * yy) + 0.5
         f = SpectralField.from_phys(grid64, vals)
         assert np.max(np.abs(f.values() - vals)) < 1e-13
@@ -136,7 +135,7 @@ class TestWeightRows:
 
 class TestLambdaPow:
     def test_unit_wavenumber_eigenfunction(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
+        f = field_of(grid64, lambda x, y: np.sin(x))
         g = lambda_pow(f, 2.0)
         assert np.max(np.abs(g.values() - f.values())) < 1e-12
 
@@ -146,7 +145,7 @@ class TestLambdaPow:
         np.testing.assert_array_equal(g.coeffs, f.coeffs)
 
     def test_wavenumber_two_eigenvalue(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.cos(2 * x))
+        f = field_of(grid64, lambda x, y: np.cos(2 * x))
         g = lambda_pow(f, 1.0)
         assert np.max(np.abs(g.values() - 2 * f.values())) < 1e-12
 
@@ -156,7 +155,7 @@ class TestLambdaPow:
             lambda_pow(f, -0.5)
 
     def test_kills_mean_for_positive_s(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: 1.0 + np.sin(x))
+        f = field_of(grid64, lambda x, y: 1.0 + np.sin(x))
         g = lambda_pow(f, 1.5)
         assert g.coeffs[0, 0] == 0.0
 
@@ -177,12 +176,12 @@ class TestLambdaPow:
 
 class TestDerivative:
     def test_sin_x(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
-        xx, _ = grid64.coords()
+        f = field_of(grid64, lambda x, y: np.sin(x))
+        xx, _ = coords(grid64)
         assert np.max(np.abs(derivative(f, "x").values() - np.cos(xx))) < 1e-13
 
     def test_constant(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.full_like(x, 2.5))
+        f = field_of(grid64, lambda x, y: np.full_like(x, 2.5))
         for axis in ("x", "y"):
             assert np.max(np.abs(derivative(f, axis).values())) < 1e-14
 
@@ -190,8 +189,8 @@ class TestDerivative:
         x, y = sympy.symbols("x y")
         expr = sympy.sin(x) * sympy.cos(y)
         d_expr = sympy.lambdify((x, y), sympy.diff(expr, y), "numpy")
-        f = SpectralField.from_function(grid64, lambda xx, yy: np.sin(xx) * np.cos(yy))
-        xx, yy = grid64.coords()
+        f = field_of(grid64, lambda xx, yy: np.sin(xx) * np.cos(yy))
+        xx, yy = coords(grid64)
         assert np.max(np.abs(derivative(f, "y").values() - d_expr(xx, yy))) < 1e-12
 
     def test_bad_axis(self, grid64):
@@ -200,33 +199,35 @@ class TestDerivative:
             derivative(f, "z")
 
 
+def project(w):
+    """The Leray projection of a pair of fields, as coefficients."""
+    return leray_project_coeffs(w[0].coeffs, w[1].coeffs, w[0].grid)
+
+
 class TestLerayProjection:
     def test_annihilates_gradients(self, grid64):
-        phi = SpectralField.from_function(grid64, lambda x, y: np.sin(x + y))
-        w = gradient(phi)
-        p = leray_project(w)
-        assert max(np.max(np.abs(p[0].coeffs)), np.max(np.abs(p[1].coeffs))) < 1e-14
+        p = project(gradient(field_of(grid64, lambda x, y: np.sin(x + y))))
+        assert max(np.max(np.abs(p[0])), np.max(np.abs(p[1]))) < 1e-14
 
     def test_preserves_divergence_free(self, grid64):
-        w = (SpectralField.from_function(grid64, lambda x, y: np.sin(y)), SpectralField.zero(grid64))
-        p = leray_project(w)
-        assert np.max(np.abs(p[0].coeffs - w[0].coeffs)) < 1e-15
-        assert np.max(np.abs(p[1].coeffs)) < 1e-15
+        w = (field_of(grid64, lambda x, y: np.sin(y)), zero_field(grid64))
+        p = project(w)
+        assert np.max(np.abs(p[0] - w[0].coeffs)) < 1e-15
+        assert np.max(np.abs(p[1])) < 1e-15
 
     def test_mode_parallel_to_k(self, grid64):
-        w = (SpectralField.from_function(grid64, lambda x, y: np.sin(x)), SpectralField.zero(grid64))
-        p = leray_project(w)
-        assert max(np.max(np.abs(p[0].coeffs)), np.max(np.abs(p[1].coeffs))) < 1e-14
+        p = project((field_of(grid64, lambda x, y: np.sin(x)), zero_field(grid64)))
+        assert max(np.max(np.abs(p[0])), np.max(np.abs(p[1]))) < 1e-14
 
     def test_idempotent_and_divergence_free(self, grid64):
         w = (band_limited_field(grid64, 10), band_limited_field(grid64, 11))
         scale = np.sqrt(inner_product(w[0], w[0]) + inner_product(w[1], w[1]))
-        p = leray_project(w)
-        pp = leray_project(p)
+        p = project(w)
+        pp = leray_project_coeffs(*p, grid64)
         for a, b in zip(p, pp):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(a.coeffs))
-        div = divergence(p)
-        assert np.max(np.abs(div.coeffs)) <= 1e-13 * scale
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+        div = 1j * (grid64.kx * p[0] + grid64.ky * p[1])
+        assert np.max(np.abs(div)) <= 1e-13 * scale
 
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -240,26 +241,28 @@ class TestLerayProjection:
             np.testing.assert_array_equal(b, f[:, : grid.band])
 
 
+def dealias(coeffs, grid):
+    """The package's dealiasing, Plan.gather_band: the masked band of full-width spectra."""
+    return Plan(grid, ModelParams()).gather_band(coeffs, np.zeros(coeffs.shape[:-1] + (grid.band,), dtype=complex))
+
+
 class TestDealias:
     def test_band_limited_unchanged(self, grid64):
         f = band_limited_field(grid64, 2)  # already inside the mask
-        g = dealias(f)
-        np.testing.assert_array_equal(g.coeffs, f.coeffs)
+        np.testing.assert_array_equal(dealias(f.coeffs, grid64), f.coeffs[:, : grid64.band])
 
     def test_outside_energy_zeroed(self, grid64):
         coeffs = np.zeros(grid64.shape_spec, dtype=complex)
         coeffs[0, grid64.n // 2 - 2] = 1.0  # above the cut
-        f = SpectralField(grid64, coeffs)
-        assert np.all(dealias(f).coeffs == 0)
+        coeffs[grid64.n // 2, 1] = 1.0
+        assert np.all(dealias(coeffs, grid64) == 0)
 
     def test_projection_bit_exact(self, grid64):
         rng = np.random.default_rng(0)
-        coeffs = rng.standard_normal(grid64.shape_spec) + 1j * rng.standard_normal(grid64.shape_spec)
-        f = SpectralField(grid64, coeffs)
-        g = dealias(f)
-        inside = grid64.dealias_mask
-        np.testing.assert_array_equal(g.coeffs[inside], f.coeffs[inside])
-        assert np.all(g.coeffs[~inside] == 0)
+        coeffs = rng.standard_normal((3,) + grid64.shape_spec) + 1j * rng.standard_normal((3,) + grid64.shape_spec)
+        band = grid64.band
+        np.testing.assert_array_equal(dealias(coeffs, grid64), (coeffs * grid64.dealias_mask)[..., :band])
+        assert np.all(grid64.dealias_mask[:, band:] == 0)
 
 
 class TestPrunedInverse:
@@ -282,23 +285,23 @@ class TestPrunedInverse:
 
 class TestNormsAndInnerProduct:
     def test_sin_homogeneous(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
+        f = field_of(grid64, lambda x, y: np.sin(x))
         assert sobolev_norm(f, 1.0, homogeneous=True) == pytest.approx(np.sqrt(TWO_PI_SQ), rel=1e-13)
 
     def test_zero_field(self, grid64):
-        assert sobolev_norm(SpectralField.zero(grid64), 1.3, homogeneous=True) == 0.0
+        assert sobolev_norm(zero_field(grid64), 1.3, homogeneous=True) == 0.0
 
     def test_sin_nonhomogeneous(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
+        f = field_of(grid64, lambda x, y: np.sin(x))
         # |k| = 1 makes both contributions equal: sqrt(2) * sqrt(2 pi^2) = 2 pi
         assert sobolev_norm(f, 1.0, homogeneous=False) == pytest.approx(2 * np.pi, rel=1e-13)
 
     def test_inner_product_values(self, grid64):
-        s = SpectralField.from_function(grid64, lambda x, y: np.sin(x))
-        c = SpectralField.from_function(grid64, lambda x, y: np.cos(x))
+        s = field_of(grid64, lambda x, y: np.sin(x))
+        c = field_of(grid64, lambda x, y: np.cos(x))
         assert inner_product(s, s) == pytest.approx(TWO_PI_SQ, rel=1e-13)
         assert abs(inner_product(s, c)) < 1e-13
-        assert inner_product(s, SpectralField.zero(grid64)) == 0.0
+        assert inner_product(s, zero_field(grid64)) == 0.0
 
     def test_inner_product_grid_mismatch(self, grid64, grid32):
         f = band_limited_field(grid64, 1)
@@ -363,17 +366,17 @@ class TestModeProducts:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_norms_of_the_band_columns_are_the_full_width_ones(self, n):
-        # A state holds its band columns and its component fields the half
-        # spectrum: the state's Parseval sums over the band (Spectra) are the
-        # norms of its fields over the half spectrum, to rounding.
+        # A state holds its band columns: its Parseval sums over the band
+        # (Spectra) are the norms over the half spectrum of its fields, the
+        # band zero-padded to that width, to rounding.
         grid = SpectralGrid(n, 2 * np.pi)
         state = make_random_state(grid, seed=n, amplitude=0.5)
         spectra = Spectra(state)
-        theta = state.theta
+        fields = fields_of(state)
+        theta = fields[4]
         for s in (0.0, 1.5):
             assert sobolev_norm(theta, s, homogeneous=True) ** 2 == pytest.approx(spectra.hom_sq("theta", s), rel=1e-14)
             assert sobolev_norm(theta, s) ** 2 == pytest.approx(spectra.hs_sq("theta", s), rel=1e-14)
-        fields = (*state.u, *state.v, theta)
         assert sum(inner_product(f, f) for f in fields) == pytest.approx(2.0 * spectra.energy(), rel=1e-14)
         # A field has one layout, the half spectrum: band-width coefficients are
         # refused when the field is made.
@@ -444,7 +447,7 @@ class TestRandomFields:
         np.testing.assert_array_equal(a, b)
 
     def test_oversampling_exact_for_trig(self, grid64):
-        f = SpectralField.from_function(grid64, lambda x, y: np.sin(x) + np.cos(2 * y))
+        f = field_of(grid64, lambda x, y: np.sin(x) + np.cos(2 * y))
         vals = oversampled_values(f)
         m = 2 * grid64.n
         xb = np.arange(m) * (grid64.box_length / m)
